@@ -90,6 +90,13 @@ class AlgebraDescriptor:
         return np.dtype(np.complex128 if self.field == COMPLEX else np.float64)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of one element's payload: ``(n, n)`` or ``(J+1, 2M+1)``."""
+        if self.backend == MATRIX:
+            return (self.n, self.n)
+        return (self.max_order + 1, self.width)
+
+    @property
     def width(self) -> int:
         """Number of stored Fourier modes (diffop backend only)."""
         if self.backend != CIRCLE_DIFFOP:
@@ -122,15 +129,12 @@ class AlgebraElement:
 
     def __init__(self, descriptor: AlgebraDescriptor, data: np.ndarray):
         array = np.array(data, dtype=descriptor.dtype)
-        if descriptor.backend == MATRIX:
-            if array.shape != (descriptor.n, descriptor.n):
+        if array.shape != descriptor.shape:
+            if descriptor.backend == MATRIX:
                 raise ShapeMismatchError(
                     f"matrix payload must be {descriptor.n}x{descriptor.n}, got {array.shape}")
-        else:
-            expected = (descriptor.max_order + 1, descriptor.width)
-            if array.shape != expected:
-                raise ShapeMismatchError(
-                    f"diffop payload must have shape {expected}, got {array.shape}")
+            raise ShapeMismatchError(
+                f"diffop payload must have shape {descriptor.shape}, got {array.shape}")
         array.setflags(write=False)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "data", array)
@@ -143,19 +147,11 @@ class AlgebraElement:
 
     @classmethod
     def zero(cls, descriptor: AlgebraDescriptor) -> "AlgebraElement":
-        if descriptor.backend == MATRIX:
-            shape = (descriptor.n, descriptor.n)
-        else:
-            shape = (descriptor.max_order + 1, descriptor.width)
-        return cls(descriptor, np.zeros(shape, dtype=descriptor.dtype))
+        return cls(descriptor, np.zeros(descriptor.shape, dtype=descriptor.dtype))
 
     @classmethod
     def one(cls, descriptor: AlgebraDescriptor) -> "AlgebraElement":
-        if descriptor.backend == MATRIX:
-            return cls(descriptor, np.eye(descriptor.n, dtype=descriptor.dtype))
-        data = np.zeros((descriptor.max_order + 1, descriptor.width), dtype=descriptor.dtype)
-        data[0, descriptor.max_mode] = 1.0
-        return cls(descriptor, data)
+        return cls(descriptor, unit_payload(descriptor))
 
     # -- structure ---------------------------------------------------------
 
@@ -176,10 +172,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Frobenius norm for matrices; max over orders of the Fourier 2-norm for diffops."""
-        if self.descriptor.backend == MATRIX:
-            return float(np.linalg.norm(self.data))
-        row_norms = np.sqrt((np.abs(self.data) ** 2).sum(axis=1))
-        return float(row_norms.max())
+        return float(element_norms(self.descriptor, self.data))
 
     def trace(self):
         if self.descriptor.backend != MATRIX:
@@ -188,16 +181,6 @@ class AlgebraElement:
         return complex(value) if self.descriptor.field == COMPLEX else float(value)
 
     # -- arithmetic --------------------------------------------------------
-
-    def _coerce_scalar(self, scalar):
-        if self.descriptor.dtype == np.float64:
-            if isinstance(scalar, numbers.Real):
-                return float(scalar)
-            value = complex(scalar)
-            if value.imag == 0.0:
-                return value.real
-            raise DomainError("complex scalar applied to a real-field element")
-        return complex(scalar)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -221,12 +204,14 @@ class AlgebraElement:
                 return AlgebraElement(self.descriptor, self.data @ other.data)
             return AlgebraElement(self.descriptor, _diffop_product(self.descriptor, self.data, other.data))
         if isinstance(other, numbers.Number):
-            return AlgebraElement(self.descriptor, self.data * self._coerce_scalar(other))
+            return AlgebraElement(self.descriptor,
+                                  self.data * coerce_scalar(self.descriptor, other))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgebraElement(self.descriptor, self.data * self._coerce_scalar(other))
+            return AlgebraElement(self.descriptor,
+                                  self.data * coerce_scalar(self.descriptor, other))
         return NotImplemented
 
     def __eq__(self, other):
@@ -239,6 +224,75 @@ class AlgebraElement:
     def __repr__(self) -> str:
         kind = "matrix" if self.descriptor.backend == MATRIX else "diffop"
         return f"<AlgebraElement {kind} norm={self.norm():.6g}>"
+
+
+def coerce_scalar(descriptor: AlgebraDescriptor, scalar):
+    """The Python scalar that multiplies payloads of ``descriptor``'s field."""
+    if descriptor.dtype == np.float64:
+        if isinstance(scalar, numbers.Real):
+            return float(scalar)
+        value = complex(scalar)
+        if value.imag == 0.0:
+            return value.real
+        raise DomainError("complex scalar applied to a real-field element")
+    return complex(scalar)
+
+
+def unit_payload(descriptor: AlgebraDescriptor) -> np.ndarray:
+    """Payload of the unit element."""
+    if descriptor.backend == MATRIX:
+        return np.eye(descriptor.n, dtype=descriptor.dtype)
+    data = np.zeros(descriptor.shape, dtype=descriptor.dtype)
+    data[0, descriptor.max_mode] = 1.0
+    return data
+
+
+# -- stacked kernels ------------------------------------------------------------
+#
+# A stack is an ndarray of payloads whose last two axes are one element and
+# whose leading axes index nodes, grades or both.  The kernels below act on a
+# whole stack at once and give, slice by slice, the same bits as the element
+# methods above.
+
+def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
+                    mask: np.ndarray | None = None) -> np.ndarray:
+    """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
+
+    Matrices multiply as one batched ``matmul``.  Diffop pairs go through the
+    exact Leibniz product one pair at a time; where ``mask`` (broadcast over
+    the leading axes) is false the pair is skipped and its slot stays zero.
+    """
+    if descriptor.backend == MATRIX:
+        return a @ b
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(a.shape, dtype=np.complex128)
+    lead = a.shape[:-2]
+    wanted = np.ones(lead, dtype=bool) if mask is None else np.broadcast_to(mask, lead)
+    for index in zip(*np.nonzero(wanted)):
+        out[index] = _diffop_product(descriptor, a[index], b[index])
+    return out
+
+
+def stacked_commutator(descriptor: AlgebraDescriptor, a: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """Brackets ``a[k] b[k] - b[k] a[k]`` over the broadcast leading axes."""
+    return stacked_product(descriptor, a, b) - stacked_product(descriptor, b, a)
+
+
+def _self_dot(flat: np.ndarray) -> np.ndarray:
+    # row @ column runs numpy's dot kernel on each slice, the kernel
+    # np.linalg.norm uses on one matrix; an axis reduction sums in another order
+    return (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+
+
+def element_norms(descriptor: AlgebraDescriptor, values: np.ndarray) -> np.ndarray:
+    """:meth:`AlgebraElement.norm` of every element of a stack, bit for bit."""
+    if descriptor.backend == MATRIX:
+        flat = values.reshape(*values.shape[:-2], -1)
+        if np.iscomplexobj(flat):
+            return np.sqrt(_self_dot(flat.real) + _self_dot(flat.imag))
+        return np.sqrt(_self_dot(flat))
+    return np.sqrt((np.abs(values) ** 2).sum(axis=-1)).max(axis=-1)
 
 
 def matrix_element(values, field: str | None = None) -> AlgebraElement:

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     diffop_descriptor,
+    element_norms,
     matrix_descriptor,
 )
 from qlax.lax import (
@@ -59,7 +59,9 @@ from qlax.nonregular import (
     velocity_at_zero,
     verify_diffeo_bounds,
 )
+from qlax.series import evaluate_values, node_blocks
 from qlax.symmetry import (
+    ad_matrices,
     ad_operator,
     check_ad_exp_ad,
     identity_operator,
@@ -363,11 +365,20 @@ def _element_payload(element: AlgebraElement):
     }
 
 
+def _series_payload(descriptor, values: np.ndarray):
+    """``_element_payload`` of every coefficient of a ``(nodes, N+1, *shape)`` stack."""
+    if descriptor.backend == MATRIX and descriptor.field == REAL:
+        return values.tolist()
+    if descriptor.backend == MATRIX:
+        return np.stack([values.real, values.imag], axis=-1).tolist()
+    return [[_element_payload(AlgebraElement(descriptor, c)) for c in node] for node in values]
+
+
 def _flow_rows(flow):
-    for node_index, node in enumerate(flow.series):
-        t = float(flow.times[node_index])
-        for grade, coeff in enumerate(node.coeffs):
-            yield (t, grade, coeff.norm())
+    norms = element_norms(flow.descriptor, flow.values).tolist()
+    for t, node_norms in zip(flow.times.tolist(), norms):
+        for grade, norm in enumerate(node_norms):
+            yield (t, grade, norm)
 
 
 def _flow_json_payload(flow):
@@ -376,8 +387,8 @@ def _flow_json_payload(flow):
         "q0": flow.q0,
         "order": flow.order,
         "step": flow.step,
-        "times": [float(t) for t in flow.times],
-        "series": [[_element_payload(c) for c in node.coeffs] for node in flow.series],
+        "times": flow.times.tolist(),
+        "series": _series_payload(flow.descriptor, flow.values),
     }
 
 
@@ -462,7 +473,7 @@ def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     for power in powers:
         rows.extend(_grade_rows(f"trace_drift_k{power}", tables[power].drift, TRACE_TOL))
 
-    oracle = oracle_integrate(problem)
+    oracle = oracle_integrate(result)
     if oracle.error <= ORACLE_EXACT_TOL:
         rows.append(DiagnosticRow("oracle_exact", None, oracle.error, ORACLE_EXACT_TOL, True))
     else:
@@ -506,15 +517,13 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
                             symmetry_residual_full(sym, lax_result), RESIDUAL_TOL))
     rows.extend(_grade_rows("ad_exp_gap",
                             check_ad_exp_ad(problem.path, problem.q0, problem.order,
-                                            problem.grid), AD_EXP_TOL))
+                                            problem.grid, operator_group=sym.group),
+                            AD_EXP_TOL))
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
         worst = np.zeros(problem.order + 1)
-        for node_index, node in enumerate(lax_result.flow.series):
-            op_node = sym.flow.series[node_index]
-            for grade, coeff in enumerate(node.coeffs):
-                gap = (op_node.coeffs[grade] - ad_operator(coeff).matrix).norm()
-                if gap > worst[grade]:
-                    worst[grade] = gap
+        for block in node_blocks(len(sym.flow), sym.flow.values[0].nbytes):
+            gap = sym.flow.values[block] - ad_matrices(lax_result.flow.values[block])
+            worst = np.maximum(worst, element_norms(sym.flow.descriptor, gap).max(axis=0))
         rows.extend(_grade_rows("equivariance_gap", worst, EQUIVARIANCE_TOL))
 
     _write_csv(os.path.join(out_dir, "flow.csv"), ["t", "grade", "coeff_norm"],
@@ -524,14 +533,6 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
     _write_manifest(out_dir, "symmetry", _problem_echo(document, problem, options),
                     list(files), all_passed)
     return ResultBundle(out_dir, files, all_passed)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QLAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _sweep_entry_columns(descriptor) -> list[str]:
@@ -554,28 +555,21 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
 
     def solve_point(q0: float):
-        point = LaxProblem(problem.initial, problem.path, q0, problem.order, problem.grid)
-        return solve_lax(point).flow, oracle_integrate(point)
+        point = solve_lax(
+            LaxProblem(problem.initial, problem.path, q0, problem.order, problem.grid))
+        return point.flow, oracle_integrate(point)
 
-    cap = _thread_cap()
-    if cap > 1 and len(sweep_values) > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(sweep_values))) as pool:
-            solved = list(pool.map(solve_point, sweep_values))
-    else:
-        solved = [solve_point(q0) for q0 in sweep_values]
+    solved = [solve_point(q0) for q0 in sweep_values]
 
     descriptor = problem.initial.descriptor
     sweep_rows = []
     for q0, (flow, _oracle) in zip(sweep_values, solved):
-        for node_index, node in enumerate(flow.series):
-            value = node.evaluate(q0)
-            entries = []
-            for entry in value.data.reshape(-1):
-                if descriptor.field == COMPLEX:
-                    entries.extend([float(entry.real), float(entry.imag)])
-                else:
-                    entries.append(float(entry))
-            sweep_rows.append((q0, float(flow.times[node_index]), *entries))
+        evaluated = evaluate_values(descriptor, flow.values, q0).reshape(len(flow), -1)
+        if descriptor.field == COMPLEX:
+            evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
+                len(flow), -1)
+        for t, entries in zip(flow.times.tolist(), evaluated.tolist()):
+            sweep_rows.append((q0, t, *entries))
     _write_csv(os.path.join(out_dir, "sweep.csv"),
                ["q0", "t", *_sweep_entry_columns(descriptor)], sweep_rows)
 

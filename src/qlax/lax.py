@@ -10,6 +10,10 @@ The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways:
 Diagnostics: a centred-difference residual of the flow equation, conserved
 traces of powers (conjugation invariance), and a plain RK4 oracle for the
 evaluated series, whose error must shrink like ``q0^(order+1)``.
+
+Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
+:class:`~qlax.timeorder.FlowSample`; the conjugation runs in fixed blocks of
+nodes so its temporaries stay small.
 """
 
 from __future__ import annotations
@@ -25,10 +29,17 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
-    commutator,
+    element_norms,
     matrix_element,
+    stacked_commutator,
 )
-from qlax.series import GradedSeries
+from qlax.series import (
+    GradedSeries,
+    cauchy_product,
+    evaluate_values,
+    neumann_inverse,
+    node_blocks,
+)
 from qlax.timeorder import (
     FlowSample,
     GroupSeriesPath,
@@ -73,36 +84,38 @@ class LaxFlowResult:
 
 
 def solve_lax(problem: LaxProblem) -> LaxFlowResult:
-    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` node by node."""
+    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on every node."""
     group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
-    initial_series = GradedSeries.single(
-        problem.initial.descriptor, problem.order, 0, problem.initial)
-    nodes = []
-    for g in group.series:
-        nodes.append((g * initial_series) * g.inverse())
-    flow = FlowSample(times=group.times, series=tuple(nodes), step=group.step,
-                      order=problem.order, q0=problem.q0)
+    descriptor = problem.initial.descriptor
+    initial = GradedSeries.single(descriptor, problem.order, 0, problem.initial).values[None]
+    values = np.empty(group.values.shape, dtype=descriptor.dtype)
+    for block in node_blocks(len(group), group.values[0].nbytes):
+        g = group.values[block]
+        values[block] = cauchy_product(descriptor, cauchy_product(descriptor, g, initial),
+                                       neumann_inverse(descriptor, g))
+    flow = FlowSample(times=group.times, values=values, descriptor=descriptor,
+                      step=group.step, order=problem.order, q0=problem.q0)
     return LaxFlowResult(problem=problem, group=group, flow=flow)
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:
     """Second route: RK4 on the triangular bracket system, no conjugation."""
-    times, nodes = _integrate_chain(commutator, problem.path, problem.q0,
-                                    problem.initial, problem.order, problem.grid)
-    return FlowSample(times=times, series=nodes, step=float(problem.grid[0]),
-                      order=problem.order, q0=problem.q0)
+    descriptor = problem.initial.descriptor
+    times, values = _integrate_chain(lambda p, x: stacked_commutator(descriptor, p, x),
+                                     problem.path, problem.q0, problem.initial,
+                                     problem.order, problem.grid)
+    return FlowSample(times=times, values=values, descriptor=descriptor,
+                      step=float(problem.grid[0]), order=problem.order, q0=problem.q0)
 
 
 def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
     """Per-grade max norm of the difference of two sampled flows."""
-    if len(a) != len(b) or a.order != b.order:
+    if a.values.shape != b.values.shape:
         raise ShapeMismatchError("flow samples have different shapes")
     worst = np.zeros(a.order + 1)
-    for sa, sb in zip(a.series, b.series):
-        for n, (ca, cb) in enumerate(zip(sa.coeffs, sb.coeffs)):
-            value = (ca - cb).norm()
-            if value > worst[n]:
-                worst[n] = value
+    for block in node_blocks(len(a), a.values[0].nbytes):
+        gap = element_norms(a.descriptor, a.values[block] - b.values[block])
+        worst = np.maximum(worst, gap.max(axis=0))
     return worst
 
 
@@ -111,23 +124,18 @@ def lax_residual(result: LaxFlowResult) -> np.ndarray:
     flow = result.flow
     if len(flow) < 3:
         raise DomainError("need at least three nodes for centred differences")
+    descriptor = flow.descriptor
     path = result.problem.path
     q0 = result.problem.q0
-    order = flow.order
+    values = flow.values
     inv_two_step = 1.0 / (2.0 * flow.step)
-    worst = np.zeros(order + 1)
-    zero = AlgebraElement.zero(flow.descriptor)
-    for k in range(1, len(flow) - 1):
-        derivative = (flow.series[k + 1] - flow.series[k - 1]) * inv_two_step
-        p = path.at(q0 * flow.times[k])
-        node = flow.series[k]
-        bracket = [zero]
-        for n in range(1, order + 1):
-            bracket.append(commutator(p, node.coeffs[n - 1]))
-        for n in range(order + 1):
-            value = (derivative.coeffs[n] - bracket[n]).norm()
-            if value > worst[n]:
-                worst[n] = value
+    worst = np.zeros(flow.order + 1)
+    for block in node_blocks(len(flow) - 2, values[0].nbytes):
+        inner = slice(block.start + 1, block.stop + 1)
+        residual = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
+        p = path.sample(q0 * flow.times[inner])[:, None]
+        residual[:, 1:] -= stacked_commutator(descriptor, p, values[inner, :-1])
+        worst = np.maximum(worst, element_norms(descriptor, residual).max(axis=0))
     return worst
 
 
@@ -148,16 +156,18 @@ def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, T
     if not 1 <= max_power <= 4:
         raise DomainError("trace powers are supported for 1 <= k <= 4")
     flow = result.flow
-    order = flow.order
-    node_count = len(flow)
-    dtype = np.complex128 if flow.descriptor.field == "complex" else np.float64
-    values = {k: np.zeros((node_count, order + 1), dtype=dtype) for k in range(1, max_power + 1)}
-    for node_index, node in enumerate(flow.series):
-        power_series = node
+    descriptor = flow.descriptor
+    values = {k: np.empty((len(flow), flow.order + 1), dtype=descriptor.dtype)
+              for k in range(1, max_power + 1)}
+    for block in node_blocks(len(flow), flow.values[0].nbytes):
+        node = flow.values[block]
+        power = node
         for k in range(1, max_power + 1):
             if k > 1:
-                power_series = power_series * node
-            values[k][node_index] = [c.trace() for c in power_series.coeffs]
+                power = cauchy_product(descriptor, power, node)
+            # summed over a contiguous axis, as ndarray.trace sums one matrix
+            diagonal = np.ascontiguousarray(np.diagonal(power, axis1=-2, axis2=-1))
+            values[k][block] = diagonal.sum(axis=-1)
     tables = {}
     for k in range(1, max_power + 1):
         drift = np.abs(values[k] - values[k][0]).max(axis=0)
@@ -181,49 +191,54 @@ class OracleComparison:
     expected_order: int
 
 
-def _rk4_evolution(problem: LaxProblem, q0: float) -> list[AlgebraElement]:
-    """Plain RK4 for ``y' = [q0 P(q0 t), y]`` (no grading)."""
+def _rk4_evolution(problem: LaxProblem, q0: float) -> np.ndarray:
+    """Plain RK4 for ``y' = [q0 P(q0 t), y]`` (no grading), on raw matrices."""
     scaled = problem.path.scaled(q0)
     step, _horizon, steps = _expand_grid(problem.grid)
     half = 0.5 * step
     sixth = step / 6.0
-    y = problem.initial
+
+    def at(t):
+        return scaled.at(t).data
+
+    def bracket(a, y):
+        return a @ y - y @ a
+
+    y = problem.initial.data
     nodes = [y]
     t = 0.0
     for _ in range(steps):
-        k1 = commutator(scaled.at(t), y)
-        k2 = commutator(scaled.at(t + half), y + half * k1)
-        k3 = commutator(scaled.at(t + half), y + half * k2)
-        k4 = commutator(scaled.at(t + step), y + step * k3)
+        k1 = bracket(at(t), y)
+        k2 = bracket(at(t + half), y + half * k1)
+        k3 = bracket(at(t + half), y + half * k2)
+        k4 = bracket(at(t + step), y + step * k3)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         nodes.append(y)
         t += step
-    return nodes
+    return np.stack(nodes)
 
 
-def _oracle_error(problem: LaxProblem, q0: float) -> float:
-    series_nodes = solve_lax(
-        LaxProblem(problem.initial, problem.path, q0, problem.order, problem.grid)
-    ).flow.series
-    oracle_nodes = _rk4_evolution(problem, q0)
-    worst = 0.0
-    for series_node, oracle_node in zip(series_nodes, oracle_nodes):
-        value = (series_node.evaluate(q0) - oracle_node).norm()
-        if value > worst:
-            worst = value
-    return worst
+def _oracle_error(flow: FlowSample, problem: LaxProblem, q0: float) -> float:
+    evaluated = evaluate_values(flow.descriptor, flow.values, q0)
+    gap = evaluated - _rk4_evolution(problem, q0)
+    return float(element_norms(flow.descriptor, gap).max(initial=0.0))
 
 
-def oracle_integrate(problem: LaxProblem) -> OracleComparison:
+def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
     """Compare the evaluated series against direct integration at q0 and q0/2.
 
-    The truncation error scales like ``q0^(order+1)``, so halving the scaling
-    should divide the error by about ``2^(order+1)``.
+    ``result`` is the solve at the problem's own ``q0``; only the ``q0/2``
+    flow is solved here.  The truncation error scales like ``q0^(order+1)``,
+    so halving the scaling should divide the error by about ``2^(order+1)``.
     """
+    problem = result.problem
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError("the evaluation oracle needs the matrix backend")
-    error = _oracle_error(problem, problem.q0)
-    error_half = _oracle_error(problem, problem.q0 / 2.0)
+    half = problem.q0 / 2.0
+    error = _oracle_error(result.flow, problem, problem.q0)
+    halved = solve_lax(LaxProblem(problem.initial, problem.path, half, problem.order,
+                                  problem.grid))
+    error_half = _oracle_error(halved.flow, problem, half)
     if error > 0.0 and error_half > 0.0:
         ratio = math.log2(error / error_half)
     else:

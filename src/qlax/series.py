@@ -13,6 +13,11 @@ sums here:
 * ``U^(-1) = sum_{k<=N} (-1)^k (U-1)^k`` (Neumann) for unit grade-0,
 * ``unit_inverse`` extends inversion to any invertible grade-0 coefficient
   on the matrix backend via ``U = a_0 (1 + a_0^(-1) S)``.
+
+The products, the Neumann inverse and evaluation are kernels on stacked
+series: ``(nodes, N+1, *shape)`` arrays holding one series per node, so a
+sampled flow is multiplied, inverted or evaluated in one pass.  A
+:class:`GradedSeries` is the one-node case of the same kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +34,106 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
+    coerce_scalar,
+    stacked_product,
+    unit_payload,
 )
+
+# Node-wise work on a long sampled flow runs in blocks of nodes whose series
+# take about this many bytes, so the temporaries of a product or inverse stay
+# a few blocks in size whatever the grid length and coefficient size.
+NODE_BLOCK_BYTES = 1 << 18
+
+
+def node_blocks(count: int, node_nbytes: int) -> list[slice]:
+    """Slices covering ``range(count)``, each spanning about ``NODE_BLOCK_BYTES``
+    of nodes that take ``node_nbytes`` each."""
+    size = max(1, NODE_BLOCK_BYTES // node_nbytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _nonzero_grades(values: np.ndarray) -> np.ndarray:
+    return values.reshape(*values.shape[:2], -1).any(axis=-1)
+
+
+def graded_product(a: np.ndarray, b: np.ndarray, multiply) -> np.ndarray:
+    """Truncated Cauchy product ``c_n = sum_{i+j=n} a_i b_j`` of stacked series.
+
+    ``a`` and ``b`` are ``(nodes, N+1, ...)`` arrays; either may hold one node,
+    which then pairs with every node of the other.  ``multiply(x, y, mask)``
+    multiplies the stack ``x`` of shape ``(nodes, 1, ...)`` into the grades
+    ``y`` of shape ``(nodes, k, ...)``; ``mask`` flags the pairs whose factors
+    are both nonzero.  The result has ``b``'s coefficient shape.
+
+    Each node gets the bits of the one-series loop: terms are added with
+    ``i`` ascending, each sum starts from its first term, and a pair with a
+    zero factor on that node adds nothing (a complex product of zero with a
+    nonzero factor can be ``-0.0``, which would change zero signs).
+    """
+    order = a.shape[1] - 1
+    nodes = max(a.shape[0], b.shape[0])
+    out = np.zeros((nodes, order + 1, *b.shape[2:]), dtype=np.result_type(a, b))
+    nonzero_a = _nonzero_grades(a)
+    nonzero_b = _nonzero_grades(b)
+    used_b = np.flatnonzero(nonzero_b.any(axis=0))
+    if not used_b.size:
+        return out
+    # grades of b outside [low, top) are zero on every node: no pair uses them
+    low, top = int(used_b[0]), int(used_b[-1]) + 1
+    started = np.zeros((nodes, order + 1), dtype=bool)
+    for i in range(order + 1 - low):
+        if not nonzero_a[:, i].any():
+            continue
+        width = min(order + 1 - i, top) - low
+        grades = slice(low, low + width)
+        mask = np.broadcast_to(nonzero_a[:, i, None] & nonzero_b[:, grades], (nodes, width))
+        term = multiply(a[:, i, None], b[:, grades], mask)
+        region = out[:, i + low:i + low + width]
+        seen = started[:, i + low:i + low + width]
+        added = mask & seen
+        fresh = mask & ~seen
+        if added.all():
+            region += term
+        elif fresh.all():
+            region[...] = term
+        else:
+            region[added] += term[added]
+            region[fresh] = term[fresh]
+        seen |= mask
+    return out
+
+
+def cauchy_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`graded_product` of stacked series over one coefficient algebra.
+
+    Diffop pairs with a zero factor are never multiplied, exactly as for a
+    single series.
+    """
+    return graded_product(a, b, lambda x, y, mask: stacked_product(descriptor, x, y, mask))
+
+
+def neumann_inverse(descriptor: AlgebraDescriptor, values: np.ndarray) -> np.ndarray:
+    """``sum_{k<=N} (-1)^k (U-1)^k`` for every node of a unit-headed stacked series."""
+    unit = np.zeros((1, *values.shape[1:]), dtype=descriptor.dtype)
+    unit[0, 0] = unit_payload(descriptor)
+    if not (values[:, 0] == unit[0, 0]).all():
+        raise DomainError("grade-0 coefficient must equal the unit")
+    offset = values - unit
+    acc = unit
+    power = unit
+    for k in range(1, values.shape[1]):
+        power = cauchy_product(descriptor, power, offset)
+        acc = acc + power * coerce_scalar(descriptor, (-1.0) ** k)
+    return np.broadcast_to(acc, values.shape).copy()
+
+
+def evaluate_values(descriptor: AlgebraDescriptor, values: np.ndarray, q0) -> np.ndarray:
+    """Substitute ``q0`` for the grade marker on every node (Horner form)."""
+    q0 = coerce_scalar(descriptor, q0)
+    acc = values[:, -1]
+    for n in range(values.shape[1] - 2, -1, -1):
+        acc = values[:, n] + q0 * acc
+    return acc
 
 
 class GradedSeries:
@@ -100,6 +204,16 @@ class GradedSeries:
     def __repr__(self) -> str:
         return f"<GradedSeries order={self.order} valuation={self.valuation()}>"
 
+    @property
+    def values(self) -> np.ndarray:
+        """The coefficients as one ``(N+1, *shape)`` array."""
+        return np.stack([c.data for c in self.coeffs])
+
+    @classmethod
+    def from_values(cls, descriptor: AlgebraDescriptor, values: np.ndarray) -> "GradedSeries":
+        """The series whose grade-``n`` coefficient has payload ``values[n]``."""
+        return cls([AlgebraElement(descriptor, v) for v in values])
+
     def _check_compatible(self, other: "GradedSeries") -> None:
         if self.descriptor != other.descriptor:
             raise ShapeMismatchError("series live in different algebras")
@@ -138,19 +252,8 @@ class GradedSeries:
         return NotImplemented
 
     def _cauchy(self, other: "GradedSeries") -> "GradedSeries":
-        order = self.order
-        out: list[AlgebraElement | None] = [None] * (order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero:
-                    continue
-                term = a * b
-                out[i + j] = term if out[i + j] is None else out[i + j] + term
-        zero = AlgebraElement.zero(self.descriptor)
-        return GradedSeries([c if c is not None else zero for c in out])
+        product = cauchy_product(self.descriptor, self.values[None], other.values[None])
+        return GradedSeries.from_values(self.descriptor, product[0])
 
     # -- group maps --------------------------------------------------------
 
@@ -183,13 +286,8 @@ class GradedSeries:
 
     def inverse(self) -> "GradedSeries":
         """Neumann inverse ``sum_{k<=N} (-1)^k (U-1)^k``; requires unit grade-0."""
-        offset = self._unit_offset()
-        acc = GradedSeries.unit(self.descriptor, self.order)
-        power = acc
-        for k in range(1, self.order + 1):
-            power = power * offset
-            acc = acc + power * ((-1.0) ** k)
-        return acc
+        inverse = neumann_inverse(self.descriptor, self.values[None])
+        return GradedSeries.from_values(self.descriptor, inverse[0])
 
     def unit_inverse(self) -> "GradedSeries":
         """Inverse for an invertible grade-0 coefficient (matrix backend).
@@ -214,7 +312,5 @@ class GradedSeries:
 
     def evaluate(self, q0: float) -> AlgebraElement:
         """Substitute the number ``q0`` for the grade marker (Horner form)."""
-        acc = self.coeffs[-1]
-        for n in range(self.order - 1, -1, -1):
-            acc = self.coeffs[n] + q0 * acc
-        return acc
+        return AlgebraElement(self.descriptor,
+                              evaluate_values(self.descriptor, self.values[None], q0)[0])

@@ -10,7 +10,8 @@ operator path ``t -> ad_{P(t)}`` drives an operator-level Lax flow
 solved by reusing the element-level machinery inside the operator algebra.
 Conjugating an element by the group series of ``P`` agrees grade by grade
 with applying the operator exponential of the ``ad`` path; that identity is a
-built-in cross-check.
+built-in cross-check.  The checks run on the stacked arrays of the sampled
+flows, in fixed blocks of nodes.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from qlax.algebra import (
     CapabilityError,
     ShapeMismatchError,
     commutator,
+    element_norms,
     matrix_descriptor,
+    stacked_commutator,
 )
-from qlax.series import GradedSeries
+from qlax.series import GradedSeries, graded_product, node_blocks
 from qlax.lax import LaxFlowResult, LaxProblem, lax_residual, solve_lax
 from qlax.timeorder import FlowSample, GroupSeriesPath, OperatorPath, time_ordered_exp
 
@@ -56,12 +59,26 @@ class AdOperator:
         return commutator(self.generator, element)
 
 
+def ad_matrices(values: np.ndarray) -> np.ndarray:
+    """Dense ``ad`` of every matrix of a stack: ``P (x) I - I (x) P^T`` (row-major).
+
+    Each entry is the product ``np.kron`` forms, so a slice equals the
+    single-matrix ``ad_operator`` payload bit for bit.
+    """
+    n = values.shape[-1]
+    lead = values.shape[:-2]
+    eye = np.eye(n, dtype=values.dtype)
+    transposed = np.swapaxes(values, -1, -2)
+    left = values[..., :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * transposed[..., None, :, None, :]
+    return (left - right).reshape(*lead, n * n, n * n)
+
+
 def ad_operator(generator: AlgebraElement) -> AdOperator:
     """Build ``ad_P``; the dense payload is ``P (x) I - I (x) P^T`` (row-major)."""
     target = operator_descriptor(generator.descriptor)
-    eye = np.eye(generator.descriptor.n, dtype=generator.data.dtype)
-    dense = np.kron(generator.data, eye) - np.kron(eye, generator.data.T)
-    return AdOperator(generator=generator, matrix=AlgebraElement(target, dense))
+    return AdOperator(generator=generator,
+                      matrix=AlgebraElement(target, ad_matrices(generator.data)))
 
 
 def ad_path(path: OperatorPath) -> OperatorPath:
@@ -83,22 +100,21 @@ def apply_operator(operator: AlgebraElement, element: AlgebraElement) -> Algebra
     return AlgebraElement(element.descriptor, flat.reshape(n, n))
 
 
+def _apply_stacked(operators: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Graded application on stacks: ``(nodes, N+1, n^2, n^2)`` onto ``(nodes, N+1, n, n)``."""
+    flat = elements.reshape(*elements.shape[:2], -1)
+    applied = graded_product(operators, flat, lambda x, y, _mask: (x @ y[..., None])[..., 0])
+    return applied.reshape(applied.shape[0], *elements.shape[1:])
+
+
 def apply_operator_series(operators: GradedSeries, elements: GradedSeries) -> GradedSeries:
     """Graded application ``(Phi . L)_n = sum_{i+j=n} Phi_i(L_j)``."""
     if operators.order != elements.order:
         raise ShapeMismatchError("series truncation orders differ")
-    order = operators.order
-    out: list[AlgebraElement | None] = [None] * (order + 1)
-    for i, op in enumerate(operators.coeffs):
-        if op.is_zero:
-            continue
-        for j in range(order + 1 - i):
-            if elements.coeffs[j].is_zero:
-                continue
-            term = apply_operator(op, elements.coeffs[j])
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    zero = AlgebraElement.zero(elements.descriptor)
-    return GradedSeries([c if c is not None else zero for c in out])
+    if operators.descriptor.n != elements.descriptor.n ** 2:
+        raise ShapeMismatchError("operator size does not match the element algebra")
+    applied = _apply_stacked(operators.values[None], elements.values[None])
+    return GradedSeries.from_values(elements.descriptor, applied[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,26 +174,18 @@ def symmetry_residual_full(sym: SymmetryFlowResult, lax: LaxFlowResult) -> np.nd
     base_n = l_flow.descriptor.n
     if s_flow.descriptor.n != base_n * base_n:
         raise ShapeMismatchError("operator flow does not match the element algebra")
-    order = s_flow.order
     q0 = sym.problem.q0
     element_path = _element_path(sym, lax)
     inv_two_step = 1.0 / (2.0 * s_flow.step)
-    zero_op = AlgebraElement.zero(s_flow.descriptor)
-    worst = np.zeros(order + 1)
-    for k in range(1, len(s_flow) - 1):
-        derivative = (s_flow.series[k + 1] - s_flow.series[k - 1]) * inv_two_step
-        ad_p = ad_operator(element_path.at(q0 * s_flow.times[k])).matrix
-        node = s_flow.series[k]
-        bracket = [zero_op]
-        for n in range(1, order + 1):
-            bracket.append(commutator(ad_p, node.coeffs[n - 1]))
-        residual_ops = GradedSeries(
-            [derivative.coeffs[n] - bracket[n] for n in range(order + 1)])
-        applied = apply_operator_series(residual_ops, l_flow.series[k])
-        for n, c in enumerate(applied.coeffs):
-            value = c.norm()
-            if value > worst[n]:
-                worst[n] = value
+    s_values = s_flow.values
+    worst = np.zeros(s_flow.order + 1)
+    for block in node_blocks(len(s_flow) - 2, s_values[0].nbytes):
+        inner = slice(block.start + 1, block.stop + 1)
+        residual = (s_values[block.start + 2:block.stop + 2] - s_values[block]) * inv_two_step
+        ad_p = ad_matrices(element_path.sample(q0 * s_flow.times[inner]))[:, None]
+        residual[:, 1:] -= stacked_commutator(s_flow.descriptor, ad_p, s_values[inner, :-1])
+        applied = _apply_stacked(residual, l_flow.values[inner])
+        worst = np.maximum(worst, element_norms(l_flow.descriptor, applied).max(axis=0))
     return worst
 
 
@@ -188,11 +196,14 @@ def _element_path(sym: SymmetryFlowResult, lax: LaxFlowResult) -> OperatorPath:
 
 
 def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
-                    seed: int = 0) -> np.ndarray:
+                    seed: int = 0, operator_group: GroupSeriesPath | None = None) -> np.ndarray:
     """Grade-wise gap between conjugation by ``Exp(P)`` and the exponential of ``ad_P``.
 
     A pseudo-random probe element is conjugated through the element-level
     solver, then compared against applying the operator-level group series.
+    ``operator_group`` is that series if the caller already has it (the group
+    of :func:`solve_symmetry` on the same path, scaling, order and grid);
+    otherwise it is integrated here.
     """
     descriptor = path.descriptor
     if descriptor.backend != MATRIX:
@@ -205,15 +216,17 @@ def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
 
     conjugated = solve_lax(LaxProblem(initial=probe, path=path, q0=q0,
                                       order=order, grid=grid)).flow
-    operator_group = time_ordered_exp_of_ad(path, q0, order, grid)
+    if operator_group is None:
+        operator_group = time_ordered_exp_of_ad(path, q0, order, grid)
+    if operator_group.values.shape[:2] != conjugated.values.shape[:2]:
+        raise ShapeMismatchError("operator group does not match the element flow")
+    flat_probe = probe.data.reshape(-1)
     worst = np.zeros(order + 1)
-    for node_index in range(len(conjugated)):
-        op_node = operator_group.series[node_index]
-        for n in range(order + 1):
-            applied = apply_operator(op_node.coeffs[n], probe)
-            value = (conjugated.series[node_index].coeffs[n] - applied).norm()
-            if value > worst[n]:
-                worst[n] = value
+    for block in node_blocks(len(conjugated), operator_group.values[0].nbytes):
+        applied = (operator_group.values[block] @ flat_probe).reshape(
+            conjugated.values[block].shape)
+        gap = element_norms(descriptor, conjugated.values[block] - applied)
+        worst = np.maximum(worst, gap.max(axis=0))
     return worst
 
 

@@ -11,16 +11,32 @@ which this module integrates with the classical fixed-step RK4 scheme.  The
 grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.
+
+RK4 steps all grades of the chain as one ``(N, *shape)`` stack, and a sampled
+path is kept as one ``(nodes, N+1, *shape)`` array (:class:`FlowSample`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from qlax.algebra import AlgebraDescriptor, AlgebraElement, DomainError, ShapeMismatchError
-from qlax.series import GradedSeries
+from qlax.algebra import (
+    AlgebraDescriptor,
+    AlgebraElement,
+    DomainError,
+    ShapeMismatchError,
+    element_norms,
+    stacked_product,
+)
+from qlax.series import (
+    GradedSeries,
+    cauchy_product,
+    neumann_inverse,
+    node_blocks,
+)
 
 MAX_PATH_DEGREE = 8
 
@@ -77,6 +93,14 @@ class OperatorPath:
             acc = self.coeffs[d] + t * acc
         return acc
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """Payloads of ``at(t)`` for every ``t`` in ``times``, as one stack."""
+        acc = np.broadcast_to(self.coeffs[-1].data, (len(times), *self.descriptor.shape))
+        factors = np.asarray(times)[:, None, None]
+        for d in range(self.degree - 1, -1, -1):
+            acc = self.coeffs[d].data + factors * acc
+        return acc
+
     def scaled(self, q0: float) -> "OperatorPath":
         """The path ``t -> q0 * P(q0 t)``: coefficient ``d`` picks up ``q0^(d+1)``."""
         _check_scaling(q0)
@@ -89,26 +113,67 @@ def scaling_transform(path: OperatorPath, q0: float) -> OperatorPath:
     return path.scaled(q0)
 
 
-@dataclass(frozen=True, eq=False)
 class FlowSample:
-    """A series-valued path sampled on a uniform time grid."""
+    """A series-valued path sampled on a uniform time grid.
 
-    times: np.ndarray
-    series: tuple[GradedSeries, ...]
-    step: float
-    order: int
-    q0: float
+    The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
+    ``values``; ``series`` shows its nodes as :class:`GradedSeries`.  Build a
+    sample either from ``values`` and ``descriptor`` or from a sequence of
+    series.
+    """
+
+    __slots__ = ("times", "values", "descriptor", "step", "order", "q0")
+
+    def __init__(self, times, series=None, *, step: float, order: int, q0: float,
+                 values: np.ndarray | None = None,
+                 descriptor: AlgebraDescriptor | None = None):
+        if series is not None:
+            series = tuple(series)
+            descriptor = series[0].descriptor
+            values = np.stack([node.values for node in series])
+        if values is None or descriptor is None:
+            raise ShapeMismatchError("a flow sample needs its series, or values and descriptor")
+        if values.shape[1:] != (order + 1, *descriptor.shape) or len(values) != len(times):
+            raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
+                                     f"{len(times)} nodes of order {order}")
+        values.setflags(write=False)
+        for name, value in (("times", times), ("values", values), ("descriptor", descriptor),
+                            ("step", step), ("order", order), ("q0", q0)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
-    def descriptor(self) -> AlgebraDescriptor:
-        return self.series[0].descriptor
+    def series(self) -> "SeriesView":
+        return SeriesView(self.descriptor, self.values)
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self.values)
+
+
+class SeriesView(Sequence):
+    """The nodes of a stacked sample as :class:`GradedSeries`, built on access."""
+
+    __slots__ = ("descriptor", "values")
+
+    def __init__(self, descriptor: AlgebraDescriptor, values: np.ndarray):
+        self.descriptor = descriptor
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        return GradedSeries.from_values(self.descriptor, self.values[index])
 
 
 class GroupSeriesPath(FlowSample):
     """A flow sample whose nodes are group series (unit grade-0 coefficient)."""
+
+    __slots__ = ()
 
 
 def _check_scaling(q0: float) -> None:
@@ -131,16 +196,14 @@ def _expand_grid(grid) -> tuple[float, float, int]:
     return step, horizon, int(steps)
 
 
-def _axpy(stack, factor, slopes):
-    return [x + factor * k for x, k in zip(stack, slopes)]
-
-
 def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElement,
-                     order: int, grid) -> tuple[np.ndarray, tuple[GradedSeries, ...]]:
+                     order: int, grid) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the triangular system ``X_i' = produce(P(q0 t), X_{i-1})``.
 
-    ``X_0 = base`` is constant and ``X_i(0) = 0`` for ``i >= 1``.  Returns the
-    node times and, per node, the graded series ``(base, X_1, ..., X_order)``.
+    ``X_0 = base`` is constant and ``X_i(0) = 0`` for ``i >= 1``.  All grades
+    step together: ``produce(p, stack)`` maps a ``(k, *shape)`` stack to the
+    stack of its products with ``p``.  Returns the node times and the
+    ``(nodes, order + 1, *shape)`` array of series ``(base, X_1, ..., X_order)``.
     """
     if order < 1:
         raise DomainError("truncation order must be >= 1")
@@ -148,33 +211,29 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
     if path.descriptor != base.descriptor:
         raise ShapeMismatchError("path and base element live in different algebras")
     step, horizon, steps = _expand_grid(grid)
-    zero = AlgebraElement.zero(base.descriptor)
+    descriptor = base.descriptor
     times = np.linspace(0.0, horizon, steps + 1)
     half = 0.5 * step
     sixth = step / 6.0
     constant_path = path.degree == 0
+    head = base.data[None]
 
     def slopes(t, stack):
         p = path.coeffs[0] if constant_path else path.at(q0 * t)
-        out = [produce(p, base)]
-        for x in stack[:-1]:
-            out.append(produce(p, x))
-        return out
+        return produce(p.data, np.concatenate((head, stack[:-1])))
 
-    stack = [zero] * order
-    nodes = [GradedSeries([base, *stack])]
+    values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
+    values[:, 0] = base.data
+    stack = values[0, 1:]
     for k in range(steps):
         t = times[k]
         k1 = slopes(t, stack)
-        k2 = slopes(t + half, _axpy(stack, half, k1))
-        k3 = slopes(t + half, _axpy(stack, half, k2))
-        k4 = slopes(t + step, _axpy(stack, step, k3))
-        stack = [
-            x + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(stack, k1, k2, k3, k4)
-        ]
-        nodes.append(GradedSeries([base, *stack]))
-    return times, tuple(nodes)
+        k2 = slopes(t + half, stack + half * k1)
+        k3 = slopes(t + half, stack + half * k2)
+        k4 = slopes(t + step, stack + step * k3)
+        stack = stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values[k + 1, 1:] = stack
+    return times, values
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> GroupSeriesPath:
@@ -183,10 +242,12 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> GroupSe
     Computing with a larger truncation order never changes the shared lower
     grades: grade ``i`` only ever reads grades below it.
     """
-    base = AlgebraElement.one(path.descriptor)
-    times, nodes = _integrate_chain(lambda p, x: p * x, path, q0, base, order, grid)
-    return GroupSeriesPath(times=times, series=nodes, step=float(grid[0]),
-                           order=order, q0=q0)
+    descriptor = path.descriptor
+    base = AlgebraElement.one(descriptor)
+    times, values = _integrate_chain(lambda p, x: stacked_product(descriptor, p, x),
+                                     path, q0, base, order, grid)
+    return GroupSeriesPath(times=times, values=values, descriptor=descriptor,
+                           step=float(grid[0]), order=order, q0=q0)
 
 
 def left_log_derivative_residual(group: GroupSeriesPath, path: OperatorPath,
@@ -198,16 +259,15 @@ def left_log_derivative_residual(group: GroupSeriesPath, path: OperatorPath,
     """
     if len(group) < 3:
         raise DomainError("need at least three nodes for centred differences")
-    order = group.order
     descriptor = group.descriptor
+    values = group.values
     inv_two_step = 1.0 / (2.0 * group.step)
-    worst = np.zeros(order + 1)
-    for k in range(1, len(group) - 1):
-        derivative = (group.series[k + 1] - group.series[k - 1]) * inv_two_step
-        target = GradedSeries.single(descriptor, order, 1, path.at(q0 * group.times[k]))
-        residual = derivative * group.series[k].inverse() - target
-        for n, c in enumerate(residual.coeffs):
-            value = c.norm()
-            if value > worst[n]:
-                worst[n] = value
+    worst = np.zeros(group.order + 1)
+    for block in node_blocks(len(group) - 2, values[0].nbytes):
+        inner = slice(block.start + 1, block.stop + 1)
+        derivative = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
+        residual = cauchy_product(descriptor, derivative,
+                                  neumann_inverse(descriptor, values[inner]))
+        residual[:, 1] -= path.sample(q0 * group.times[inner])
+        worst = np.maximum(worst, element_norms(descriptor, residual).max(axis=0))
     return worst

@@ -7,6 +7,8 @@ Runtime limits are asserted with a measured wall clock.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import time
@@ -164,7 +166,7 @@ def test_acceptance_05_oracle_convergence_order():
     ratios = []
     for q0 in (0.2, 0.1):
         prob = preset_problem("toda-3", q0=q0, order=4, grid=(1e-3, 1.0))
-        comparison = oracle_integrate(prob)
+        comparison = oracle_integrate(solve_lax(prob))
         ratios.append(comparison.log2_ratio)
     for ratio in ratios:  # halvings 0.2 -> 0.1 and 0.1 -> 0.05
         assert 4.5 <= ratio <= 5.5, f"log2 ratios {ratios}"
@@ -279,6 +281,68 @@ def test_acceptance_09_appendix_suite():
     _report(9, "appendix suite", time.perf_counter() - started, 2.0)
 
 
+# sha256 of every bundle file as the element-by-element implementation wrote
+# it (commit 2fb1fb6), before flows became stacked arrays.  Bundles must keep
+# these bytes across refactors, zero signs included; the digests hold for
+# IEEE doubles with numpy's default BLAS dot and gemm kernels.
+PINNED_SELFTEST_DIGESTS = {
+    "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
+    "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
+    "gr1_table.csv": "74af1db0d3dc7932ac4ed2dedb7de1fe84918fd4cfc2436185dd0545d3382064",
+    "manifest.json": "cc880c109bdb711a19a8a2b7c9c60306e1fa78899af3c7848106c2b139750a22",
+    "solve/diagnostics.csv": "d9e16572a346682eb4b6d00e0b1b9c325307909d86253f13d38b34e0d3baccda",
+    "solve/flow.csv": "0e4194988310bf0496ac6fa833bee56ea802d0bc8128d1dadd0ee1b37fee55bb",
+    "solve/flow.json": "a6f6b6e1b7d0aa0c6bf3092021a56abbaf760d4b9dcb4f4c9c8efc4d40fd6171",
+    "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
+    "symmetry/diagnostics.csv": "c9244c5915e43329d1f9c3e05ad3a8d8e8a7afc5cccf73d7702256a58a648c49",
+    "symmetry/flow.csv": "acc11edcc10fb072f84f97648b638199c8d7a7031a58d2bf4c9df20c65efaf72",
+    "symmetry/manifest.json": "4a539ccf09b15f35dcfe1d40a4d115bb462400bfad06e604d5a9ea5fc9a3c581",
+}
+
+# ``qlax solve --preset toda-3 --order 4 --step 0.001 --horizon 0.1``, pinned the same way.
+TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.001",
+                   "--horizon", "0.1"]
+PINNED_TODA_SOLVE_DIGESTS = {
+    "diagnostics.csv": "d504da3c3f6e6058baa8817dd7fed841a5475c9fb9b0fbd8eee568a439950fd2",
+    "flow.csv": "c08e743b2b7447bb9dee4169c44524d5d3ad7d5c7a026dda4ea576ecc93bdefc",
+    "flow.json": "c72baad48d51cebc954c281585d9416015efcefda8cd24bd7222d3a2546f5014",
+    "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
+}
+
+# A complex-field solve with a time-dependent path, pinned the same way: a
+# complex product of zero with a nonzero coefficient can be -0.0, so this
+# bundle shows whether pairs with a zero factor are still skipped node by node.
+COMPLEX_SOLVE_DOC = {
+    "schema": 1,
+    "backend": {"kind": "matrix", "n": 3, "field": "complex"},
+    "L0": [[[0.5, 0.1], 0.4, 0.0], [0.4, [0.0, -0.3], [0.4, 0.2]], [0.0, -0.4, -0.5]],
+    "P": {"kind": "poly", "coeffs": [
+        [[0.0, 0.4, 0.0], [-0.4, [0.0, 0.2], 0.4], [0.0, -0.4, 0.0]],
+        [[[0.1, -0.2], 0.0, 0.3], [0.0, -0.7, 0.0], [-0.3, 0.0, [0.0, 0.5]]]]},
+    "q0": 0.3,
+    "N": 5,
+    "grid": {"h": 0.002, "T": 0.3},
+    "options": {"symmetry_s0": {"kind": "ad-of-initial"}, "sweep": [0.2, 0.1, 0.05]},
+}
+PINNED_COMPLEX_SOLVE_DIGESTS = {
+    "diagnostics.csv": "ce2bef1e4f673164dce66a4eb0fcb1995e326e988afdbd0a1c0ebedfc6057108",
+    "flow.csv": "d1764c6f4a92e775a04456455892dcb0e7542a3bfc3f4ca8690670375f76b6f6",
+    "flow.json": "bf329af7c9062bebc4ef03c81b7cb33aa893e380ac90ee877b2f0d36485628a1",
+    "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",
+}
+
+
+def _bundle_digests(root: str) -> dict[str, str]:
+    digests = {}
+    for directory, _dirs, files in os.walk(root):
+        for name in files:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                key = os.path.relpath(path, root).replace(os.sep, "/")
+                digests[key] = hashlib.sha256(handle.read()).hexdigest()
+    return digests
+
+
 def test_acceptance_10_selftest_determinism(tmp_path):
     started = time.perf_counter()
     first = str(tmp_path / "run1")
@@ -294,4 +358,14 @@ def test_acceptance_10_selftest_determinism(tmp_path):
                 assert lf.read() == rf.read(), f"{name} differs between runs"
             compared += 1
     assert compared >= 10  # solve, symmetry and appendix bundles plus tables
+    # the same bytes as the pinned implementation, not only as the last run
+    assert _bundle_digests(first) == PINNED_SELFTEST_DIGESTS
+    toda = str(tmp_path / "toda")
+    assert main([*TODA_SOLVE_ARGS, "--out", toda]) == 0
+    assert _bundle_digests(toda) == PINNED_TODA_SOLVE_DIGESTS
+    document = tmp_path / "complex.json"
+    document.write_text(json.dumps(COMPLEX_SOLVE_DOC))
+    complex_out = str(tmp_path / "complex")
+    assert main(["solve", str(document), "--out", complex_out]) == 0
+    assert _bundle_digests(complex_out) == PINNED_COMPLEX_SOLVE_DIGESTS
     _report(10, "selftest determinism", time.perf_counter() - started, 30.0)

@@ -216,26 +216,6 @@ def test_sweep_with_q0_one_emits_rows_without_assertion(tmp_path):
     assert all(row["asserted"] == "false" for row in conv_rows)
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    doc = {
-        "schema": 1,
-        "P": {"kind": "preset", "name": "sl2-nilpotent"},
-        "N": 3,
-        "grid": {"h": 0.002, "T": 0.2},
-        "options": {"sweep": [0.2, 0.1]},
-    }
-    serial_out = str(tmp_path / "serial")
-    monkeypatch.setenv("QLAX_THREADS", "1")
-    assert main(["sweep", _write(tmp_path, doc), "--out", serial_out]) == 0
-    parallel_out = str(tmp_path / "parallel")
-    monkeypatch.setenv("QLAX_THREADS", "4")
-    assert main(["sweep", _write(tmp_path, doc, "p2.json"), "--out", parallel_out]) == 0
-    for name in ("sweep.csv", "convergence.csv"):
-        with open(os.path.join(serial_out, name), "rb") as a, \
-                open(os.path.join(parallel_out, name), "rb") as b:
-            assert a.read() == b.read()
-
-
 def test_appendix_command(tmp_path):
     out = str(tmp_path / "appendix")
     assert main(["appendix", "--out", out]) == 0

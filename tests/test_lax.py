@@ -26,6 +26,7 @@ from qlax.lax import (
     preset_problem,
     solve_lax,
 )
+from qlax import algebra
 from qlax.timeorder import FlowSample, OperatorPath
 from helpers import E12, E21, SL2_H, rand_matrix
 
@@ -108,6 +109,22 @@ def test_corrupted_flow_is_detected():
     assert profile[1] >= 1e-2
 
 
+def test_non_finite_flow_fails_the_residual():
+    # a NaN coefficient must show in the profile, not be passed over as 0
+    prob = preset_problem("sl2-nilpotent", q0=0.5, order=3, grid=(1e-2, 0.1))
+    result = solve_lax(prob)
+    broken_nodes = list(result.flow.series)
+    node = broken_nodes[4]
+    broken_nodes[4] = GradedSeries([node.coeffs[0], matrix_element([[np.nan, 0.0], [0.0, 0.0]]),
+                                    *node.coeffs[2:]])
+    broken = FlowSample(times=result.flow.times, series=broken_nodes, step=result.flow.step,
+                        order=result.flow.order, q0=result.flow.q0)
+    profile = lax_residual(LaxFlowResult(problem=result.problem, group=result.group,
+                                         flow=broken))
+    assert np.isnan(profile[1])
+    assert np.isnan(flow_difference(broken, result.flow)[1])
+
+
 def test_trace_drift_table():
     prob = preset_problem("toda-3", q0=0.5, order=6, grid=(1e-3, 1.0))
     result = solve_lax(prob)
@@ -153,7 +170,7 @@ def test_trace_table_guards():
 def test_oracle_exact_when_series_terminates():
     # nilpotent problem: truncation is exact, oracle gap is roundoff
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=6, grid=(1e-3, 0.5))
-    comparison = oracle_integrate(prob)
+    comparison = oracle_integrate(solve_lax(prob))
     assert comparison.error <= 1e-12
 
 
@@ -161,7 +178,7 @@ def test_oracle_zero_generator():
     desc = matrix_descriptor(2)
     rng = np.random.default_rng(2)
     prob = _problem(rand_matrix(rng, desc), AlgebraElement.zero(desc), grid=(1e-2, 0.2))
-    comparison = oracle_integrate(prob)
+    comparison = oracle_integrate(solve_lax(prob))
     assert comparison.error == 0.0
 
 
@@ -169,7 +186,7 @@ def test_oracle_convergence_order():
     # truncation at N leaves an O(q0^{N+1}) gap: halving q0 divides the
     # error by about 2^{N+1}
     prob = preset_problem("toda-3", q0=0.2, order=4, grid=(1e-3, 1.0))
-    comparison = oracle_integrate(prob)
+    comparison = oracle_integrate(solve_lax(prob))
     assert comparison.expected_order == 5
     assert 4.5 <= comparison.log2_ratio <= 5.5
 
@@ -219,7 +236,34 @@ def test_diffop_backend_flow():
     with pytest.raises(CapabilityError):
         conserved_trace_tables(result, 2)
     with pytest.raises(CapabilityError):
-        oracle_integrate(prob)
+        oracle_integrate(solve_lax(prob))
+
+
+def test_diffop_product_count(monkeypatch):
+    # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3, five RK4 steps.
+    # Each RK4 slope multiplies P into N chain entries, zero or not: the group
+    # takes 5 * 4 * 3 = 60 products and the direct route, two per bracket,
+    # 120.  The conjugation multiplies only pairs of nonzero coefficients: 2 at
+    # the unit node 0, and 4 (g * L0) + 7 (Neumann inverse) + 10 (final
+    # product) at each later node.  Multiplying zero coefficients too would
+    # turn g * L0 alone into 10 products per node.
+    calls = []
+    original = algebra._diffop_product
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_diffop_product", counted)
+    desc = diffop_descriptor(max_order=5, max_mode=4)
+    initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
+    path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
+                                    diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})], 0.5)
+    prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, 0.05))
+    solve_lax(prob)
+    assert len(calls) == 60 + 2 + 5 * (4 + 7 + 10)
+    integrate_directly(prob)
+    assert len(calls) == 287
 
 
 def test_preset_names_and_validation():
