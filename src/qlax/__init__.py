@@ -45,10 +45,8 @@ from qlax.monoids import (
 )
 from qlax.timeorder import (
     FlowSample,
-    GroupSeriesPath,
     OperatorPath,
     left_log_derivative_residual,
-    scaling_transform,
     time_ordered_exp,
 )
 from qlax.lax import (
@@ -108,7 +106,7 @@ __all__ = [
     "CIRCLE", "CLOSED", "OPEN", "LEFT_OPEN", "RIGHT_OPEN", "GR1_ELEMENTS",
     "NEUTRAL_INDEX", "natural_monoid", "gr1_monoid", "closure",
     "generated_monoid", "is_stable", "composition_table",
-    "OperatorPath", "scaling_transform", "FlowSample", "GroupSeriesPath",
+    "OperatorPath", "FlowSample",
     "time_ordered_exp", "left_log_derivative_residual",
     "LaxProblem", "LaxFlowResult", "solve_lax", "integrate_directly",
     "flow_difference", "lax_residual", "TraceDriftTable",

@@ -18,6 +18,7 @@ Elements are immutable; every operation returns a new element.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from math import comb
@@ -202,7 +203,8 @@ class AlgebraElement:
             _check_same(self.descriptor, other.descriptor)
             if self.descriptor.backend == MATRIX:
                 return AlgebraElement(self.descriptor, self.data @ other.data)
-            return AlgebraElement(self.descriptor, _diffop_product(self.descriptor, self.data, other.data))
+            product = _diffop_products(self.descriptor, self.data[None], other.data[None])
+            return AlgebraElement(self.descriptor, product[0])
         if isinstance(other, numbers.Number):
             return AlgebraElement(self.descriptor,
                                   self.data * coerce_scalar(self.descriptor, other))
@@ -251,16 +253,18 @@ def unit_payload(descriptor: AlgebraDescriptor) -> np.ndarray:
 #
 # A stack is an ndarray of payloads whose last two axes are one element and
 # whose leading axes index nodes, grades or both.  The kernels below act on a
-# whole stack at once and give, slice by slice, the same bits as the element
-# methods above.
+# whole stack at once.  Matrix slices get the same bits as the element methods
+# above; a diffop stack shares one row and mode range, so its slices agree with
+# the one-pair products up to rounding.
 
 def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
                     mask: np.ndarray | None = None) -> np.ndarray:
     """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
 
-    Matrices multiply as one batched ``matmul``.  Diffop pairs go through the
-    exact Leibniz product one pair at a time; where ``mask`` (broadcast over
-    the leading axes) is false the pair is skipped and its slot stays zero.
+    Matrices multiply as one batched ``matmul``.  Diffop pairs are gathered
+    into one stack and composed by one call of the exact Leibniz kernel;
+    where ``mask`` (broadcast over the leading axes) is false the pair is
+    skipped and its slot stays zero.
     """
     if descriptor.backend == MATRIX:
         return a @ b
@@ -268,8 +272,9 @@ def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
     out = np.zeros(a.shape, dtype=np.complex128)
     lead = a.shape[:-2]
     wanted = np.ones(lead, dtype=bool) if mask is None else np.broadcast_to(mask, lead)
-    for index in zip(*np.nonzero(wanted)):
-        out[index] = _diffop_product(descriptor, a[index], b[index])
+    index = np.nonzero(wanted)
+    if index[0].size:
+        out[index] = _diffop_products(descriptor, a[index], b[index])
     return out
 
 
@@ -331,38 +336,113 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def _diffop_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Leibniz composition of two diffop payloads, with overflow checks."""
+# The Leibniz kernel multiplies its pairs in blocks whose largest temporary
+# takes about this many bytes, so a long stack costs a few blocks of memory.
+PAIR_BLOCK_BYTES = 1 << 18
+
+
+def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact Leibniz products ``a[p] * b[p]`` of two ``(P, J+1, 2M+1)`` payload stacks.
+
+    Each block of pairs is composed into a scratch array wide enough for
+    orders up to ``2J`` and modes up to ``2M``.  An entry outside the window
+    is a sum of products with an exactly zero factor unless the product
+    really reaches it, so a nonzero there raises :class:`WindowOverflowError`
+    instead of being truncated.  Only the rows and modes that are nonzero
+    somewhere in the stack take part.
+    """
     max_order = descriptor.max_order
     max_mode = descriptor.max_mode
-    modes = np.arange(-max_mode, max_mode + 1)
-    scratch = np.zeros((2 * max_order + 1, 2 * descriptor.width - 1), dtype=np.complex128)
+    a_rows = a.any(axis=(0, 2))
+    b_rows = b.any(axis=(0, 2))
+    if not a_rows.any() or not b_rows.any():
+        return np.zeros(a.shape, dtype=np.complex128)
+    a_modes = _span(a.any(axis=(0, 1)))
+    b_modes = _span(b.any(axis=(0, 1)))
+    a = a[:, :_span(a_rows).stop, a_modes]
+    b = b[:, :_span(b_rows).stop, b_modes]
+    orders = a.shape[1] + b.shape[1] - 1
+    modes = slice(a_modes.start + b_modes.start, a_modes.stop + b_modes.stop - 1)
+    toeplitz_bytes = 16 * (modes.stop - modes.start) * b.shape[2] * a.shape[1]
+    size = max(1, PAIR_BLOCK_BYTES // toeplitz_bytes)
+    out = np.empty((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
+    for start in range(0, len(a), size):
+        block = slice(start, start + size)
+        wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode)
+        scratch = np.zeros((len(wide), 2 * max_order + 1, 2 * descriptor.width - 1),
+                           dtype=np.complex128)
+        scratch[:, :orders, modes] = wide.transpose(0, 2, 1)
+        if scratch[:, max_order + 1:].any():
+            raise WindowOverflowError(
+                f"product order exceeds the cap J={max_order}; enlarge the descriptor window")
+        if scratch[:, :, :max_mode].any() or scratch[:, :, 3 * max_mode + 1:].any():
+            raise WindowOverflowError(
+                f"product modes exceed the cap M={max_mode}; enlarge the descriptor window")
+        out[block] = scratch[:, :max_order + 1, max_mode:3 * max_mode + 1]
+    return out
 
-    a_rows = [j for j in range(max_order + 1) if a[j].any()]
-    b_rows = [k for k in range(max_order + 1) if b[k].any()]
-    if not a_rows or not b_rows:
-        return np.zeros_like(a)
 
-    # d-th x-derivative of each needed b row: multiply mode m by (i m)^d.
-    top = max(a_rows)
-    derivative_factor = 1j * modes
-    for k in b_rows:
-        derived = b[k]
-        for d in range(top + 1):
-            if d > 0:
-                derived = derived * derivative_factor
-            for j in a_rows:
-                if j < d:
-                    continue
-                scratch[j + k - d] += comb(j, d) * np.convolve(a[j], derived)
+def _span(used: np.ndarray) -> slice:
+    """The smallest slice holding every true entry of a boolean vector with one."""
+    index = used.nonzero()[0]
+    return slice(int(index[0]), int(index[-1]) + 1)
 
-    if scratch[max_order + 1 :].any():
-        raise WindowOverflowError(
-            f"product order exceeds the cap J={max_order}; enlarge the descriptor window")
-    centre = scratch[: max_order + 1, max_mode : 3 * max_mode + 1]
-    outside = np.concatenate(
-        [scratch[: max_order + 1, :max_mode], scratch[: max_order + 1, 3 * max_mode + 1 :]], axis=1)
-    if outside.any():
-        raise WindowOverflowError(
-            f"product modes exceed the cap M={max_mode}; enlarge the descriptor window")
-    return centre.copy()
+
+# The two tables below depend only on row and mode spans, which take a few
+# dozen values on a given window; caching them keeps their set-up out of the
+# per-call cost.  Both are read-only, since every caller shares them.
+
+@functools.lru_cache(maxsize=128)
+def _toeplitz_index(length: int, width: int) -> np.ndarray:
+    """``index[n, m] = n - m + width - 1``: gathers ``x[n - m]`` from ``x`` padded
+    with ``width - 1`` zeros on both ends."""
+    index = np.subtract.outer(np.arange(length), np.arange(width)) + width - 1
+    index.setflags(write=False)
+    return index
+
+
+@functools.lru_cache(maxsize=128)
+def _lift_weights(low_mode: int, high_mode: int, shifts: int) -> np.ndarray:
+    """``C(j, d) (i m)^d`` at ``[m, j, j - d]`` for the modes ``low..high`` and
+    ``d <= j < shifts``; zero where ``j - d`` would be negative."""
+    factor = 1j * np.arange(low_mode, high_mode + 1)
+    weights = np.zeros((len(factor), shifts, shifts), dtype=np.complex128)
+    power = np.ones_like(factor)
+    for d in range(shifts):
+        for s in range(shifts - d):
+            weights[:, s + d, s] = comb(s + d, d) * power
+        power = power * factor
+    weights.setflags(write=False)
+    return weights
+
+
+def _leibniz_block(a: np.ndarray, b: np.ndarray, low_mode: int) -> np.ndarray:
+    """Unwindowed Leibniz products of ``(P, S, Wa)`` and ``(P, K, Wb)`` payload blocks.
+
+    ``low_mode`` is the Fourier mode of ``b``'s first column.  Returns
+    ``(P, Wa + Wb - 1, S + K - 1)``: the product's modes, from the sum of both
+    low modes up, by its orders ``0..S+K-2``.  Grouped by the row ``j`` of
+    ``a``, the Leibniz sum reads
+
+        (a b)_r = sum_j  a_j * lift_(j, r),
+        lift_(j, r) = sum_(d <= j)  C(j, d) (d/dx)^d b_(r - j + d),
+
+    so ``b`` is differentiated and shifted into ``lift`` once, and the mode
+    convolution with every row of ``a`` is one batched matmul of ``a``'s
+    Toeplitz matrices against it: a direct sum of products, never an FFT.
+    """
+    count, shifts, a_width = a.shape
+    b_rows, b_width = b.shape[1:]
+    orders = shifts + b_rows - 1
+    conv_width = a_width + b_width - 1
+    # shifted[p, m, s, r] = b[p, r - s, m], zero off b's rows
+    padded = np.zeros((count, b_width, b_rows + 2 * (shifts - 1)), dtype=np.complex128)
+    padded[:, :, shifts - 1:shifts - 1 + b_rows] = b.transpose(0, 2, 1)
+    shifted = np.take(padded, _toeplitz_index(orders, shifts).T, axis=2)
+    lift = _lift_weights(low_mode, low_mode + b_width - 1, shifts) @ shifted
+    # toeplitz[p, n, m, j] = a[p, j, n - m], zero off a's modes
+    padded = np.zeros((count, a_width + 2 * (b_width - 1), shifts), dtype=np.complex128)
+    padded[:, b_width - 1:b_width - 1 + a_width] = a.transpose(0, 2, 1)
+    toeplitz = np.take(padded, _toeplitz_index(conv_width, b_width), axis=1)
+    return (toeplitz.reshape(count, conv_width, b_width * shifts)
+            @ lift.reshape(count, b_width * shifts, orders))

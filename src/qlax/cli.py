@@ -517,7 +517,8 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
                             symmetry_residual_full(sym, lax_result), RESIDUAL_TOL))
     rows.extend(_grade_rows("ad_exp_gap",
                             check_ad_exp_ad(problem.path, problem.q0, problem.order,
-                                            problem.grid, operator_group=sym.group),
+                                            problem.grid, operator_group=sym.group,
+                                            group=lax_result.group),
                             AD_EXP_TOL))
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
         worst = np.zeros(problem.order + 1)

@@ -12,8 +12,9 @@ traces of powers (conjugation invariance), and a plain RK4 oracle for the
 evaluated series, whose error must shrink like ``q0^(order+1)``.
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
-:class:`~qlax.timeorder.FlowSample`; the conjugation runs in fixed blocks of
-nodes so its temporaries stay small.
+:class:`~qlax.timeorder.FlowSample`; the conjugation and the node-wise
+diagnostics run in blocks of about ``series.NODE_BLOCK_BYTES`` of series, so
+their temporaries stay small whatever the grid length and coefficient size.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from qlax.series import (
 )
 from qlax.timeorder import (
     FlowSample,
-    GroupSeriesPath,
     OperatorPath,
     _check_scaling,
     _expand_grid,
@@ -79,23 +79,29 @@ class LaxFlowResult:
     """Solver output: the group path ``g`` and the conjugated flow ``L``."""
 
     problem: LaxProblem
-    group: GroupSeriesPath
+    group: FlowSample
     flow: FlowSample
 
 
 def solve_lax(problem: LaxProblem) -> LaxFlowResult:
     """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on every node."""
     group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
-    descriptor = problem.initial.descriptor
-    initial = GradedSeries.single(descriptor, problem.order, 0, problem.initial).values[None]
+    return LaxFlowResult(problem=problem, group=group, flow=conjugate(group, problem.initial))
+
+
+def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
+    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial`` under a sampled group path."""
+    descriptor = group.descriptor
+    if initial.descriptor != descriptor:
+        raise ShapeMismatchError("initial element and group live in different algebras")
+    head = GradedSeries.single(descriptor, group.order, 0, initial).values[None]
     values = np.empty(group.values.shape, dtype=descriptor.dtype)
     for block in node_blocks(len(group), group.values[0].nbytes):
         g = group.values[block]
-        values[block] = cauchy_product(descriptor, cauchy_product(descriptor, g, initial),
+        values[block] = cauchy_product(descriptor, cauchy_product(descriptor, g, head),
                                        neumann_inverse(descriptor, g))
-    flow = FlowSample(times=group.times, values=values, descriptor=descriptor,
-                      step=group.step, order=problem.order, q0=problem.q0)
-    return LaxFlowResult(problem=problem, group=group, flow=flow)
+    return FlowSample(times=group.times, values=values, descriptor=descriptor,
+                      step=group.step, order=group.order, q0=group.q0)
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:

@@ -11,7 +11,7 @@ solved by reusing the element-level machinery inside the operator algebra.
 Conjugating an element by the group series of ``P`` agrees grade by grade
 with applying the operator exponential of the ``ad`` path; that identity is a
 built-in cross-check.  The checks run on the stacked arrays of the sampled
-flows, in fixed blocks of nodes.
+flows, in blocks of about ``series.NODE_BLOCK_BYTES`` of series.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from qlax.algebra import (
     stacked_commutator,
 )
 from qlax.series import GradedSeries, graded_product, node_blocks
-from qlax.lax import LaxFlowResult, LaxProblem, lax_residual, solve_lax
-from qlax.timeorder import FlowSample, GroupSeriesPath, OperatorPath, time_ordered_exp
+from qlax.lax import LaxFlowResult, LaxProblem, conjugate, lax_residual, solve_lax
+from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
 
 DENSE_OPERATOR_LIMIT = 8
 
@@ -128,7 +128,7 @@ class SymmetryFlowResult:
         return self.result.problem
 
     @property
-    def group(self) -> GroupSeriesPath:
+    def group(self) -> FlowSample:
         return self.result.group
 
     @property
@@ -175,35 +175,32 @@ def symmetry_residual_full(sym: SymmetryFlowResult, lax: LaxFlowResult) -> np.nd
     if s_flow.descriptor.n != base_n * base_n:
         raise ShapeMismatchError("operator flow does not match the element algebra")
     q0 = sym.problem.q0
-    element_path = _element_path(sym, lax)
+    if lax.problem.q0 != q0:
+        raise ShapeMismatchError("operator and element flows use different scalings")
     inv_two_step = 1.0 / (2.0 * s_flow.step)
     s_values = s_flow.values
     worst = np.zeros(s_flow.order + 1)
     for block in node_blocks(len(s_flow) - 2, s_values[0].nbytes):
         inner = slice(block.start + 1, block.stop + 1)
         residual = (s_values[block.start + 2:block.stop + 2] - s_values[block]) * inv_two_step
-        ad_p = ad_matrices(element_path.sample(q0 * s_flow.times[inner]))[:, None]
+        ad_p = ad_matrices(lax.problem.path.sample(q0 * s_flow.times[inner]))[:, None]
         residual[:, 1:] -= stacked_commutator(s_flow.descriptor, ad_p, s_values[inner, :-1])
         applied = _apply_stacked(residual, l_flow.values[inner])
         worst = np.maximum(worst, element_norms(l_flow.descriptor, applied).max(axis=0))
     return worst
 
 
-def _element_path(sym: SymmetryFlowResult, lax: LaxFlowResult) -> OperatorPath:
-    if lax.problem.q0 != sym.problem.q0:
-        raise ShapeMismatchError("operator and element flows use different scalings")
-    return lax.problem.path
-
-
 def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
-                    seed: int = 0, operator_group: GroupSeriesPath | None = None) -> np.ndarray:
+                    seed: int = 0, operator_group: FlowSample | None = None,
+                    group: FlowSample | None = None) -> np.ndarray:
     """Grade-wise gap between conjugation by ``Exp(P)`` and the exponential of ``ad_P``.
 
-    A pseudo-random probe element is conjugated through the element-level
-    solver, then compared against applying the operator-level group series.
-    ``operator_group`` is that series if the caller already has it (the group
-    of :func:`solve_symmetry` on the same path, scaling, order and grid);
-    otherwise it is integrated here.
+    A pseudo-random probe element is conjugated by the element-level group
+    series, then compared against applying the operator-level group series.
+    ``group`` and ``operator_group`` are those series if the caller already
+    has them (the groups of :func:`~qlax.lax.solve_lax` and
+    :func:`solve_symmetry` on the same path, scaling, order and grid);
+    otherwise they are integrated here.
     """
     descriptor = path.descriptor
     if descriptor.backend != MATRIX:
@@ -214,12 +211,14 @@ def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
         probe_data = probe_data + 1j * rng.standard_normal((descriptor.n, descriptor.n))
     probe = AlgebraElement(descriptor, probe_data)
 
-    conjugated = solve_lax(LaxProblem(initial=probe, path=path, q0=q0,
-                                      order=order, grid=grid)).flow
+    if group is None:
+        group = time_ordered_exp(path, q0, order, grid)
+    conjugated = conjugate(group, probe)
     if operator_group is None:
         operator_group = time_ordered_exp_of_ad(path, q0, order, grid)
-    if operator_group.values.shape[:2] != conjugated.values.shape[:2]:
-        raise ShapeMismatchError("operator group does not match the element flow")
+    if (any(g.order != order or g.q0 != q0 for g in (group, operator_group))
+            or operator_group.values.shape[:2] != conjugated.values.shape[:2]):
+        raise ShapeMismatchError("group series do not match each other, the order or q0")
     flat_probe = probe.data.reshape(-1)
     worst = np.zeros(order + 1)
     for block in node_blocks(len(conjugated), operator_group.values[0].nbytes):
@@ -230,6 +229,6 @@ def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
     return worst
 
 
-def time_ordered_exp_of_ad(path: OperatorPath, q0: float, order: int, grid) -> GroupSeriesPath:
+def time_ordered_exp_of_ad(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
     """The operator-level group series of the ``ad`` path."""
     return time_ordered_exp(ad_path(path), q0, order, grid)

@@ -108,11 +108,6 @@ class OperatorPath:
         return OperatorPath(tuple(f * c for f, c in zip(factors, self.coeffs)), q0, self.name)
 
 
-def scaling_transform(path: OperatorPath, q0: float) -> OperatorPath:
-    """Materialise the scaled path ``t -> q0 * P(q0 t)`` as a new polynomial path."""
-    return path.scaled(q0)
-
-
 class FlowSample:
     """A series-valued path sampled on a uniform time grid.
 
@@ -168,12 +163,6 @@ class SeriesView(Sequence):
         if isinstance(index, slice):
             return tuple(self[k] for k in range(*index.indices(len(self))))
         return GradedSeries.from_values(self.descriptor, self.values[index])
-
-
-class GroupSeriesPath(FlowSample):
-    """A flow sample whose nodes are group series (unit grade-0 coefficient)."""
-
-    __slots__ = ()
 
 
 def _check_scaling(q0: float) -> None:
@@ -236,7 +225,7 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
     return times, values
 
 
-def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> GroupSeriesPath:
+def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
     """Grade-by-grade time-ordered exponential of the scaled path.
 
     Computing with a larger truncation order never changes the shared lower
@@ -246,11 +235,11 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> GroupSe
     base = AlgebraElement.one(descriptor)
     times, values = _integrate_chain(lambda p, x: stacked_product(descriptor, p, x),
                                      path, q0, base, order, grid)
-    return GroupSeriesPath(times=times, values=values, descriptor=descriptor,
-                           step=float(grid[0]), order=order, q0=q0)
+    return FlowSample(times=times, values=values, descriptor=descriptor,
+                      step=float(grid[0]), order=order, q0=q0)
 
 
-def left_log_derivative_residual(group: GroupSeriesPath, path: OperatorPath,
+def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
                                  q0: float) -> np.ndarray:
     """Per-grade residual of ``(d/dt g) g^(-1) = q P(q0 t)`` on interior nodes.
 

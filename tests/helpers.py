@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
@@ -70,4 +72,24 @@ def apply_to_modes(element: AlgebraElement, coeffs: np.ndarray) -> np.ndarray:
                     np.abs(full[cap + coeffs.size:]).max(initial=0.0))
         assert spill < 1e-12, "test buffer too narrow for this product"
         out += full[cap: cap + coeffs.size]
+    return out
+
+
+def leibniz_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Leibniz product of two ``(J+1, 2M+1)`` diffop payloads in extended precision.
+
+    Returns the uncapped ``(2J+1, 4M+1)`` product as ``np.clongdouble``:
+    orders ``0..2J`` by modes ``-2M..2M``, one ``np.convolve`` per term.
+    """
+    orders, width = a.shape
+    half = (width - 1) // 2
+    factor = 1j * np.arange(-half, half + 1).astype(np.clongdouble)
+    out = np.zeros((2 * orders - 1, 2 * width - 1), dtype=np.clongdouble)
+    for j in range(orders):
+        row = a[j].astype(np.clongdouble)
+        for k in range(orders):
+            derived = b[k].astype(np.clongdouble)
+            for d in range(j + 1):
+                out[j + k - d] += math.comb(j, d) * np.convolve(row, derived)
+                derived = derived * factor
     return out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlax import (
+    algebra,
     CapabilityError,
     DomainError,
     ShapeMismatchError,
@@ -17,7 +18,8 @@ from qlax import (
     matrix_descriptor,
     matrix_element,
 )
-from helpers import E12, E21, SL2_H, apply_to_modes, rand_diffop, rand_matrix
+from helpers import (E12, E21, SL2_H, apply_to_modes, leibniz_reference, rand_diffop,
+                     rand_matrix)
 
 
 def test_descriptor_validation():
@@ -179,6 +181,78 @@ def test_window_overflow_never_truncates():
     e3 = diffop_element(desc, wide)
     with pytest.raises(WindowOverflowError):
         e3 * e3  # mode 6 > 4
+
+
+def _windowed(descriptor, wide):
+    """The in-window part of a :func:`leibniz_reference` product, which must have no other."""
+    order, mode = descriptor.max_order, descriptor.max_mode
+    inside = wide[:order + 1, mode:3 * mode + 1].copy()
+    wide[:order + 1, mode:3 * mode + 1] = 0
+    assert not wide.any()
+    return inside
+
+
+@pytest.mark.parametrize("block_bytes", [algebra.PAIR_BLOCK_BYTES, 1])
+def test_stacked_diffop_products_match_extended_reference(monkeypatch, block_bytes):
+    # Pairs of different order and mode supports, with zero rows and zero
+    # factors, multiplied as one stack, in one block and one pair per block.
+    # The stack's union of rows and modes reaches beyond the window (order
+    # 4 + 4, modes 6 + 5) though every product fits, so the exact-zero
+    # overflow checks are exercised too.
+    monkeypatch.setattr(algebra, "PAIR_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(31)
+    desc = diffop_descriptor(4, 6)
+    supports = [(0, 0, 0, 0), (1, 1, 2, 1), (2, 1, 0, 1), (4, 0, 1, 1), (0, 4, 1, 5),
+                (3, 1, 3, 3), (2, 2, 2, 2), (1, 3, 5, 1), (0, 2, 6, 0)]
+    a = np.zeros((len(supports), *desc.shape), dtype=np.complex128)
+    b = np.zeros_like(a)
+    for p, (order_a, order_b, mode_a, mode_b) in enumerate(supports):
+        a[p] = rand_diffop(rng, desc, order_a, mode_a).data
+        b[p] = rand_diffop(rng, desc, order_b, mode_b).data
+    a[2, 1] = 0.0          # a zero row inside the support
+    b[5, 0] = 0.0
+    b[8] = 0.0             # a zero factor
+    products = algebra.stacked_product(desc, a, b)
+    for p in range(len(supports)):
+        reference = _windowed(desc, leibniz_reference(a[p], b[p]))
+        single = (AlgebraElement(desc, a[p]) * AlgebraElement(desc, b[p])).data
+        scale = np.abs(reference).max()
+        assert np.abs(products[p] - reference).max() <= 1e-15 * scale
+        assert np.abs(single - reference).max() <= 1e-15 * scale
+    assert not products[8].any()
+
+
+@pytest.mark.parametrize("block_bytes", [algebra.PAIR_BLOCK_BYTES, 1])
+def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
+    monkeypatch.setattr(algebra, "PAIR_BLOCK_BYTES", block_bytes)
+    desc = diffop_descriptor(3, 4)
+    rng = np.random.default_rng(8)
+    fitting = [(rand_diffop(rng, desc, 1, 2).data, rand_diffop(rng, desc, 1, 2).data)
+               for _ in range(5)]
+    high = diffop_element(desc, {2: {0: 1.0}}).data           # D^2: D^2 D^2 has order 4 > 3
+    wide = diffop_element(desc, {0: {3: 1.0, -1: 0.5}}).data  # e^3ix e^3ix has mode 6 > 4
+    for bad in ((high, high), (wide, wide)):
+        pairs = fitting[:3] + [bad] + fitting[3:]
+        a = np.stack([x for x, _ in pairs])
+        b = np.stack([y for _, y in pairs])
+        with pytest.raises(WindowOverflowError):
+            algebra.stacked_product(desc, a, b)
+        # the same stack without the bad pair fits
+        keep = np.ones(len(pairs), dtype=bool)
+        keep[3] = False
+        algebra.stacked_product(desc, a, b, keep)
+
+
+def test_all_false_mask_skips_the_kernel(monkeypatch):
+    calls = []
+    monkeypatch.setattr(algebra, "_diffop_products", lambda *args: calls.append(args))
+    desc = diffop_descriptor(2, 3)
+    one = AlgebraElement.one(desc).data
+    a = np.broadcast_to(one, (4, 3, *desc.shape))
+    out = algebra.stacked_product(desc, a, a, np.zeros((4, 3), dtype=bool))
+    assert out.shape == a.shape
+    assert not out.any()
+    assert calls == []
 
 
 def test_elements_are_immutable():

@@ -246,15 +246,16 @@ def test_diffop_product_count(monkeypatch):
     # 120.  The conjugation multiplies only pairs of nonzero coefficients: 2 at
     # the unit node 0, and 4 (g * L0) + 7 (Neumann inverse) + 10 (final
     # product) at each later node.  Multiplying zero coefficients too would
-    # turn g * L0 alone into 10 products per node.
+    # turn g * L0 alone into 10 products per node.  The kernel takes a stack
+    # of pairs per call, so the count is the pairs it receives.
     calls = []
-    original = algebra._diffop_product
+    original = algebra._diffop_products
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(descriptor, a, b):
+        calls.extend(range(len(a)))
+        return original(descriptor, a, b)
 
-    monkeypatch.setattr(algebra, "_diffop_product", counted)
+    monkeypatch.setattr(algebra, "_diffop_products", counted)
     desc = diffop_descriptor(max_order=5, max_mode=4)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),

@@ -5,6 +5,7 @@ import pytest
 
 from qlax import (
     CapabilityError,
+    ShapeMismatchError,
     AlgebraElement,
     commutator,
     diffop_descriptor,
@@ -23,6 +24,7 @@ from qlax.symmetry import (
     solve_symmetry,
     symmetry_residual,
     symmetry_residual_full,
+    time_ordered_exp_of_ad,
 )
 from qlax.timeorder import FlowSample, OperatorPath
 from helpers import E12, E21, SL2_H, rand_matrix
@@ -78,6 +80,15 @@ def test_ad_exp_ad_on_presets():
         prob = preset_problem(name, q0=0.5, order=5, grid=(2e-3, 0.5))
         profile = check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid)
         assert profile.max() <= 1e-9
+        # the caller's groups give the same bits as integrating them here
+        group = solve_lax(prob).group
+        operator_group = time_ordered_exp_of_ad(prob.path, prob.q0, prob.order, prob.grid)
+        reused = check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid,
+                                 operator_group=operator_group, group=group)
+        assert np.array_equal(reused, profile)
+        other = solve_lax(preset_problem(name, q0=0.25, order=5, grid=(2e-3, 0.5))).group
+        with pytest.raises(ShapeMismatchError):
+            check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid, group=other)
 
 
 def test_identity_initial_operator_flow_is_constant():

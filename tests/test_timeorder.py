@@ -13,10 +13,9 @@ from qlax import (
     matrix_element,
 )
 from qlax.timeorder import (
-    GroupSeriesPath,
+    FlowSample,
     OperatorPath,
     left_log_derivative_residual,
-    scaling_transform,
     time_ordered_exp,
 )
 ROT = [[0.0, -1.0], [1.0, 0.0]]
@@ -38,14 +37,14 @@ def test_path_construction_and_evaluation():
 def test_scaling_transform():
     b = matrix_element(ROT)
     # constant path: q0 P(q0 t) = q0 B
-    scaled = scaling_transform(OperatorPath.constant(b), 0.5)
+    scaled = OperatorPath.constant(b).scaled(0.5)
     assert np.array_equal(scaled.at(7.0).data, 0.5 * np.array(ROT))
     # linear path t B: q0 P(q0 t) = q0^2 t B
     linear = OperatorPath.polynomial([AlgebraElement.zero(b.descriptor), b])
-    scaled_linear = scaling_transform(linear, 0.5)
+    scaled_linear = linear.scaled(0.5)
     assert np.abs(scaled_linear.at(1.0).data - 0.25 * np.array(ROT)).max() <= 1e-15
     # q0 = 1 is the identity transform
-    same = scaling_transform(linear, 1.0)
+    same = linear.scaled(1.0)
     assert np.array_equal(same.at(0.7).data, linear.at(0.7).data)
 
 
@@ -144,8 +143,8 @@ def test_corrupted_group_path_is_detected():
         GradedSeries([node.coeffs[0], node.coeffs[1], zero, node.coeffs[3], node.coeffs[4]])
         for node in group.series
     )
-    corrupted = GroupSeriesPath(times=group.times, series=corrupted_series,
-                                step=group.step, order=group.order, q0=group.q0)
+    corrupted = FlowSample(times=group.times, series=corrupted_series,
+                           step=group.step, order=group.order, q0=group.q0)
     profile = left_log_derivative_residual(corrupted, path, 0.5)
     assert profile[2] >= 1e-2
 
