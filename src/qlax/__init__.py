@@ -56,7 +56,6 @@ from qlax.lax import (
     PRESET_NAMES,
     TraceDriftTable,
     conserved_trace_tables,
-    conserved_traces,
     flow_difference,
     integrate_directly,
     lax_residual,
@@ -65,8 +64,6 @@ from qlax.lax import (
     solve_lax,
 )
 from qlax.symmetry import (
-    AdOperator,
-    SymmetryFlowResult,
     ad_operator,
     ad_path,
     apply_operator,
@@ -75,9 +72,7 @@ from qlax.symmetry import (
     identity_operator,
     operator_descriptor,
     solve_symmetry,
-    symmetry_residual,
     symmetry_residual_full,
-    time_ordered_exp_of_ad,
 )
 from qlax.nonregular import (
     AppendixModel,
@@ -110,12 +105,11 @@ __all__ = [
     "time_ordered_exp", "left_log_derivative_residual",
     "LaxProblem", "LaxFlowResult", "solve_lax", "integrate_directly",
     "flow_difference", "lax_residual", "TraceDriftTable",
-    "conserved_trace_tables", "conserved_traces", "OracleComparison",
+    "conserved_trace_tables", "OracleComparison",
     "oracle_integrate", "preset_problem", "PRESET_NAMES",
-    "AdOperator", "ad_operator", "ad_path", "operator_descriptor",
+    "ad_operator", "ad_path", "operator_descriptor",
     "identity_operator", "apply_operator", "apply_operator_series",
-    "SymmetryFlowResult", "solve_symmetry", "symmetry_residual",
-    "symmetry_residual_full", "check_ad_exp_ad", "time_ordered_exp_of_ad",
+    "solve_symmetry", "symmetry_residual_full", "check_ad_exp_ad",
     "AppendixModel", "ModelError", "default_model", "phi", "c_path",
     "BoundsReport", "verify_diffeo_bounds", "VelocityReport",
     "velocity_at_zero", "NonregularityReport", "demonstrate_nonregularity",

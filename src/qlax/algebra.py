@@ -56,8 +56,9 @@ class DomainError(AlgebraError):
 class AlgebraDescriptor:
     """Identifies one concrete coefficient algebra.
 
-    ``matrix`` uses ``n``; ``circle-diffop`` uses the caps ``max_order`` (J,
-    highest derivative order) and ``max_mode`` (M, Fourier window half-width).
+    ``matrix`` uses ``n`` and a real or complex ``field``; ``circle-diffop``
+    uses the caps ``max_order`` (J, highest derivative order) and ``max_mode``
+    (M, Fourier window half-width), and its field is always complex.
     """
 
     backend: str
@@ -83,11 +84,12 @@ class AlgebraDescriptor:
                 raise ShapeMismatchError("diffop backend needs max_mode >= 1")
             if self.n is not None:
                 raise ShapeMismatchError("diffop backend takes no matrix size")
+            if self.field != COMPLEX:
+                raise ShapeMismatchError("diffop coefficients are complex; the field must be "
+                                         f"{COMPLEX!r}")
 
     @property
     def dtype(self) -> np.dtype:
-        if self.backend == CIRCLE_DIFFOP:
-            return np.dtype(np.complex128)
         return np.dtype(np.complex128 if self.field == COMPLEX else np.float64)
 
     @property
@@ -109,8 +111,9 @@ def matrix_descriptor(n: int, field: str = REAL) -> AlgebraDescriptor:
     return AlgebraDescriptor(backend=MATRIX, n=n, field=field)
 
 
-def diffop_descriptor(max_order: int, max_mode: int, field: str = COMPLEX) -> AlgebraDescriptor:
-    return AlgebraDescriptor(backend=CIRCLE_DIFFOP, max_order=max_order, max_mode=max_mode, field=field)
+def diffop_descriptor(max_order: int, max_mode: int) -> AlgebraDescriptor:
+    return AlgebraDescriptor(backend=CIRCLE_DIFFOP, max_order=max_order, max_mode=max_mode,
+                             field=COMPLEX)
 
 
 def _check_same(a: AlgebraDescriptor, b: AlgebraDescriptor) -> None:

@@ -67,7 +67,6 @@ from qlax.symmetry import (
     identity_operator,
     operator_descriptor,
     solve_symmetry,
-    symmetry_residual,
     symmetry_residual_full,
 )
 from qlax.timeorder import OperatorPath
@@ -128,7 +127,7 @@ _BACKEND_SPEC = {
                 "kind": {"const": CIRCLE_DIFFOP},
                 "max_order": {"type": "integer", "minimum": 0},
                 "max_mode": {"type": "integer", "minimum": 1},
-                "field": {"enum": [REAL, COMPLEX]},
+                "field": {"const": COMPLEX},
             },
             "required": ["kind", "max_order", "max_mode"],
             "additionalProperties": False,
@@ -286,9 +285,7 @@ def _build_element(descriptor, payload) -> AlgebraElement:
 def _build_descriptor(backend_spec: dict):
     if backend_spec["kind"] == MATRIX:
         return matrix_descriptor(backend_spec["n"], backend_spec.get("field", REAL))
-    return diffop_descriptor(
-        backend_spec["max_order"], backend_spec["max_mode"],
-        backend_spec.get("field", COMPLEX))
+    return diffop_descriptor(backend_spec["max_order"], backend_spec["max_mode"])
 
 
 def build_problem(document: dict, overrides: dict | None = None) -> tuple[LaxProblem, dict]:
@@ -353,25 +350,11 @@ def _write_json(path: str, payload) -> None:
         handle.write("\n")
 
 
-def _element_payload(element: AlgebraElement):
-    data = element.data
-    if element.descriptor.backend == MATRIX and element.descriptor.field == REAL:
-        return [[float(v) for v in row] for row in data]
-    if element.descriptor.backend == MATRIX:
-        return [[[float(v.real), float(v.imag)] for v in row] for row in data]
-    return {
-        str(order): [[float(v.real), float(v.imag)] for v in data[order]]
-        for order in range(data.shape[0])
-    }
-
-
 def _series_payload(descriptor, values: np.ndarray):
-    """``_element_payload`` of every coefficient of a ``(nodes, N+1, *shape)`` stack."""
-    if descriptor.backend == MATRIX and descriptor.field == REAL:
+    """Nested lists of a ``(nodes, N+1, n, n)`` matrix stack; complex entries as ``[re, im]``."""
+    if descriptor.field == REAL:
         return values.tolist()
-    if descriptor.backend == MATRIX:
-        return np.stack([values.real, values.imag], axis=-1).tolist()
-    return [[_element_payload(AlgebraElement(descriptor, c)) for c in node] for node in values]
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _flow_rows(flow):
@@ -496,7 +479,7 @@ def _build_symmetry_initial(spec: dict | None, problem: LaxProblem) -> AlgebraEl
     if spec is None or spec["kind"] == "identity":
         return identity_operator(base)
     if spec["kind"] == "ad-of-initial":
-        return ad_operator(problem.initial).matrix
+        return ad_operator(problem.initial)
     descriptor = operator_descriptor(base)
     return _build_element(descriptor, spec["value"])
 
@@ -512,13 +495,10 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
                          problem.order, problem.grid)
 
     rows: list[DiagnosticRow] = []
-    rows.extend(_grade_rows("operator_flow_residual", symmetry_residual(sym), RESIDUAL_TOL))
+    rows.extend(_grade_rows("operator_flow_residual", lax_residual(sym), RESIDUAL_TOL))
     rows.extend(_grade_rows("applied_flow_residual",
                             symmetry_residual_full(sym, lax_result), RESIDUAL_TOL))
-    rows.extend(_grade_rows("ad_exp_gap",
-                            check_ad_exp_ad(problem.path, problem.q0, problem.order,
-                                            problem.grid, operator_group=sym.group,
-                                            group=lax_result.group),
+    rows.extend(_grade_rows("ad_exp_gap", check_ad_exp_ad(lax_result.group, sym.group),
                             AD_EXP_TOL))
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
         worst = np.zeros(problem.order + 1)

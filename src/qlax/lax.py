@@ -181,11 +181,6 @@ def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, T
     return tables
 
 
-def conserved_traces(result: LaxFlowResult, power: int) -> TraceDriftTable:
-    """Grade-wise trace of ``L^power`` per node, with max drift against t = 0."""
-    return conserved_trace_tables(result, power)[power]
-
-
 @dataclass(frozen=True, eq=False)
 class OracleComparison:
     """Evaluated-series error against a plain RK4 integration, at q0 and q0/2."""

@@ -5,18 +5,19 @@ it, realised densely as ``n^2 x n^2`` matrices acting on row-major flattened
 elements.  The bracket generator ``ad_P : X -> P X - X P`` lives there, and an
 operator path ``t -> ad_{P(t)}`` drives an operator-level Lax flow
 
-    d/dt S = [ad_{q P(q0 t)}, S],
+    d/dt S = [ad_{q P(q0 t)}, S].
 
-solved by reusing the element-level machinery inside the operator algebra.
-Conjugating an element by the group series of ``P`` agrees grade by grade
-with applying the operator exponential of the ``ad`` path; that identity is a
-built-in cross-check.  The checks run on the stacked arrays of the sampled
-flows, in blocks of about ``series.NODE_BLOCK_BYTES`` of series.
+It is the element-level flow one level up: :func:`solve_symmetry` returns the
+:class:`~qlax.lax.LaxFlowResult` of that operator problem, so the element-level
+diagnostics (``lax_residual``, ``flow_difference``, ...) apply to it as they
+stand.  Conjugating an element by the group series of ``P`` agrees grade by
+grade with applying the operator exponential of the ``ad`` path
+(``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check.  The
+checks run on the stacked arrays of the sampled flows, in blocks of about
+``series.NODE_BLOCK_BYTES`` of series.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +27,13 @@ from qlax.algebra import (
     AlgebraElement,
     CapabilityError,
     ShapeMismatchError,
-    commutator,
     element_norms,
     matrix_descriptor,
     stacked_commutator,
 )
 from qlax.series import GradedSeries, graded_product, node_blocks
-from qlax.lax import LaxFlowResult, LaxProblem, conjugate, lax_residual, solve_lax
-from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
+from qlax.lax import LaxFlowResult, LaxProblem, conjugate, solve_lax
+from qlax.timeorder import FlowSample, OperatorPath
 
 DENSE_OPERATOR_LIMIT = 8
 
@@ -46,17 +46,6 @@ def operator_descriptor(base: AlgebraDescriptor) -> AlgebraDescriptor:
         raise CapabilityError(
             f"dense operator algebra is capped at n <= {DENSE_OPERATOR_LIMIT}")
     return matrix_descriptor(base.n * base.n, base.field)
-
-
-@dataclass(frozen=True)
-class AdOperator:
-    """The bracket generator ``X -> P X - X P`` with its dense realisation."""
-
-    generator: AlgebraElement
-    matrix: AlgebraElement
-
-    def apply(self, element: AlgebraElement) -> AlgebraElement:
-        return commutator(self.generator, element)
 
 
 def ad_matrices(values: np.ndarray) -> np.ndarray:
@@ -74,16 +63,15 @@ def ad_matrices(values: np.ndarray) -> np.ndarray:
     return (left - right).reshape(*lead, n * n, n * n)
 
 
-def ad_operator(generator: AlgebraElement) -> AdOperator:
-    """Build ``ad_P``; the dense payload is ``P (x) I - I (x) P^T`` (row-major)."""
-    target = operator_descriptor(generator.descriptor)
-    return AdOperator(generator=generator,
-                      matrix=AlgebraElement(target, ad_matrices(generator.data)))
+def ad_operator(generator: AlgebraElement) -> AlgebraElement:
+    """Dense ``ad_P`` in the operator algebra: ``P (x) I - I (x) P^T`` (row-major)."""
+    return AlgebraElement(operator_descriptor(generator.descriptor),
+                          ad_matrices(generator.data))
 
 
 def ad_path(path: OperatorPath) -> OperatorPath:
     """Push a polynomial path through ``ad``: coefficients map termwise."""
-    coeffs = tuple(ad_operator(c).matrix for c in path.coeffs)
+    coeffs = tuple(ad_operator(c) for c in path.coeffs)
     return OperatorPath(coeffs, path.q0, path.name)
 
 
@@ -117,48 +105,21 @@ def apply_operator_series(operators: GradedSeries, elements: GradedSeries) -> Gr
     return GradedSeries.from_values(elements.descriptor, applied[0])
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryFlowResult:
-    """Operator-level flow: an element-level result inside the operator algebra."""
+def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: float,
+                   order: int, grid) -> LaxFlowResult:
+    """Solve the operator-level flow started from the dense operator ``initial_operator``.
 
-    result: LaxFlowResult
-
-    @property
-    def problem(self) -> LaxProblem:
-        return self.result.problem
-
-    @property
-    def group(self) -> FlowSample:
-        return self.result.group
-
-    @property
-    def flow(self) -> FlowSample:
-        return self.result.flow
-
-
-def solve_symmetry(initial_operator, path: OperatorPath, q0: float, order: int,
-                   grid) -> SymmetryFlowResult:
-    """Solve the operator-level flow started from ``initial_operator``.
-
-    The initial value may be an :class:`AdOperator` or a dense operator-algebra
-    element; the driving path is the element-level path, pushed through ``ad``.
+    The driving path is the element-level path, pushed through ``ad``; the
+    result is the solve of that operator-algebra problem.
     """
-    if isinstance(initial_operator, AdOperator):
-        initial_operator = initial_operator.matrix
     operator_path = ad_path(path)
     if initial_operator.descriptor != operator_path.descriptor:
         raise ShapeMismatchError("initial operator does not match the operator algebra")
-    problem = LaxProblem(initial=initial_operator, path=operator_path,
-                         q0=q0, order=order, grid=grid)
-    return SymmetryFlowResult(result=solve_lax(problem))
+    return solve_lax(LaxProblem(initial=initial_operator, path=operator_path,
+                                q0=q0, order=order, grid=grid))
 
 
-def symmetry_residual(sym: SymmetryFlowResult) -> np.ndarray:
-    """Per-grade residual of the operator-level flow equation itself."""
-    return lax_residual(sym.result)
-
-
-def symmetry_residual_full(sym: SymmetryFlowResult, lax: LaxFlowResult) -> np.ndarray:
+def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray:
     """Per-grade residual of ``(d/dt S).L - [ad_{q P(q0 t)}, S].L`` on a flow.
 
     ``S`` is the sampled operator series, ``L`` the sampled element series;
@@ -190,45 +151,35 @@ def symmetry_residual_full(sym: SymmetryFlowResult, lax: LaxFlowResult) -> np.nd
     return worst
 
 
-def check_ad_exp_ad(path: OperatorPath, q0: float, order: int, grid,
-                    seed: int = 0, operator_group: FlowSample | None = None,
-                    group: FlowSample | None = None) -> np.ndarray:
+def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample,
+                    seed: int = 0) -> np.ndarray:
     """Grade-wise gap between conjugation by ``Exp(P)`` and the exponential of ``ad_P``.
 
-    A pseudo-random probe element is conjugated by the element-level group
-    series, then compared against applying the operator-level group series.
-    ``group`` and ``operator_group`` are those series if the caller already
-    has them (the groups of :func:`~qlax.lax.solve_lax` and
-    :func:`solve_symmetry` on the same path, scaling, order and grid);
-    otherwise they are integrated here.
+    ``group`` is the element-level group series of a path and
+    ``operator_group`` that of its ``ad`` path, on the same time grid, order
+    and scaling (the groups of :func:`~qlax.lax.solve_lax` and
+    :func:`solve_symmetry`).  A pseudo-random probe element is conjugated by
+    ``group``, then compared against applying ``operator_group`` to it.
     """
-    descriptor = path.descriptor
+    descriptor = group.descriptor
     if descriptor.backend != MATRIX:
         raise CapabilityError("the dense cross-check needs the matrix backend")
+    if (operator_group.descriptor != operator_descriptor(descriptor)
+            or operator_group.order != group.order or operator_group.q0 != group.q0
+            or not np.array_equal(operator_group.times, group.times)):
+        raise ShapeMismatchError("group series differ in algebra, times, order or q0")
     rng = np.random.default_rng(seed)
     probe_data = rng.standard_normal((descriptor.n, descriptor.n))
     if descriptor.field == "complex":
         probe_data = probe_data + 1j * rng.standard_normal((descriptor.n, descriptor.n))
     probe = AlgebraElement(descriptor, probe_data)
 
-    if group is None:
-        group = time_ordered_exp(path, q0, order, grid)
     conjugated = conjugate(group, probe)
-    if operator_group is None:
-        operator_group = time_ordered_exp_of_ad(path, q0, order, grid)
-    if (any(g.order != order or g.q0 != q0 for g in (group, operator_group))
-            or operator_group.values.shape[:2] != conjugated.values.shape[:2]):
-        raise ShapeMismatchError("group series do not match each other, the order or q0")
     flat_probe = probe.data.reshape(-1)
-    worst = np.zeros(order + 1)
+    worst = np.zeros(group.order + 1)
     for block in node_blocks(len(conjugated), operator_group.values[0].nbytes):
         applied = (operator_group.values[block] @ flat_probe).reshape(
             conjugated.values[block].shape)
         gap = element_norms(descriptor, conjugated.values[block] - applied)
         worst = np.maximum(worst, gap.max(axis=0))
     return worst
-
-
-def time_ordered_exp_of_ad(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
-    """The operator-level group series of the ``ad`` path."""
-    return time_ordered_exp(ad_path(path), q0, order, grid)

@@ -112,22 +112,14 @@ class FlowSample:
     """A series-valued path sampled on a uniform time grid.
 
     The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
-    ``values``; ``series`` shows its nodes as :class:`GradedSeries`.  Build a
-    sample either from ``values`` and ``descriptor`` or from a sequence of
-    series.
+    ``values``, of coefficients in the algebra ``descriptor``; ``series``
+    shows its nodes as :class:`GradedSeries`.
     """
 
     __slots__ = ("times", "values", "descriptor", "step", "order", "q0")
 
-    def __init__(self, times, series=None, *, step: float, order: int, q0: float,
-                 values: np.ndarray | None = None,
-                 descriptor: AlgebraDescriptor | None = None):
-        if series is not None:
-            series = tuple(series)
-            descriptor = series[0].descriptor
-            values = np.stack([node.values for node in series])
-        if values is None or descriptor is None:
-            raise ShapeMismatchError("a flow sample needs its series, or values and descriptor")
+    def __init__(self, times, values: np.ndarray, descriptor: AlgebraDescriptor, *,
+                 step: float, order: int, q0: float):
         if values.shape[1:] != (order + 1, *descriptor.shape) or len(values) != len(times):
             raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
                                      f"{len(times)} nodes of order {order}")

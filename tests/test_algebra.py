@@ -7,6 +7,10 @@ import pytest
 
 from qlax import (
     algebra,
+    CIRCLE_DIFFOP,
+    COMPLEX,
+    REAL,
+    AlgebraDescriptor,
     CapabilityError,
     DomainError,
     ShapeMismatchError,
@@ -31,6 +35,13 @@ def test_descriptor_validation():
         diffop_descriptor(-1, 3)
     with pytest.raises(ShapeMismatchError):
         diffop_descriptor(2, 0)
+
+
+def test_diffop_descriptor_is_complex_only():
+    assert diffop_descriptor(2, 3).field == COMPLEX
+    assert diffop_descriptor(2, 3).dtype == np.complex128
+    with pytest.raises(ShapeMismatchError):
+        AlgebraDescriptor(backend=CIRCLE_DIFFOP, max_order=2, max_mode=3, field=REAL)
 
 
 def test_matrix_units_add_mul_commutator():

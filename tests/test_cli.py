@@ -134,6 +134,14 @@ def test_solve_diffop_backend_exits_3(tmp_path):
     assert code == 3
 
 
+def test_diffop_real_field_exits_2(tmp_path):
+    # diffop coefficients are complex; a real field is a malformed file
+    doc = {**DIFFOP_DOC, "backend": {**DIFFOP_DOC["backend"], "field": "real"}}
+    with pytest.raises(ProblemFormatError):
+        validate_problem_document(doc)
+    assert main(["solve", _write(tmp_path, doc), "--out", str(tmp_path / "d")]) == 2
+
+
 def test_symmetry_command(tmp_path):
     doc = {
         "schema": 1,

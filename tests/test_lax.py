@@ -7,7 +7,6 @@ from qlax import (
     CapabilityError,
     DomainError,
     AlgebraElement,
-    GradedSeries,
     diffop_descriptor,
     diffop_element,
     matrix_descriptor,
@@ -18,7 +17,6 @@ from qlax.lax import (
     LaxProblem,
     PRESET_NAMES,
     conserved_trace_tables,
-    conserved_traces,
     flow_difference,
     integrate_directly,
     lax_residual,
@@ -96,11 +94,9 @@ def test_lax_residual_below_threshold_for_presets():
 def test_corrupted_flow_is_detected():
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=4, grid=(1e-3, 1.0))
     result = solve_lax(prob)
-    doubled = tuple(
-        GradedSeries([node.coeffs[0], 2.0 * node.coeffs[1], *node.coeffs[2:]])
-        for node in result.flow.series
-    )
-    corrupted_flow = FlowSample(times=result.flow.times, series=doubled,
+    doubled = result.flow.values.copy()
+    doubled[:, 1] *= 2.0
+    corrupted_flow = FlowSample(result.flow.times, doubled, result.flow.descriptor,
                                 step=result.flow.step, order=result.flow.order,
                                 q0=result.flow.q0)
     corrupted = LaxFlowResult(problem=result.problem, group=result.group,
@@ -113,12 +109,10 @@ def test_non_finite_flow_fails_the_residual():
     # a NaN coefficient must show in the profile, not be passed over as 0
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=3, grid=(1e-2, 0.1))
     result = solve_lax(prob)
-    broken_nodes = list(result.flow.series)
-    node = broken_nodes[4]
-    broken_nodes[4] = GradedSeries([node.coeffs[0], matrix_element([[np.nan, 0.0], [0.0, 0.0]]),
-                                    *node.coeffs[2:]])
-    broken = FlowSample(times=result.flow.times, series=broken_nodes, step=result.flow.step,
-                        order=result.flow.order, q0=result.flow.q0)
+    broken_values = result.flow.values.copy()
+    broken_values[4, 1] = [[np.nan, 0.0], [0.0, 0.0]]
+    broken = FlowSample(result.flow.times, broken_values, result.flow.descriptor,
+                        step=result.flow.step, order=result.flow.order, q0=result.flow.q0)
     profile = lax_residual(LaxFlowResult(problem=result.problem, group=result.group,
                                          flow=broken))
     assert np.isnan(profile[1])
@@ -133,8 +127,6 @@ def test_trace_drift_table():
         assert tables[k].drift.max() <= 1e-8
     # k = 1: higher grades are traces of nested commutators, identically ~0
     assert np.abs(tables[1].values[:, 1:]).max() <= 1e-12
-    # single-power wrapper agrees
-    assert np.array_equal(conserved_traces(result, 2).values, tables[2].values)
 
 
 def test_trace_k2_sl2_literal():
@@ -143,7 +135,7 @@ def test_trace_k2_sl2_literal():
     prob = _problem(matrix_element(SL2_H), matrix_element([[0.0, -0.4], [0.4, 0.0]]),
                     grid=(1e-3, 0.5))
     result = solve_lax(prob)
-    table = conserved_traces(result, 2)
+    table = conserved_trace_tables(result, 2)[2]
     assert table.values[0, 0] == pytest.approx(2.0, abs=1e-12)
     assert table.drift.max() <= 1e-10
 

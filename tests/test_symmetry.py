@@ -22,11 +22,9 @@ from qlax.symmetry import (
     identity_operator,
     operator_descriptor,
     solve_symmetry,
-    symmetry_residual,
     symmetry_residual_full,
-    time_ordered_exp_of_ad,
 )
-from qlax.timeorder import FlowSample, OperatorPath
+from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
 from helpers import E12, E21, SL2_H, rand_matrix
 
 
@@ -40,7 +38,7 @@ def test_operator_descriptor_squares_dimension():
 
 def test_ad_literal_sl2():
     ad = ad_operator(matrix_element(E12))
-    image = apply_operator(ad.matrix, matrix_element(E21))
+    image = apply_operator(ad, matrix_element(E21))
     assert np.abs(image.data - np.array(SL2_H)).max() <= 1e-15
 
 
@@ -49,7 +47,7 @@ def test_ad_matches_commutator_everywhere():
     desc = matrix_descriptor(3)
     for _ in range(20):
         a, x = rand_matrix(rng, desc), rand_matrix(rng, desc)
-        via_operator = apply_operator(ad_operator(a).matrix, x)
+        via_operator = apply_operator(ad_operator(a), x)
         direct = commutator(a, x)
         assert np.abs(via_operator.data - direct.data).max() <= 1e-12
 
@@ -74,21 +72,36 @@ def test_identity_operator_acts_trivially():
     assert np.array_equal(image.data, x.data)
 
 
+def _groups(path, q0, order, grid):
+    """The group series of ``path`` and of its ``ad`` path."""
+    return (time_ordered_exp(path, q0, order, grid),
+            time_ordered_exp(ad_path(path), q0, order, grid))
+
+
 def test_ad_exp_ad_on_presets():
     # conjugating by the group path equals exponentiating the ad path
     for name in ("rotation-2", "toda-3"):
         prob = preset_problem(name, q0=0.5, order=5, grid=(2e-3, 0.5))
-        profile = check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid)
-        assert profile.max() <= 1e-9
-        # the caller's groups give the same bits as integrating them here
-        group = solve_lax(prob).group
-        operator_group = time_ordered_exp_of_ad(prob.path, prob.q0, prob.order, prob.grid)
-        reused = check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid,
-                                 operator_group=operator_group, group=group)
-        assert np.array_equal(reused, profile)
-        other = solve_lax(preset_problem(name, q0=0.25, order=5, grid=(2e-3, 0.5))).group
+        group, operator_group = _groups(prob.path, prob.q0, prob.order, prob.grid)
+        assert check_ad_exp_ad(group, operator_group).max() <= 1e-9
+        other = time_ordered_exp(prob.path, 0.25, prob.order, prob.grid)
         with pytest.raises(ShapeMismatchError):
-            check_ad_exp_ad(prob.path, prob.q0, prob.order, prob.grid, group=other)
+            check_ad_exp_ad(other, operator_group)
+
+
+def test_ad_exp_ad_rejects_groups_on_another_grid_or_order():
+    path = preset_problem("rotation-2").path
+    group, _ = _groups(path, 0.5, 4, (2e-3, 0.2))
+    # same node count (101), other step: only the times tell the grids apart
+    _, other_step = _groups(path, 0.5, 4, (1e-3, 0.1))
+    assert len(other_step) == len(group)
+    with pytest.raises(ShapeMismatchError):
+        check_ad_exp_ad(group, other_step)
+    _, other_order = _groups(path, 0.5, 3, (2e-3, 0.2))
+    with pytest.raises(ShapeMismatchError):
+        check_ad_exp_ad(group, other_order)
+    with pytest.raises(ShapeMismatchError):
+        check_ad_exp_ad(group, group)  # not an operator-algebra group
 
 
 def test_identity_initial_operator_flow_is_constant():
@@ -99,7 +112,7 @@ def test_identity_initial_operator_flow_is_constant():
     for node in sym.flow.series:
         assert np.abs(node.coeffs[0].data - np.eye(op_desc.n)).max() <= 1e-14
         assert all(c.norm() <= 1e-14 for c in node.coeffs[1:])
-    assert symmetry_residual(sym).max() <= 1e-12
+    assert lax_residual(sym).max() <= 1e-12
 
 
 def test_symmetry_residuals_below_threshold():
@@ -107,7 +120,7 @@ def test_symmetry_residuals_below_threshold():
     lax_result = solve_lax(prob)
     sym = solve_symmetry(ad_operator(prob.initial), prob.path,
                          prob.q0, prob.order, prob.grid)
-    assert symmetry_residual(sym).max() <= 1e-6
+    assert lax_residual(sym).max() <= 1e-6
     assert symmetry_residual_full(sym, lax_result).max() <= 1e-6
 
 
@@ -120,7 +133,7 @@ def test_equivariance_ad_of_initial():
     worst = 0.0
     for lax_node, sym_node in zip(lax_result.flow.series, sym.flow.series):
         for g in range(prob.order + 1):
-            expected = ad_operator(lax_node.coeffs[g]).matrix
+            expected = ad_operator(lax_node.coeffs[g])
             worst = max(worst, (sym_node.coeffs[g] - expected).norm())
     assert worst <= 1e-8
 
@@ -131,7 +144,7 @@ def test_commuting_initial_operator_gives_exact_zero_residual():
     generator = matrix_element([[0.0, -0.4], [0.4, 0.0]])
     path = OperatorPath.constant(generator)
     sym = solve_symmetry(ad_operator(generator), path, 0.5, 4, (2e-3, 0.2))
-    s0 = ad_operator(generator).matrix
+    s0 = ad_operator(generator)
     for node in sym.flow.series:
         assert np.abs(node.coeffs[0].data - s0.data).max() <= 1e-13
         assert all(c.norm() <= 1e-13 for c in node.coeffs[1:])
@@ -142,15 +155,12 @@ def test_constant_operator_counterexample_detected():
     prob = preset_problem("rotation-2", q0=0.5, order=3, grid=(1e-3, 0.5))
     sym = solve_symmetry(ad_operator(prob.initial), prob.path,
                          prob.q0, prob.order, prob.grid)
-    s0 = ad_operator(prob.initial).matrix
-    frozen_nodes = tuple(
-        type(node)([s0] + [AlgebraElement.zero(s0.descriptor)] * prob.order)
-        for node in sym.flow.series
-    )
-    frozen_flow = FlowSample(times=sym.flow.times, series=frozen_nodes,
+    s0 = ad_operator(prob.initial)
+    frozen_values = np.zeros_like(sym.flow.values)
+    frozen_values[:, 0] = s0.data
+    frozen_flow = FlowSample(sym.flow.times, frozen_values, s0.descriptor,
                              step=sym.flow.step, order=sym.flow.order, q0=sym.flow.q0)
-    frozen_result = LaxFlowResult(problem=sym.result.problem, group=sym.result.group,
-                                  flow=frozen_flow)
+    frozen_result = LaxFlowResult(problem=sym.problem, group=sym.group, flow=frozen_flow)
     assert lax_residual(frozen_result)[1] >= 1e-2
 
 
@@ -165,7 +175,7 @@ def test_scaling_preserves_zero_residual_for_constant_paths():
     for a, b in zip(unscaled.flow.series, scaled.flow.series):
         for g in range(5):
             assert np.array_equal(a.coeffs[g].data, b.coeffs[g].data)
-    assert symmetry_residual(unscaled).max() == symmetry_residual(scaled).max()
+    assert lax_residual(unscaled).max() == lax_residual(scaled).max()
 
 
 def test_apply_operator_series_graded():
@@ -191,5 +201,5 @@ def test_ad_path_maps_coefficients():
     path = OperatorPath.polynomial([b, 2.0 * b])
     mapped = ad_path(path)
     assert mapped.degree == 1
-    expected = ad_operator(matrix_element([[0.0, 3.0], [0.0, 0.0]])).matrix
+    expected = ad_operator(matrix_element([[0.0, 3.0], [0.0, 0.0]]))
     assert np.abs(mapped.at(1.0).data - expected.data).max() <= 1e-14

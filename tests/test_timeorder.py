@@ -138,12 +138,9 @@ def test_corrupted_group_path_is_detected():
     b = matrix_element(ROT)
     path = OperatorPath.constant(b)
     group = time_ordered_exp(path, q0=0.5, order=4, grid=(1e-3, 1.0))
-    zero = AlgebraElement.zero(b.descriptor)
-    corrupted_series = tuple(
-        GradedSeries([node.coeffs[0], node.coeffs[1], zero, node.coeffs[3], node.coeffs[4]])
-        for node in group.series
-    )
-    corrupted = FlowSample(times=group.times, series=corrupted_series,
+    corrupted_values = group.values.copy()
+    corrupted_values[:, 2] = 0.0
+    corrupted = FlowSample(group.times, corrupted_values, group.descriptor,
                            step=group.step, order=group.order, q0=group.q0)
     profile = left_log_derivative_residual(corrupted, path, 0.5)
     assert profile[2] >= 1e-2
