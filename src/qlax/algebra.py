@@ -129,7 +129,7 @@ class AlgebraElement:
     modes ``-M..M``).
     """
 
-    __slots__ = ("descriptor", "data", "_zero_flag")
+    __slots__ = ("descriptor", "data")
 
     def __init__(self, descriptor: AlgebraDescriptor, data: np.ndarray):
         array = np.array(data, dtype=descriptor.dtype)
@@ -142,7 +142,6 @@ class AlgebraElement:
         array.setflags(write=False)
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "data", array)
-        object.__setattr__(self, "_zero_flag", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("AlgebraElement is immutable")
@@ -161,11 +160,7 @@ class AlgebraElement:
 
     @property
     def is_zero(self) -> bool:
-        flag = self._zero_flag
-        if flag is None:
-            flag = not self.data.any()
-            object.__setattr__(self, "_zero_flag", flag)
-        return flag
+        return not self.data.any()
 
     def order(self) -> int | None:
         """Highest derivative order with a nonzero coefficient (diffop only)."""
@@ -260,6 +255,18 @@ def unit_payload(descriptor: AlgebraDescriptor) -> np.ndarray:
 # above; a diffop stack shares one row and mode range, so its slices agree with
 # the one-pair products up to rounding.
 
+# Work on a long stack runs in blocks whose items take about this many bytes,
+# so its temporaries stay a few blocks in size whatever the stack length.
+BLOCK_BYTES = 1 << 18
+
+
+def blocks(count: int, item_nbytes: int) -> list[slice]:
+    """Slices covering ``range(count)``, each spanning about ``BLOCK_BYTES`` of
+    items that take ``item_nbytes`` each."""
+    size = max(1, BLOCK_BYTES // item_nbytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
 def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
                     mask: np.ndarray | None = None) -> np.ndarray:
     """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
@@ -339,11 +346,6 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-# The Leibniz kernel multiplies its pairs in blocks whose largest temporary
-# takes about this many bytes, so a long stack costs a few blocks of memory.
-PAIR_BLOCK_BYTES = 1 << 18
-
-
 def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Leibniz products ``a[p] * b[p]`` of two ``(P, J+1, 2M+1)`` payload stacks.
 
@@ -366,11 +368,10 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     b = b[:, :_span(b_rows).stop, b_modes]
     orders = a.shape[1] + b.shape[1] - 1
     modes = slice(a_modes.start + b_modes.start, a_modes.stop + b_modes.stop - 1)
+    # the Toeplitz stack is the largest temporary of a pair
     toeplitz_bytes = 16 * (modes.stop - modes.start) * b.shape[2] * a.shape[1]
-    size = max(1, PAIR_BLOCK_BYTES // toeplitz_bytes)
     out = np.empty((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
-    for start in range(0, len(a), size):
-        block = slice(start, start + size)
+    for block in blocks(len(a), toeplitz_bytes):
         wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode)
         scratch = np.zeros((len(wide), 2 * max_order + 1, 2 * descriptor.width - 1),
                            dtype=np.complex128)

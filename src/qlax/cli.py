@@ -59,7 +59,7 @@ from qlax.nonregular import (
     velocity_at_zero,
     verify_diffeo_bounds,
 )
-from qlax.series import evaluate_values, node_blocks
+from qlax.series import evaluate_values, grade_max_norms
 from qlax.symmetry import (
     ad_matrices,
     ad_operator,
@@ -501,11 +501,10 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
     rows.extend(_grade_rows("ad_exp_gap", check_ad_exp_ad(lax_result.group, sym.group),
                             AD_EXP_TOL))
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
-        worst = np.zeros(problem.order + 1)
-        for block in node_blocks(len(sym.flow), sym.flow.values[0].nbytes):
-            gap = sym.flow.values[block] - ad_matrices(lax_result.flow.values[block])
-            worst = np.maximum(worst, element_norms(sym.flow.descriptor, gap).max(axis=0))
-        rows.extend(_grade_rows("equivariance_gap", worst, EQUIVARIANCE_TOL))
+        gap = grade_max_norms(
+            sym.flow.descriptor, sym.flow.values,
+            lambda block: sym.flow.values[block] - ad_matrices(lax_result.flow.values[block]))
+        rows.extend(_grade_rows("equivariance_gap", gap, EQUIVARIANCE_TOL))
 
     _write_csv(os.path.join(out_dir, "flow.csv"), ["t", "grade", "coeff_norm"],
                _flow_rows(sym.flow))

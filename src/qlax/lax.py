@@ -12,9 +12,10 @@ traces of powers (conjugation invariance), and a plain RK4 oracle for the
 evaluated series, whose error must shrink like ``q0^(order+1)``.
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
-:class:`~qlax.timeorder.FlowSample`; the conjugation and the node-wise
-diagnostics run in blocks of about ``series.NODE_BLOCK_BYTES`` of series, so
-their temporaries stay small whatever the grid length and coefficient size.
+:class:`~qlax.timeorder.FlowSample`; the conjugation, the trace tables and
+the checks (``series.grade_max_norms``, ``series.centred_residual``) run in
+blocks of about ``algebra.BLOCK_BYTES`` of series, so their temporaries stay
+small whatever the grid length and coefficient size.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
+    blocks,
     element_norms,
     matrix_element,
     stacked_commutator,
@@ -37,9 +39,10 @@ from qlax.algebra import (
 from qlax.series import (
     GradedSeries,
     cauchy_product,
+    centred_residual,
     evaluate_values,
+    grade_max_norms,
     neumann_inverse,
-    node_blocks,
 )
 from qlax.timeorder import (
     FlowSample,
@@ -96,7 +99,7 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
         raise ShapeMismatchError("initial element and group live in different algebras")
     head = GradedSeries.single(descriptor, group.order, 0, initial).values[None]
     values = np.empty(group.values.shape, dtype=descriptor.dtype)
-    for block in node_blocks(len(group), group.values[0].nbytes):
+    for block in blocks(len(group), group.values[0].nbytes):
         g = group.values[block]
         values[block] = cauchy_product(descriptor, cauchy_product(descriptor, g, head),
                                        neumann_inverse(descriptor, g))
@@ -115,34 +118,25 @@ def integrate_directly(problem: LaxProblem) -> FlowSample:
 
 
 def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
-    """Per-grade max norm of the difference of two sampled flows."""
-    if a.values.shape != b.values.shape:
-        raise ShapeMismatchError("flow samples have different shapes")
-    worst = np.zeros(a.order + 1)
-    for block in node_blocks(len(a), a.values[0].nbytes):
-        gap = element_norms(a.descriptor, a.values[block] - b.values[block])
-        worst = np.maximum(worst, gap.max(axis=0))
-    return worst
+    """Per-grade max norm of the difference of two flows; only their ``q0`` may differ."""
+    if (a.descriptor != b.descriptor or a.values.shape != b.values.shape
+            or not np.array_equal(a.times, b.times)):
+        raise ShapeMismatchError("flow samples differ in algebra, times or order")
+    return grade_max_norms(a.descriptor, a.values,
+                           lambda block: a.values[block] - b.values[block])
 
 
 def lax_residual(result: LaxFlowResult) -> np.ndarray:
     """Per-grade residual of ``d/dt L = [q P(q0 t), L]`` by centred differences."""
     flow = result.flow
-    if len(flow) < 3:
-        raise DomainError("need at least three nodes for centred differences")
-    descriptor = flow.descriptor
-    path = result.problem.path
-    q0 = result.problem.q0
-    values = flow.values
-    inv_two_step = 1.0 / (2.0 * flow.step)
-    worst = np.zeros(flow.order + 1)
-    for block in node_blocks(len(flow) - 2, values[0].nbytes):
-        inner = slice(block.start + 1, block.stop + 1)
-        residual = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
-        p = path.sample(q0 * flow.times[inner])[:, None]
-        residual[:, 1:] -= stacked_commutator(descriptor, p, values[inner, :-1])
-        worst = np.maximum(worst, element_norms(descriptor, residual).max(axis=0))
-    return worst
+    problem = result.problem
+
+    def residual(inner, derivative):
+        p = problem.path.sample(problem.q0 * flow.times[inner])[:, None]
+        derivative[:, 1:] -= stacked_commutator(flow.descriptor, p, flow.values[inner, :-1])
+        return derivative
+
+    return centred_residual(flow.descriptor, flow.values, flow.step, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +159,7 @@ def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, T
     descriptor = flow.descriptor
     values = {k: np.empty((len(flow), flow.order + 1), dtype=descriptor.dtype)
               for k in range(1, max_power + 1)}
-    for block in node_blocks(len(flow), flow.values[0].nbytes):
+    for block in blocks(len(flow), flow.values[0].nbytes):
         node = flow.values[block]
         power = node
         for k in range(1, max_power + 1):

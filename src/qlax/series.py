@@ -34,22 +34,12 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
+    blocks,
     coerce_scalar,
+    element_norms,
     stacked_product,
     unit_payload,
 )
-
-# Node-wise work on a long sampled flow runs in blocks of nodes whose series
-# take about this many bytes, so the temporaries of a product or inverse stay
-# a few blocks in size whatever the grid length and coefficient size.
-NODE_BLOCK_BYTES = 1 << 18
-
-
-def node_blocks(count: int, node_nbytes: int) -> list[slice]:
-    """Slices covering ``range(count)``, each spanning about ``NODE_BLOCK_BYTES``
-    of nodes that take ``node_nbytes`` each."""
-    size = max(1, NODE_BLOCK_BYTES // node_nbytes)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _nonzero_grades(values: np.ndarray) -> np.ndarray:
@@ -134,6 +124,36 @@ def evaluate_values(descriptor: AlgebraDescriptor, values: np.ndarray, q0) -> np
     for n in range(values.shape[1] - 2, -1, -1):
         acc = values[:, n] + q0 * acc
     return acc
+
+
+def grade_max_norms(descriptor: AlgebraDescriptor, values: np.ndarray, gaps) -> np.ndarray:
+    """Per-grade max norm of ``gaps(block)`` over the node blocks of a stacked series.
+
+    ``gaps`` maps a slice of the nodes of ``values`` to the stack to measure,
+    so one block of it is held at a time.
+    """
+    worst = np.zeros(values.shape[1])
+    for block in blocks(len(values), values[0].nbytes):
+        worst = np.maximum(worst, element_norms(descriptor, gaps(block)).max(axis=0))
+    return worst
+
+
+def centred_residual(descriptor: AlgebraDescriptor, values: np.ndarray, step: float,
+                     residual) -> np.ndarray:
+    """:func:`grade_max_norms` of a flow-equation residual on the interior nodes.
+
+    ``residual(inner, derivative)`` maps a slice of interior nodes and the
+    centred differences there, which it may overwrite, to the stack to measure.
+    """
+    if len(values) < 3:
+        raise DomainError("need at least three nodes for centred differences")
+    inv_two_step = 1.0 / (2.0 * step)
+
+    def gaps(block):
+        derivative = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
+        return residual(slice(block.start + 1, block.stop + 1), derivative)
+
+    return grade_max_norms(descriptor, values[1:-1], gaps)
 
 
 class GradedSeries:

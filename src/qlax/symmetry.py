@@ -13,8 +13,8 @@ diagnostics (``lax_residual``, ``flow_difference``, ...) apply to it as they
 stand.  Conjugating an element by the group series of ``P`` agrees grade by
 grade with applying the operator exponential of the ``ad`` path
 (``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check.  The
-checks run on the stacked arrays of the sampled flows, in blocks of about
-``series.NODE_BLOCK_BYTES`` of series.
+checks reduce the sampled flows with ``series.grade_max_norms`` and
+``series.centred_residual``, in blocks of about ``algebra.BLOCK_BYTES``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from qlax.algebra import (
     AlgebraElement,
     CapabilityError,
     ShapeMismatchError,
-    element_norms,
     matrix_descriptor,
     stacked_commutator,
 )
-from qlax.series import GradedSeries, graded_product, node_blocks
+from qlax.series import GradedSeries, centred_residual, grade_max_norms, graded_product
 from qlax.lax import LaxFlowResult, LaxProblem, conjugate, solve_lax
 from qlax.timeorder import FlowSample, OperatorPath
 
@@ -138,17 +137,14 @@ def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray
     q0 = sym.problem.q0
     if lax.problem.q0 != q0:
         raise ShapeMismatchError("operator and element flows use different scalings")
-    inv_two_step = 1.0 / (2.0 * s_flow.step)
-    s_values = s_flow.values
-    worst = np.zeros(s_flow.order + 1)
-    for block in node_blocks(len(s_flow) - 2, s_values[0].nbytes):
-        inner = slice(block.start + 1, block.stop + 1)
-        residual = (s_values[block.start + 2:block.stop + 2] - s_values[block]) * inv_two_step
+
+    def residual(inner, derivative):
         ad_p = ad_matrices(lax.problem.path.sample(q0 * s_flow.times[inner]))[:, None]
-        residual[:, 1:] -= stacked_commutator(s_flow.descriptor, ad_p, s_values[inner, :-1])
-        applied = _apply_stacked(residual, l_flow.values[inner])
-        worst = np.maximum(worst, element_norms(l_flow.descriptor, applied).max(axis=0))
-    return worst
+        derivative[:, 1:] -= stacked_commutator(s_flow.descriptor, ad_p,
+                                                s_flow.values[inner, :-1])
+        return _apply_stacked(derivative, l_flow.values[inner])
+
+    return centred_residual(l_flow.descriptor, s_flow.values, s_flow.step, residual)
 
 
 def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample,
@@ -174,12 +170,10 @@ def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample,
         probe_data = probe_data + 1j * rng.standard_normal((descriptor.n, descriptor.n))
     probe = AlgebraElement(descriptor, probe_data)
 
-    conjugated = conjugate(group, probe)
-    flat_probe = probe.data.reshape(-1)
-    worst = np.zeros(group.order + 1)
-    for block in node_blocks(len(conjugated), operator_group.values[0].nbytes):
-        applied = (operator_group.values[block] @ flat_probe).reshape(
-            conjugated.values[block].shape)
-        gap = element_norms(descriptor, conjugated.values[block] - applied)
-        worst = np.maximum(worst, gap.max(axis=0))
-    return worst
+    conjugated = conjugate(group, probe).values
+
+    def gaps(block):
+        applied = operator_group.values[block] @ probe.data.reshape(-1)
+        return conjugated[block] - applied.reshape(conjugated[block].shape)
+
+    return grade_max_norms(descriptor, operator_group.values, gaps)

@@ -28,14 +28,13 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
-    element_norms,
     stacked_product,
 )
 from qlax.series import (
     GradedSeries,
     cauchy_product,
+    centred_residual,
     neumann_inverse,
-    node_blocks,
 )
 
 MAX_PATH_DEGREE = 8
@@ -45,9 +44,9 @@ MAX_PATH_DEGREE = 8
 class OperatorPath:
     """A polynomial path ``P(t) = sum_d coeffs[d] t^d`` in one coefficient algebra.
 
-    ``q0`` records the scaling parameter bundled with the path by problem
-    builders; integration routines take the parameter explicitly and use the
-    bundled value only as a default.
+    ``q0`` is carried but unused: every integration routine takes the scaling
+    parameter explicitly, and :func:`~qlax.symmetry.ad_path` only forwards it.
+    Its removal is pending (ROADMAP.md, "Delete duplicate work").
     """
 
     coeffs: tuple[AlgebraElement, ...]
@@ -196,22 +195,21 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
     times = np.linspace(0.0, horizon, steps + 1)
     half = 0.5 * step
     sixth = step / 6.0
-    constant_path = path.degree == 0
+    # P(q0 t) at the start, midpoint and end of every step
+    start, middle, end = (path.sample(q0 * (times[:-1] + shift)) for shift in (0.0, half, step))
     head = base.data[None]
 
-    def slopes(t, stack):
-        p = path.coeffs[0] if constant_path else path.at(q0 * t)
-        return produce(p.data, np.concatenate((head, stack[:-1])))
+    def slopes(p, stack):
+        return produce(p, np.concatenate((head, stack[:-1])))
 
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
     values[:, 0] = base.data
     stack = values[0, 1:]
     for k in range(steps):
-        t = times[k]
-        k1 = slopes(t, stack)
-        k2 = slopes(t + half, stack + half * k1)
-        k3 = slopes(t + half, stack + half * k2)
-        k4 = slopes(t + step, stack + step * k3)
+        k1 = slopes(start[k], stack)
+        k2 = slopes(middle[k], stack + half * k1)
+        k3 = slopes(middle[k], stack + half * k2)
+        k4 = slopes(end[k], stack + step * k3)
         stack = stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[k + 1, 1:] = stack
     return times, values
@@ -238,17 +236,10 @@ def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
     The time derivative uses centred differences with the grid step, so the
     profile mixes the integration error with an O(step^2) differencing floor.
     """
-    if len(group) < 3:
-        raise DomainError("need at least three nodes for centred differences")
-    descriptor = group.descriptor
-    values = group.values
-    inv_two_step = 1.0 / (2.0 * group.step)
-    worst = np.zeros(group.order + 1)
-    for block in node_blocks(len(group) - 2, values[0].nbytes):
-        inner = slice(block.start + 1, block.stop + 1)
-        derivative = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
-        residual = cauchy_product(descriptor, derivative,
-                                  neumann_inverse(descriptor, values[inner]))
-        residual[:, 1] -= path.sample(q0 * group.times[inner])
-        worst = np.maximum(worst, element_norms(descriptor, residual).max(axis=0))
-    return worst
+    def residual(inner, derivative):
+        gap = cauchy_product(group.descriptor, derivative,
+                             neumann_inverse(group.descriptor, group.values[inner]))
+        gap[:, 1] -= path.sample(q0 * group.times[inner])
+        return gap
+
+    return centred_residual(group.descriptor, group.values, group.step, residual)

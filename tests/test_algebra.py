@@ -203,14 +203,14 @@ def _windowed(descriptor, wide):
     return inside
 
 
-@pytest.mark.parametrize("block_bytes", [algebra.PAIR_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1])
 def test_stacked_diffop_products_match_extended_reference(monkeypatch, block_bytes):
     # Pairs of different order and mode supports, with zero rows and zero
     # factors, multiplied as one stack, in one block and one pair per block.
     # The stack's union of rows and modes reaches beyond the window (order
     # 4 + 4, modes 6 + 5) though every product fits, so the exact-zero
     # overflow checks are exercised too.
-    monkeypatch.setattr(algebra, "PAIR_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(31)
     desc = diffop_descriptor(4, 6)
     supports = [(0, 0, 0, 0), (1, 1, 2, 1), (2, 1, 0, 1), (4, 0, 1, 1), (0, 4, 1, 5),
@@ -233,9 +233,9 @@ def test_stacked_diffop_products_match_extended_reference(monkeypatch, block_byt
     assert not products[8].any()
 
 
-@pytest.mark.parametrize("block_bytes", [algebra.PAIR_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1])
 def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
-    monkeypatch.setattr(algebra, "PAIR_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     desc = diffop_descriptor(3, 4)
     rng = np.random.default_rng(8)
     fitting = [(rand_diffop(rng, desc, 1, 2).data, rand_diffop(rng, desc, 1, 2).data)

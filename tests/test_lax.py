@@ -7,6 +7,7 @@ from qlax import (
     CapabilityError,
     DomainError,
     AlgebraElement,
+    ShapeMismatchError,
     diffop_descriptor,
     diffop_element,
     matrix_descriptor,
@@ -117,6 +118,22 @@ def test_non_finite_flow_fails_the_residual():
                                          flow=broken))
     assert np.isnan(profile[1])
     assert np.isnan(flow_difference(broken, result.flow)[1])
+
+
+def test_flow_difference_rejects_flows_on_another_grid_or_algebra():
+    fine = solve_lax(preset_problem("toda-3", order=3, grid=(1e-3, 0.5))).flow
+    coarse = solve_lax(preset_problem("toda-3", order=3, grid=(2e-3, 1.0))).flow
+    assert fine.values.shape == coarse.values.shape  # 501 nodes each
+    with pytest.raises(ShapeMismatchError):
+        flow_difference(fine, coarse)
+    as_complex = FlowSample(fine.times, fine.values.astype(np.complex128),
+                            matrix_descriptor(3, "complex"), step=fine.step, order=fine.order,
+                            q0=fine.q0)
+    with pytest.raises(ShapeMismatchError):
+        flow_difference(fine, as_complex)
+    # another q0 on the same grid compares; a constant path's grades ignore q0
+    other_q0 = solve_lax(preset_problem("toda-3", q0=0.25, order=3, grid=(1e-3, 0.5))).flow
+    assert not flow_difference(fine, other_q0).any()
 
 
 def test_trace_drift_table():
