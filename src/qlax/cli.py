@@ -36,6 +36,7 @@ from qlax.algebra import (
     AlgebraError,
     CapabilityError,
     DomainError,
+    blocks,
     diffop_descriptor,
     element_norms,
     matrix_descriptor,
@@ -344,24 +345,76 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_format_value(v) for v in row])
 
 
-def _write_json(path: str, payload) -> None:
+def _write_flow_csv(path: str, flow) -> None:
+    """``t, grade, coeff_norm`` for every node and grade, formatted a column at a time."""
+    grades = [str(grade) for grade in range(flow.order + 1)]
+    times = [t for t in map(float.__repr__, flow.times.tolist()) for _grade in grades]
+    norms = map(float.__repr__, element_norms(flow.descriptor, flow.values).ravel().tolist())
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "grade", "coeff_norm"])
+        writer.writerows(zip(times, grades * len(flow), norms))
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """The bytes of ``json.dump(payload, sort_keys=True, indent=2)`` and a newline.
+
+    ndarray values stand for their nested lists of floats and are written node
+    block by node block, so no nested list of a whole flow is ever built.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write("{")
+        for index, key in enumerate(sorted(payload)):
+            handle.write(("," if index else "") + "\n  " + json.dumps(key) + ": ")
+            value = payload[key]
+            if isinstance(value, np.ndarray):
+                _write_json_array(handle, value)
+            else:
+                handle.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
+        handle.write("\n}\n")
 
 
-def _series_payload(descriptor, values: np.ndarray):
-    """Nested lists of a ``(nodes, N+1, n, n)`` matrix stack; complex entries as ``[re, im]``."""
+def _write_json_array(handle, array: np.ndarray) -> None:
+    """``array.tolist()`` as ``json.dump(..., indent=2)`` writes a top-level key's value.
+
+    json formats the floats of one node (a first-axis entry) at a time, and one
+    period of indentation separators, one after each float, is interleaved
+    with them.  Formatting a whole block in one ``json.dumps`` call would hold
+    a string per float of the block at once.
+    """
+    rank = array.ndim
+
+    def newline(level: int) -> str:
+        return "\n" + "  " * (level + 1)
+
+    def separator(closed: int) -> str:
+        # after a float that ends ``closed`` innermost lists, before the next float
+        return ("".join(newline(rank - 1 - j) + "]" for j in range(closed)) + ","
+                + newline(rank - closed)
+                + "".join("[" + newline(rank - closed + 1 + j) for j in range(closed)))
+
+    ends = np.cumprod(array.shape[:0:-1]).tolist()
+    parts = [""] * (2 * array[0].size)
+    parts[1::2] = [separator(sum((k + 1) % end == 0 for end in ends))
+                   for k in range(array[0].size)]
+    handle.write("".join("[" + newline(1 + j) for j in range(rank)))
+    for block in blocks(len(array), array[0].nbytes):
+        texts = []
+        for node in array[block].reshape(block.stop - block.start, -1).tolist():
+            # json's own float text, so -0.0, subnormals, NaN and Infinity match it
+            parts[0::2] = json.dumps(node)[1:-1].split(", ")
+            texts.append("".join(parts))
+        if block.stop == len(array):
+            parts[-1] = "".join(newline(rank - 1 - j) + "]" for j in range(rank))
+            texts[-1] = "".join(parts)
+        handle.writelines(texts)
+
+
+def _series_payload(descriptor, values: np.ndarray) -> np.ndarray:
+    """A ``(nodes, N+1, n, n)`` matrix stack; complex entries as a trailing ``[re, im]`` axis."""
     if descriptor.field == REAL:
-        return values.tolist()
-    return np.stack([values.real, values.imag], axis=-1).tolist()
-
-
-def _flow_rows(flow):
-    norms = element_norms(flow.descriptor, flow.values).tolist()
-    for t, node_norms in zip(flow.times.tolist(), norms):
-        for grade, norm in enumerate(node_norms):
-            yield (t, grade, norm)
+        return values
+    return np.ascontiguousarray(values).view(np.float64).reshape(*values.shape, 2)
 
 
 def _flow_json_payload(flow):
@@ -370,7 +423,7 @@ def _flow_json_payload(flow):
         "q0": flow.q0,
         "order": flow.order,
         "step": flow.step,
-        "times": flow.times.tolist(),
+        "times": flow.times,
         "series": _series_payload(flow.descriptor, flow.values),
     }
 
@@ -464,8 +517,7 @@ def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> Re
         rows.append(DiagnosticRow("oracle_decay", None, decay, ORACLE_DECAY_FACTOR,
                                   decay <= ORACLE_DECAY_FACTOR))
 
-    _write_csv(os.path.join(out_dir, "flow.csv"), ["t", "grade", "coeff_norm"],
-               _flow_rows(result.flow))
+    _write_flow_csv(os.path.join(out_dir, "flow.csv"), result.flow)
     _write_json(os.path.join(out_dir, "flow.json"), _flow_json_payload(result.flow))
     all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
     files = ("flow.csv", "flow.json", "diagnostics.csv", "manifest.json")
@@ -506,8 +558,7 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
             lambda block: sym.flow.values[block] - ad_matrices(lax_result.flow.values[block]))
         rows.extend(_grade_rows("equivariance_gap", gap, EQUIVARIANCE_TOL))
 
-    _write_csv(os.path.join(out_dir, "flow.csv"), ["t", "grade", "coeff_norm"],
-               _flow_rows(sym.flow))
+    _write_flow_csv(os.path.join(out_dir, "flow.csv"), sym.flow)
     all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
     files = ("flow.csv", "diagnostics.csv", "manifest.json")
     _write_manifest(out_dir, "symmetry", _problem_echo(document, problem, options),

@@ -186,36 +186,39 @@ class OracleComparison:
     expected_order: int
 
 
-def _rk4_evolution(problem: LaxProblem, q0: float) -> np.ndarray:
-    """Plain RK4 for ``y' = [q0 P(q0 t), y]`` (no grading), on raw matrices."""
-    scaled = problem.path.scaled(q0)
+def _rk4_evolution(problem: LaxProblem, scalings: tuple[float, ...]) -> np.ndarray:
+    """Plain RK4 for ``y' = [s P(s t), y]`` (no grading), on raw matrices.
+
+    All scalings ``s`` step together as one stack; returns the
+    ``(nodes, len(scalings), n, n)`` array of the evolved matrices.
+    """
     step, _horizon, steps = _expand_grid(problem.grid)
     half = 0.5 * step
     sixth = step / 6.0
-
-    def at(t):
-        return scaled.at(t).data
+    # the step starts summed one step at a time, as ``t += step`` would
+    starts = np.cumsum(np.concatenate(([0.0], np.full(steps - 1, step))))
+    paths = [problem.path.scaled(s) for s in scalings]
+    start, middle, end = (np.stack([path.sample(times) for path in paths], axis=1)
+                          for times in (starts, starts + half, starts + step))
 
     def bracket(a, y):
         return a @ y - y @ a
 
-    y = problem.initial.data
-    nodes = [y]
-    t = 0.0
-    for _ in range(steps):
-        k1 = bracket(at(t), y)
-        k2 = bracket(at(t + half), y + half * k1)
-        k3 = bracket(at(t + half), y + half * k2)
-        k4 = bracket(at(t + step), y + step * k3)
+    y = np.stack([problem.initial.data] * len(scalings))
+    nodes = np.empty((steps + 1, *y.shape), dtype=y.dtype)
+    nodes[0] = y
+    for k in range(steps):
+        k1 = bracket(start[k], y)
+        k2 = bracket(middle[k], y + half * k1)
+        k3 = bracket(middle[k], y + half * k2)
+        k4 = bracket(end[k], y + step * k3)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nodes.append(y)
-        t += step
-    return np.stack(nodes)
+        nodes[k + 1] = y
+    return nodes
 
 
-def _oracle_error(flow: FlowSample, problem: LaxProblem, q0: float) -> float:
-    evaluated = evaluate_values(flow.descriptor, flow.values, q0)
-    gap = evaluated - _rk4_evolution(problem, q0)
+def _oracle_error(flow: FlowSample, reference: np.ndarray) -> float:
+    gap = evaluate_values(flow.descriptor, flow.values, flow.q0) - reference
     return float(element_norms(flow.descriptor, gap).max(initial=0.0))
 
 
@@ -230,10 +233,11 @@ def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError("the evaluation oracle needs the matrix backend")
     half = problem.q0 / 2.0
-    error = _oracle_error(result.flow, problem, problem.q0)
     halved = solve_lax(LaxProblem(problem.initial, problem.path, half, problem.order,
                                   problem.grid))
-    error_half = _oracle_error(halved.flow, problem, half)
+    reference = _rk4_evolution(problem, (problem.q0, half))
+    error = _oracle_error(result.flow, reference[:, 0])
+    error_half = _oracle_error(halved.flow, reference[:, 1])
     if error > 0.0 and error_half > 0.0:
         ratio = math.log2(error / error_half)
     else:

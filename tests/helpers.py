@@ -7,6 +7,9 @@ import math
 import numpy as np
 
 from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
+from qlax.algebra import element_norms
+from qlax.lax import LaxProblem, solve_lax
+from qlax.series import evaluate_values
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
 E21 = [[0.0, 0.0], [1.0, 0.0]]
@@ -93,3 +96,43 @@ def leibniz_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out[j + k - d] += math.comb(j, d) * np.convolve(row, derived)
                 derived = derived * factor
     return out
+
+
+def oracle_errors_reference(result) -> tuple[float, float]:
+    """``(error, error_half)`` of the evaluation oracle, one RK4 loop per scaling.
+
+    Each loop evaluates the scaled path element by element at a time advanced
+    by ``t += step``; ``lax.oracle_integrate`` must give the same bits.
+    """
+    problem = result.problem
+    step = float(problem.grid[0])
+    steps = round(float(problem.grid[1]) / step)
+    half = 0.5 * step
+    sixth = step / 6.0
+
+    def bracket(a, y):
+        return a @ y - y @ a
+
+    def rk4(q0):
+        scaled = problem.path.scaled(q0)
+        y = problem.initial.data
+        nodes = [y]
+        t = 0.0
+        for _ in range(steps):
+            k1 = bracket(scaled.at(t).data, y)
+            k2 = bracket(scaled.at(t + half).data, y + half * k1)
+            k3 = bracket(scaled.at(t + half).data, y + half * k2)
+            k4 = bracket(scaled.at(t + step).data, y + step * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            nodes.append(y)
+            t += step
+        return np.stack(nodes)
+
+    def error(flow, q0):
+        gap = evaluate_values(flow.descriptor, flow.values, q0) - rk4(q0)
+        return float(element_norms(flow.descriptor, gap).max(initial=0.0))
+
+    half_q0 = problem.q0 / 2.0
+    halved = solve_lax(LaxProblem(problem.initial, problem.path, half_q0, problem.order,
+                                  problem.grid))
+    return error(result.flow, problem.q0), error(halved.flow, half_q0)

@@ -308,6 +308,25 @@ PINNED_TODA_SOLVE_DIGESTS = {
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
 }
 
+# ``qlax solve --preset toda-3`` at its defaults (N=8, 1001 nodes), pinned at
+# commit 7100feb: its 3.5 MB flow.json spans three 256 KiB node blocks.
+PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
+PINNED_PRESET_TODA_SOLVE_DIGESTS = {
+    "diagnostics.csv": "2268d74881d66a06f9f2a06f1ac179ea18adc0c487b057cece4a4266904dade8",
+    "flow.csv": "3ca56ad7a642975a21bad4e7857eb2999749e2922effee9bab6577f8b501c986",
+    "flow.json": "b1f20fcd788b8d12b003154dd088e6900eea9fac6c1ec5928d83807466d42eef",
+    "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
+}
+
+# A sweep bundle, pinned at commit 7100feb the same way.
+SWEEP_ARGS = ["sweep", "--preset", "rotation-2", "--order", "4", "--step", "0.01",
+              "--horizon", "0.5"]
+PINNED_SWEEP_DIGESTS = {
+    "convergence.csv": "0fe1d63bfc5ae9f9dce4fcfdaa3ba04a15babd4a279b43c5f42f144c2b17ad46",
+    "manifest.json": "39b966623e4f24cddcc72cfb7737aa21923d78b75892b3c842e670b64d6b519c",
+    "sweep.csv": "89d848b496e4cdf2ea99ef6f22edc268c5691e76ba11937a9e3a20cf8306e1a8",
+}
+
 # A complex-field solve with a time-dependent path, pinned the same way: a
 # complex product of zero with a nonzero coefficient can be -0.0, so this
 # bundle shows whether pairs with a zero factor are still skipped node by node.
@@ -359,9 +378,13 @@ def test_acceptance_10_selftest_determinism(tmp_path):
     assert compared >= 10  # solve, symmetry and appendix bundles plus tables
     # the same bytes as the pinned implementation, not only as the last run
     assert _bundle_digests(first) == PINNED_SELFTEST_DIGESTS
-    toda = str(tmp_path / "toda")
-    assert main([*TODA_SOLVE_ARGS, "--out", toda]) == 0
-    assert _bundle_digests(toda) == PINNED_TODA_SOLVE_DIGESTS
+    pinned_runs = ((TODA_SOLVE_ARGS, PINNED_TODA_SOLVE_DIGESTS),
+                   (PRESET_TODA_SOLVE_ARGS, PINNED_PRESET_TODA_SOLVE_DIGESTS),
+                   (SWEEP_ARGS, PINNED_SWEEP_DIGESTS))
+    for index, (args, pinned) in enumerate(pinned_runs):
+        out = str(tmp_path / f"pinned{index}")
+        assert main([*args, "--out", out]) == 0
+        assert _bundle_digests(out) == pinned, " ".join(args)
     document = tmp_path / "complex.json"
     document.write_text(json.dumps(COMPLEX_SOLVE_DOC))
     complex_out = str(tmp_path / "complex")

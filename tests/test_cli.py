@@ -1,18 +1,26 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
+from qlax import algebra, matrix_descriptor
+from qlax.algebra import element_norms
 from qlax.cli import (
     PROBLEM_SCHEMA,
     ProblemFormatError,
+    _flow_json_payload,
+    _write_flow_csv,
+    _write_json,
     build_problem,
     main,
     validate_problem_document,
 )
+from qlax.timeorder import FlowSample
 
 SL2_DOC = {
     "schema": 1,
@@ -267,3 +275,55 @@ def test_selftest_gr1_table(tmp_path):
     assert lookup[("[0;1[", "[0;1]")] == "[0;1["
     assert lookup[("[0;1[", "]0;1]")] == "]0;1["
     assert lookup[("S1", "[0;1]")] == "undefined"
+
+
+def _special_flow(nodes: int, field: str) -> FlowSample:
+    """A seeded 3x3, N=3 flow holding -0.0, a subnormal, huge, tiny and non-finite floats."""
+    rng = np.random.default_rng(nodes)
+    descriptor = matrix_descriptor(3, field)
+    shape = (nodes, 4, 3, 3)
+    scale = 10.0 ** rng.integers(-8, 8, size=shape)
+    values = rng.standard_normal(shape) * scale
+    if field == "complex":
+        values = values + 1j * rng.standard_normal(shape) * scale
+    grades = values.reshape(nodes, 4, -1)
+    grades[0, 0, :4] = [np.nan, -0.0, 5e-324, 1e-5]
+    grades[0, 1, :4] = [np.inf, -np.inf, 1e300, 1e16]
+    if field == "complex":
+        grades.imag[0, 2, :4] = [-0.0, 5e-324, 1e16, 1e-5]
+    times = np.cumsum(rng.uniform(0.0, 1e-2, nodes))
+    times[:3] = [-0.0, 5e-324, 1e16][:nodes]
+    return FlowSample(times, values, descriptor, step=1e-2, order=3, q0=0.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("nodes", [1, 2, 1001])
+def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_bytes, field,
+                                                nodes):
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
+    flow = _special_flow(nodes, field)
+    series = flow.values
+    if field == "complex":
+        series = np.stack([series.real, series.imag], axis=-1)
+    lists = {"schema": 1, "q0": flow.q0, "order": flow.order, "step": flow.step,
+             "times": flow.times.tolist(), "series": series.tolist()}
+    _write_json(str(tmp_path / "flow.json"), _flow_json_payload(flow))
+    written = (tmp_path / "flow.json").read_text()
+    assert written == json.dumps(lists, sort_keys=True, indent=2) + "\n"
+    assert {"NaN", "Infinity", "-Infinity"} <= set(written.replace(",", "").split())
+
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "grade", "coeff_norm"])
+    norms = element_norms(flow.descriptor, flow.values).tolist()
+    for t, node_norms in zip(flow.times.tolist(), norms):
+        for grade, norm in enumerate(node_norms):
+            writer.writerow([repr(t), str(grade), repr(norm)])
+    _write_flow_csv(str(tmp_path / "flow.csv"), flow)
+    with open(tmp_path / "flow.csv", newline="") as handle:
+        table = handle.read()
+    assert table == expected.getvalue()
+    assert {"nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(tmp_path / "flow.csv")}

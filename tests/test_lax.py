@@ -27,7 +27,7 @@ from qlax.lax import (
 )
 from qlax import algebra
 from qlax.timeorder import FlowSample, OperatorPath
-from helpers import E12, E21, SL2_H, rand_matrix
+from helpers import E12, E21, SL2_H, oracle_errors_reference, rand_matrix
 
 
 def _problem(initial, generator, q0=0.5, order=6, grid=(1e-3, 1.0)):
@@ -198,6 +198,21 @@ def test_oracle_convergence_order():
     comparison = oracle_integrate(solve_lax(prob))
     assert comparison.expected_order == 5
     assert 4.5 <= comparison.log2_ratio <= 5.5
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_oracle_matches_one_rk4_loop_per_scaling(field, degree):
+    # both scalings step as one stack; every bit must match separate loops
+    rng = np.random.default_rng(40 + 3 * degree + (field == "complex"))
+    desc = matrix_descriptor(3, field)
+    path = OperatorPath.polynomial([rand_matrix(rng, desc) * 0.5 for _ in range(degree + 1)])
+    prob = LaxProblem(rand_matrix(rng, desc), path, 0.6, 3, (0.01, 0.37))
+    result = solve_lax(prob)
+    comparison = oracle_integrate(result)
+    error, error_half = oracle_errors_reference(result)
+    assert comparison.error == error
+    assert comparison.error_half == error_half
 
 
 def test_linearity_in_the_initial_value():
