@@ -46,6 +46,7 @@ from qlax.lax import (
     PRESET_NAMES,
     conserved_trace_tables,
     lax_residual,
+    oracle_errors,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -578,6 +579,22 @@ def _sweep_entry_columns(descriptor) -> list[str]:
     return names
 
 
+def _write_sweep_csv(path: str, sweep_values, flows) -> None:
+    """``q0, t`` and the evaluated entries at every node, formatted a column at a time."""
+    descriptor = flows[0].descriptor
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["q0", "t", *_sweep_entry_columns(descriptor)])
+        for q0, flow in zip(sweep_values, flows):
+            evaluated = evaluate_values(descriptor, flow.values, q0).reshape(len(flow), -1)
+            if descriptor.field == COMPLEX:
+                evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
+                    len(flow), -1)
+            times = map(float.__repr__, flow.times.tolist())
+            entries = (map(float.__repr__, column) for column in evaluated.T.tolist())
+            writer.writerows(zip([_format_value(q0)] * len(flow), times, *entries))
+
+
 def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> ResultBundle:
     problem, options = build_problem(document, overrides)
     if problem.initial.descriptor.backend != MATRIX:
@@ -585,30 +602,17 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     os.makedirs(out_dir, exist_ok=True)
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
 
-    def solve_point(q0: float):
-        point = solve_lax(
-            LaxProblem(problem.initial, problem.path, q0, problem.order, problem.grid))
-        return point.flow, oracle_integrate(point)
-
-    solved = [solve_point(q0) for q0 in sweep_values]
-
-    descriptor = problem.initial.descriptor
-    sweep_rows = []
-    for q0, (flow, _oracle) in zip(sweep_values, solved):
-        evaluated = evaluate_values(descriptor, flow.values, q0).reshape(len(flow), -1)
-        if descriptor.field == COMPLEX:
-            evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
-                len(flow), -1)
-        for t, entries in zip(flow.times.tolist(), evaluated.tolist()):
-            sweep_rows.append((q0, t, *entries))
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               ["q0", "t", *_sweep_entry_columns(descriptor)], sweep_rows)
+    points = [solve_lax(LaxProblem(problem.initial, problem.path, q0, problem.order,
+                                   problem.grid))
+              for q0 in sweep_values]
+    _write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_values,
+                     [point.flow for point in points])
 
     expected = problem.order + 1
     convergence_rows = []
     asserted_failures = 0
     previous = None
-    for q0, (_flow, oracle) in zip(sweep_values, solved):
+    for q0, error in zip(sweep_values, oracle_errors(points)):
         estimate = ""
         deviation = ""
         asserted = False
@@ -617,18 +621,17 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
             prev_q0, prev_error = previous
             # near-exact truncations (nilpotent problems) leave only roundoff,
             # where order estimates are meaningless noise: skip those pairs
-            if oracle.error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR \
+            if error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR \
                     and prev_q0 != q0:
-                estimate = float(np.log(prev_error / oracle.error) / np.log(prev_q0 / q0))
+                estimate = float(np.log(prev_error / error) / np.log(prev_q0 / q0))
                 deviation = abs(estimate - expected)
                 asserted = max(prev_q0, q0) <= SWEEP_ASSERT_MAX_Q0
                 if asserted:
                     passed = deviation <= ORDER_WINDOW
                     if not passed:
                         asserted_failures += 1
-        convergence_rows.append(
-            (q0, oracle.error, estimate, deviation, expected, asserted, passed))
-        previous = (q0, oracle.error)
+        convergence_rows.append((q0, error, estimate, deviation, expected, asserted, passed))
+        previous = (q0, error)
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["q0", "oracle_error", "order_estimate", "order_deviation",
                 "expected_order", "asserted", "passed"],

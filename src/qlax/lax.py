@@ -3,7 +3,7 @@
 The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways:
 
 * conjugation: ``L(t) = g(t) L0 g(t)^(-1)`` with ``g`` the time-ordered
-  exponential of the scaled path (the default solver), and
+  exponential of the scaled path (the default solver, by forward substitution), and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
@@ -42,7 +42,7 @@ from qlax.series import (
     centred_residual,
     evaluate_values,
     grade_max_norms,
-    neumann_inverse,
+    right_divide,
 )
 from qlax.timeorder import (
     FlowSample,
@@ -93,7 +93,7 @@ def solve_lax(problem: LaxProblem) -> LaxFlowResult:
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
-    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial`` under a sampled group path."""
+    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: ``right_divide(g L0, g)``."""
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")
@@ -101,8 +101,7 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     values = np.empty(group.values.shape, dtype=descriptor.dtype)
     for block in blocks(len(group), group.values[0].nbytes):
         g = group.values[block]
-        values[block] = cauchy_product(descriptor, cauchy_product(descriptor, g, head),
-                                       neumann_inverse(descriptor, g))
+        values[block] = right_divide(descriptor, cauchy_product(descriptor, g, head), g)
     return FlowSample(times=group.times, values=values, descriptor=descriptor,
                       step=group.step, order=group.order, q0=group.q0)
 
@@ -217,9 +216,26 @@ def _rk4_evolution(problem: LaxProblem, scalings: tuple[float, ...]) -> np.ndarr
     return nodes
 
 
-def _oracle_error(flow: FlowSample, reference: np.ndarray) -> float:
-    gap = evaluate_values(flow.descriptor, flow.values, flow.q0) - reference
-    return float(element_norms(flow.descriptor, gap).max(initial=0.0))
+def oracle_errors(results: list[LaxFlowResult]) -> list[float]:
+    """Each solve's evaluated-series error against plain RK4 at its own scaling.
+
+    The solves may differ only in ``q0``; the RK4 reference steps all their
+    scalings as one stack, so every scaling is integrated once.
+    """
+    problem = results[0].problem
+    if problem.initial.descriptor.backend != MATRIX:
+        raise CapabilityError("the evaluation oracle needs the matrix backend")
+    for other in results[1:]:
+        if (other.problem.initial != problem.initial or other.problem.path != problem.path
+                or other.problem.order != problem.order or other.problem.grid != problem.grid):
+            raise ShapeMismatchError("oracle solves differ in more than their scaling")
+    reference = _rk4_evolution(problem, tuple(result.problem.q0 for result in results))
+    errors = []
+    for k, result in enumerate(results):
+        flow = result.flow
+        gap = evaluate_values(flow.descriptor, flow.values, flow.q0) - reference[:, k]
+        errors.append(float(element_norms(flow.descriptor, gap).max(initial=0.0)))
+    return errors
 
 
 def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
@@ -230,14 +246,9 @@ def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
     so halving the scaling should divide the error by about ``2^(order+1)``.
     """
     problem = result.problem
-    if problem.initial.descriptor.backend != MATRIX:
-        raise CapabilityError("the evaluation oracle needs the matrix backend")
-    half = problem.q0 / 2.0
-    halved = solve_lax(LaxProblem(problem.initial, problem.path, half, problem.order,
-                                  problem.grid))
-    reference = _rk4_evolution(problem, (problem.q0, half))
-    error = _oracle_error(result.flow, reference[:, 0])
-    error_half = _oracle_error(halved.flow, reference[:, 1])
+    halved = solve_lax(LaxProblem(problem.initial, problem.path, problem.q0 / 2.0,
+                                  problem.order, problem.grid))
+    error, error_half = oracle_errors([result, halved])
     if error > 0.0 and error_half > 0.0:
         ratio = math.log2(error / error_half)
     else:

@@ -10,13 +10,13 @@ sums here:
 
 * ``exp(S) = sum_{k<=N} S^k / k!`` for valuation >= 1,
 * ``log(U) = sum_{k<=N} (-1)^(k+1) (U-1)^k / k`` for unit grade-0,
-* ``U^(-1) = sum_{k<=N} (-1)^k (U-1)^k`` (Neumann) for unit grade-0,
+* ``x U^(-1)`` by forward substitution (:func:`right_divide`) for unit grade-0,
 * ``unit_inverse`` extends inversion to any invertible grade-0 coefficient
   on the matrix backend via ``U = a_0 (1 + a_0^(-1) S)``.
 
-The products, the Neumann inverse and evaluation are kernels on stacked
+The products, the right division and evaluation are kernels on stacked
 series: ``(nodes, N+1, *shape)`` arrays holding one series per node, so a
-sampled flow is multiplied, inverted or evaluated in one pass.  A
+sampled flow is multiplied, divided or evaluated in one pass.  A
 :class:`GradedSeries` is the one-node case of the same kernels.
 """
 
@@ -102,19 +102,23 @@ def cauchy_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) 
     return graded_product(a, b, lambda x, y, mask: stacked_product(descriptor, x, y, mask))
 
 
-def neumann_inverse(descriptor: AlgebraDescriptor, values: np.ndarray) -> np.ndarray:
-    """``sum_{k<=N} (-1)^k (U-1)^k`` for every node of a unit-headed stacked series."""
-    unit = np.zeros((1, *values.shape[1:]), dtype=descriptor.dtype)
-    unit[0, 0] = unit_payload(descriptor)
-    if not (values[:, 0] == unit[0, 0]).all():
+def right_divide(descriptor: AlgebraDescriptor, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``y = x g^(-1)`` for a unit-headed ``g`` (``x``'s nodes or one), by forward substitution
+    ``y_n = x_n - sum_{i=1..n} y_{n-i} g_i``: one masked ``stacked_product`` call per grade,
+    terms in ascending ``i``, pairs with a zero factor skipped as in :func:`graded_product`."""
+    if not (g[:, 0] == unit_payload(descriptor)).all():
         raise DomainError("grade-0 coefficient must equal the unit")
-    offset = values - unit
-    acc = unit
-    power = unit
-    for k in range(1, values.shape[1]):
-        power = cauchy_product(descriptor, power, offset)
-        acc = acc + power * coerce_scalar(descriptor, (-1.0) ** k)
-    return np.broadcast_to(acc, values.shape).copy()
+    y = x.astype(np.result_type(x, g))
+    nonzero_g = _nonzero_grades(g)
+    nonzero_y = _nonzero_grades(y)
+    for n in range(1, y.shape[1]):
+        mask = nonzero_y[:, n - 1::-1] & nonzero_g[:, 1:n + 1]
+        term = stacked_product(descriptor, y[:, n - 1::-1], g[:, 1:n + 1], mask)
+        for i in range(n):
+            used = slice(None) if mask[:, i].all() else mask[:, i]
+            y[used, n] -= term[used, i]
+        nonzero_y[:, n] = _nonzero_grades(y[:, n:n + 1])[:, 0]
+    return y
 
 
 def evaluate_values(descriptor: AlgebraDescriptor, values: np.ndarray, q0) -> np.ndarray:
@@ -305,15 +309,16 @@ class GradedSeries:
         return acc
 
     def inverse(self) -> "GradedSeries":
-        """Neumann inverse ``sum_{k<=N} (-1)^k (U-1)^k``; requires unit grade-0."""
-        inverse = neumann_inverse(self.descriptor, self.values[None])
+        """``U^(-1)`` by forward substitution (:func:`right_divide`); requires unit grade-0."""
+        unit = GradedSeries.unit(self.descriptor, self.order).values[None]
+        inverse = right_divide(self.descriptor, unit, self.values[None])
         return GradedSeries.from_values(self.descriptor, inverse[0])
 
     def unit_inverse(self) -> "GradedSeries":
         """Inverse for an invertible grade-0 coefficient (matrix backend).
 
         Writes ``U = a_0 (1 + a_0^(-1) S)`` and inverts the unit-headed factor
-        with the Neumann sum; a singular ``a_0`` is a domain error.
+        by forward substitution; a singular ``a_0`` is a domain error.
         """
         if self.descriptor.backend != MATRIX:
             raise CapabilityError("unit_inverse needs the matrix backend (dense solve)")

@@ -30,12 +30,7 @@ from qlax.algebra import (
     ShapeMismatchError,
     stacked_product,
 )
-from qlax.series import (
-    GradedSeries,
-    cauchy_product,
-    centred_residual,
-    neumann_inverse,
-)
+from qlax.series import GradedSeries, centred_residual, right_divide
 
 MAX_PATH_DEGREE = 8
 
@@ -233,12 +228,11 @@ def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
                                  q0: float) -> np.ndarray:
     """Per-grade residual of ``(d/dt g) g^(-1) = q P(q0 t)`` on interior nodes.
 
-    The time derivative uses centred differences with the grid step, so the
-    profile mixes the integration error with an O(step^2) differencing floor.
+    ``(d/dt g) g^(-1)`` is ``series.right_divide``; ``d/dt`` is a centred difference
+    with the grid step, so the profile adds an O(step^2) floor to the integration error.
     """
     def residual(inner, derivative):
-        gap = cauchy_product(group.descriptor, derivative,
-                             neumann_inverse(group.descriptor, group.values[inner]))
+        gap = right_divide(group.descriptor, derivative, group.values[inner])
         gap[:, 1] -= path.sample(q0 * group.times[inner])
         return gap
 

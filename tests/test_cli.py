@@ -8,18 +8,22 @@ import os
 import numpy as np
 import pytest
 
-from qlax import algebra, matrix_descriptor
+from qlax import algebra, cli, lax, matrix_descriptor
 from qlax.algebra import element_norms
 from qlax.cli import (
     PROBLEM_SCHEMA,
     ProblemFormatError,
     _flow_json_payload,
+    _sweep_entry_columns,
+    _write_csv,
     _write_flow_csv,
     _write_json,
+    _write_sweep_csv,
     build_problem,
     main,
     validate_problem_document,
 )
+from qlax.series import evaluate_values
 from qlax.timeorder import FlowSample
 
 SL2_DOC = {
@@ -327,3 +331,39 @@ def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_byt
         table = handle.read()
     assert table == expected.getvalue()
     assert {"nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(tmp_path / "flow.csv")}
+
+
+def test_sweep_solves_each_scaling_once(monkeypatch, tmp_path):
+    solved = []
+    original = lax.solve_lax
+
+    def counted(problem):
+        solved.append(problem.q0)
+        return original(problem)
+
+    monkeypatch.setattr(lax, "solve_lax", counted)
+    monkeypatch.setattr(cli, "solve_lax", counted)
+    assert main(["sweep", "--preset", "toda-3", "--out", str(tmp_path / "sweep")]) == 0
+    assert solved == [0.2, 0.1, 0.05]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sweep_writer_matches_cell_by_cell_rows(tmp_path, field):
+    flows = [_special_flow(nodes, field) for nodes in (1, 2, 1001)]
+    sweep_values = [1, 0.25, 0.5]  # an integer q0 is written as given
+    rows = []
+    for q0, flow in zip(sweep_values, flows):
+        evaluated = evaluate_values(flow.descriptor, flow.values, q0).reshape(len(flow), -1)
+        if field == "complex":
+            evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
+                len(flow), -1)
+        rows.extend((q0, t, *entries)
+                    for t, entries in zip(flow.times.tolist(), evaluated.tolist()))
+    header = ["q0", "t", *_sweep_entry_columns(flows[0].descriptor)]
+    _write_csv(str(tmp_path / "expected.csv"), header, rows)
+    _write_sweep_csv(str(tmp_path / "sweep.csv"), sweep_values, flows)
+    written = (tmp_path / "sweep.csv").read_text()
+    assert written == (tmp_path / "expected.csv").read_text()
+    assert "1" in {row["q0"] for row in _read_rows(tmp_path / "sweep.csv")}

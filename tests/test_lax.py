@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qlax.lax import (
     LaxFlowResult,
     LaxProblem,
     PRESET_NAMES,
+    conjugate,
     conserved_trace_tables,
     flow_difference,
     integrate_directly,
@@ -26,7 +29,7 @@ from qlax.lax import (
     solve_lax,
 )
 from qlax import algebra
-from qlax.timeorder import FlowSample, OperatorPath
+from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
 from helpers import E12, E21, SL2_H, oracle_errors_reference, rand_matrix
 
 
@@ -215,6 +218,48 @@ def test_oracle_matches_one_rk4_loop_per_scaling(field, degree):
     assert comparison.error_half == error_half
 
 
+def _exact_conjugation(group_values: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """``L g = g L0`` solved grade by grade in exact rationals, rounded once at the end."""
+    def product(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+                for i in range(len(a))]
+
+    def exact(matrix):
+        return [[Fraction(value) for value in row] for row in matrix]
+
+    l0 = exact(initial.tolist())
+    nodes = []
+    for node in group_values.tolist():
+        g = [exact(coefficient) for coefficient in node]
+        flow = []
+        for n, g_n in enumerate(g):
+            acc = product(g_n, l0)
+            for i in range(1, n + 1):
+                term = product(flow[n - i], g[i])
+                acc = [[p - t for p, t in zip(row, term_row)]
+                       for row, term_row in zip(acc, term)]
+            flow.append(acc)
+        nodes.append([[[float(value) for value in row] for row in c] for c in flow])
+    return np.array(nodes)
+
+
+def test_conjugation_matches_exact_rationals():
+    # the grades of a long, strongly driven flow cancel heavily: a conjugation
+    # by the power-sum inverse of g is off by 2.7e-10 at grade 10 here
+    rng = np.random.default_rng(3)
+    desc = matrix_descriptor(4)
+    path = OperatorPath.polynomial([AlgebraElement(desc, rng.standard_normal((4, 4)) * 0.5)
+                                    for _ in range(3)])
+    initial = AlgebraElement(desc, rng.standard_normal((4, 4)))
+    group = time_ordered_exp(path, 0.7, 10, (1e-2, 2.0))
+    tail = FlowSample(group.times[-3:], group.values[-3:].copy(), desc, step=group.step,
+                      order=group.order, q0=group.q0)
+    exact = _exact_conjugation(tail.values, initial.data)
+    errors = np.abs(conjugate(tail, initial).values - exact).max(axis=(0, 2, 3))
+    assert np.abs(exact[:, -1]).max() >= 1.0  # the top grade is not small
+    assert errors.max() <= 2e-12, errors
+
+
 def test_linearity_in_the_initial_value():
     rng = np.random.default_rng(31)
     desc = matrix_descriptor(3)
@@ -267,11 +312,12 @@ def test_diffop_product_count(monkeypatch):
     # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3, five RK4 steps.
     # Each RK4 slope multiplies P into N chain entries, zero or not: the group
     # takes 5 * 4 * 3 = 60 products and the direct route, two per bracket,
-    # 120.  The conjugation multiplies only pairs of nonzero coefficients: 2 at
-    # the unit node 0, and 4 (g * L0) + 7 (Neumann inverse) + 10 (final
-    # product) at each later node.  Multiplying zero coefficients too would
-    # turn g * L0 alone into 10 products per node.  The kernel takes a stack
-    # of pairs per call, so the count is the pairs it receives.
+    # 120.  The conjugation multiplies only pairs of nonzero coefficients: 1
+    # (g_0 L0) at the unit node 0, and at each later node 4 (g * L0) and
+    # 1 + 2 + 3 = 6 in the forward substitution L_n = (g L0)_n - sum L_{n-i} g_i.
+    # Multiplying zero coefficients too would add 3 + 6 products at node 0,
+    # where g_1..g_3 are zero.  The kernel takes a stack of pairs per call, so the
+    # count is the pairs it receives.
     calls = []
     original = algebra._diffop_products
 
@@ -286,9 +332,9 @@ def test_diffop_product_count(monkeypatch):
                                     diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})], 0.5)
     prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, 0.05))
     solve_lax(prob)
-    assert len(calls) == 60 + 2 + 5 * (4 + 7 + 10)
+    assert len(calls) == 60 + 1 + 5 * (4 + 6)
     integrate_directly(prob)
-    assert len(calls) == 287
+    assert len(calls) == 231
 
 
 def test_preset_names_and_validation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qlax import (
+    algebra,
     DomainError,
     CapabilityError,
     ShapeMismatchError,
@@ -15,7 +16,8 @@ from qlax import (
     matrix_descriptor,
     matrix_element,
 )
-from helpers import E12, E21, rand_matrix, rand_series, series_gap, rel_gap
+from qlax.series import cauchy_product, right_divide
+from helpers import E12, E21, rand_diffop, rand_matrix, rand_series, series_gap, rel_gap
 
 
 def _single(desc, grade, element, order):
@@ -133,6 +135,53 @@ def test_inverse_literals_and_property():
         GradedSeries.zero(desc, 4).inverse()
 
 
+def _division_stacks(kind: str, nodes: int = 5, order: int = 4):
+    """Random ``x`` and unit-headed ``g`` stacks; node 0 of ``g`` is the unit series
+    and node 1 of ``x`` has zero grades, so zero pairs are skipped on some nodes only."""
+    rng = np.random.default_rng({"real": 50, "complex": 51, "diffop": 52}[kind])
+    if kind == "diffop":
+        desc = diffop_descriptor(8, 8)
+
+        def draw():
+            return rand_diffop(rng, desc, 1, 1).data
+    else:
+        desc = matrix_descriptor(3, kind)
+
+        def draw():
+            return rand_matrix(rng, desc).data
+    x = np.array([[draw() for _ in range(order + 1)] for _ in range(nodes)])
+    g = np.array([[draw() for _ in range(order + 1)] for _ in range(nodes)])
+    g[:, 0] = algebra.unit_payload(desc)
+    g[0, 1:] = 0.0
+    x[1, ::2] = 0.0
+    return desc, x, g
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "diffop"])
+def test_right_divide_recovers_the_dividend(monkeypatch, kind):
+    desc, x, g = _division_stacks(kind)
+    y = right_divide(desc, x, g)
+    assert np.abs(cauchy_product(desc, y, g) - x).max() <= 1e-11 * np.abs(x).max()
+    # one divisor node pairs with every dividend node
+    assert right_divide(desc, x, g[2:3]).tobytes() == right_divide(
+        desc, x, np.broadcast_to(g[2:3], g.shape)).tobytes()
+    if kind != "diffop":
+        # a matrix node gets the bits of its own call; the diffop kernel sizes
+        # its contraction by the spans of the whole stack of pairs it is given
+        for k in range(len(x)):
+            assert right_divide(desc, x[k:k + 1], g[k:k + 1]).tobytes() == y[k].tobytes()
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", 1)
+    assert right_divide(desc, x, g).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "diffop"])
+def test_right_divide_rejects_a_non_unit_head(kind):
+    desc, x, g = _division_stacks(kind)
+    g[3, 0] *= 2.0
+    with pytest.raises(DomainError):
+        right_divide(desc, x, g)
+
+
 def test_unit_inverse_with_invertible_head():
     desc = matrix_descriptor(3)
     rng = np.random.default_rng(9)
@@ -140,7 +189,7 @@ def test_unit_inverse_with_invertible_head():
     two_i = AlgebraElement(desc, 2.0 * np.eye(3))
     u = GradedSeries([two_i] + [AlgebraElement.zero(desc)] * 3)
     assert np.abs(u.unit_inverse().coeffs[0].data - np.eye(3) / 2).max() <= 1e-15
-    # head I reduces to the Neumann inverse
+    # head I reduces to the unit-headed inverse
     v = GradedSeries([AlgebraElement.one(desc)] + [rand_matrix(rng, desc) for _ in range(3)])
     assert series_gap(v.unit_inverse(), v.inverse()) <= 1e-12
     # random near-identity heads
