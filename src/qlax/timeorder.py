@@ -12,8 +12,11 @@ grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.
 
-RK4 steps all grades of the chain as one ``(N, *shape)`` stack, and a sampled
-path is kept as one ``(nodes, N+1, *shape)`` array (:class:`FlowSample`).
+Since no grade feeds back into itself, RK4 integrates the chain one node
+block at a time and, within a block, one grade at a time: each stage of a
+grade is one product over all the block's steps, and the grade's nodes are
+the running sum of its step increments.  A sampled path is kept as one
+``(nodes, N+1, *shape)`` array (:class:`FlowSample`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
+    blocks,
     stacked_product,
 )
 from qlax.series import GradedSeries, centred_residual, right_divide
@@ -175,9 +179,14 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
                      order: int, grid) -> tuple[np.ndarray, np.ndarray]:
     """RK4 for the triangular system ``X_i' = produce(P(q0 t), X_{i-1})``.
 
-    ``X_0 = base`` is constant and ``X_i(0) = 0`` for ``i >= 1``.  All grades
-    step together: ``produce(p, stack)`` maps a ``(k, *shape)`` stack to the
-    stack of its products with ``p``.  Returns the node times and the
+    ``X_0 = base`` is constant and ``X_i(0) = 0`` for ``i >= 1``.  No grade
+    feeds back into itself, so each node block is integrated grade by grade:
+    each RK4 stage of grade ``i`` is one call ``produce(p, x)`` on the block's
+    ``(steps, *shape)`` stack of path samples and grade ``i - 1``'s stage
+    inputs (``base`` itself for grade 1).  The grade's nodes are the sequential
+    sums ``X_{k+1} = X_k + delta_k`` of its step increments (``np.cumsum``),
+    started from the node carried over from the previous block, so each node
+    gets the sum a step-by-step loop forms.  Returns the node times and the
     ``(nodes, order + 1, *shape)`` array of series ``(base, X_1, ..., X_order)``.
     """
     if order < 1:
@@ -190,23 +199,22 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
     times = np.linspace(0.0, horizon, steps + 1)
     half = 0.5 * step
     sixth = step / 6.0
-    # P(q0 t) at the start, midpoint and end of every step
-    start, middle, end = (path.sample(q0 * (times[:-1] + shift)) for shift in (0.0, half, step))
-    head = base.data[None]
-
-    def slopes(p, stack):
-        return produce(p, np.concatenate((head, stack[:-1])))
-
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
     values[:, 0] = base.data
-    stack = values[0, 1:]
-    for k in range(steps):
-        k1 = slopes(start[k], stack)
-        k2 = slopes(middle[k], stack + half * k1)
-        k3 = slopes(middle[k], stack + half * k2)
-        k4 = slopes(end[k], stack + step * k3)
-        stack = stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[k + 1, 1:] = stack
+    for block in blocks(steps, values[0].nbytes):
+        # P(q0 t) at the start, midpoint and end of every step
+        start, middle, end = (path.sample(q0 * (times[block] + shift))
+                              for shift in (0.0, half, step))
+        samples = start, middle, middle, end
+        nodes = slice(block.start, block.stop + 1)
+        inputs = (base.data,) * 4
+        for i in range(1, order + 1):
+            k1, k2, k3, k4 = (produce(p, x) for p, x in zip(samples, inputs))
+            deltas = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            values[nodes, i] = np.cumsum(np.concatenate((values[block.start, i][None], deltas)),
+                                         axis=0)
+            x = values[block, i]
+            inputs = x, x + half * k1, x + half * k2, x + step * k3
     return times, values
 
 

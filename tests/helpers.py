@@ -10,6 +10,7 @@ from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
 from qlax.algebra import element_norms
 from qlax.lax import LaxProblem, solve_lax
 from qlax.series import evaluate_values
+from qlax.timeorder import _expand_grid
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
 E21 = [[0.0, 0.0], [1.0, 0.0]]
@@ -96,6 +97,37 @@ def leibniz_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 out[j + k - d] += math.comb(j, d) * np.convolve(row, derived)
                 derived = derived * factor
     return out
+
+
+def integrate_chain_reference(produce, path, q0: float, base: AlgebraElement, order: int,
+                              grid) -> tuple[np.ndarray, np.ndarray]:
+    """``timeorder._integrate_chain`` one RK4 step at a time, all grades as one stack.
+
+    Each slope multiplies the path sample into ``(base, X_1, ..., X_{N-1})``;
+    the chain must give the same bits on matrices.
+    """
+    step, horizon, steps = _expand_grid(grid)
+    descriptor = base.descriptor
+    times = np.linspace(0.0, horizon, steps + 1)
+    half = 0.5 * step
+    sixth = step / 6.0
+    start, middle, end = (path.sample(q0 * (times[:-1] + shift)) for shift in (0.0, half, step))
+    head = base.data[None]
+
+    def slopes(p, stack):
+        return produce(p, np.concatenate((head, stack[:-1])))
+
+    values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
+    values[:, 0] = base.data
+    stack = values[0, 1:]
+    for k in range(steps):
+        k1 = slopes(start[k], stack)
+        k2 = slopes(middle[k], stack + half * k1)
+        k3 = slopes(middle[k], stack + half * k2)
+        k4 = slopes(end[k], stack + step * k3)
+        stack = stack + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values[k + 1, 1:] = stack
+    return times, values
 
 
 def oracle_errors_reference(result) -> tuple[float, float]:

@@ -45,18 +45,21 @@ def _diffop_problem() -> LaxProblem:
 
 
 def _checks(tmp_path) -> dict:
-    """Every blocked result on toda-3 (N=4, h=1e-2), its symmetry run and a diffop flow."""
+    """Every blocked result on toda-3 (N=4, h=1e-2), its symmetry run and a diffop flow,
+    the RK4 chains of both routes included."""
     out = {}
     results = {}
     toda = preset_problem("toda-3", order=4, grid=(1e-2, 1.0))
     for name, problem in (("diffop", _diffop_problem()), ("toda", toda)):
         result = results[name] = solve_lax(problem)
+        direct = integrate_directly(problem)
+        out[f"{name} time_ordered_exp"] = result.group.values
+        out[f"{name} integrate_directly"] = direct.values
         out[f"{name} conjugate"] = conjugate(result.group, problem.initial).values
         out[f"{name} lax_residual"] = lax_residual(result)
         out[f"{name} left_log_residual"] = left_log_derivative_residual(
             result.group, problem.path, problem.q0)
-        out[f"{name} flow_difference"] = flow_difference(result.flow,
-                                                         integrate_directly(problem))
+        out[f"{name} flow_difference"] = flow_difference(result.flow, direct)
     result = results["toda"]
     for power, table in conserved_trace_tables(result, 4).items():
         out[f"trace table {power}"] = table.values

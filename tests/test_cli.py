@@ -60,6 +60,11 @@ def _read_rows(path):
         return list(csv.DictReader(handle))
 
 
+def _read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
 def test_schema_accepts_and_rejects():
     validate_problem_document(SL2_DOC)
     validate_problem_document(DIFFOP_DOC)
@@ -116,11 +121,11 @@ def test_solve_command_bundle(tmp_path):
     assert "lax_residual" in checks
     assert "trace_drift_k1" in checks
     assert "oracle_exact" in checks or "oracle_decay" in checks
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["schema"] == 1
     assert manifest["all_passed"] is True
     assert "timings" not in manifest
-    flow = json.load(open(os.path.join(out, "flow.json")))
+    flow = _read_json(os.path.join(out, "flow.json"))
     assert flow["order"] == 4
     assert len(flow["series"]) == len(flow["times"])
 
@@ -239,7 +244,7 @@ def test_sweep_with_q0_one_emits_rows_without_assertion(tmp_path):
 def test_appendix_command(tmp_path):
     out = str(tmp_path / "appendix")
     assert main(["appendix", "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _read_json(os.path.join(out, "report.json"))
     assert report["all_passed"] is True
     names = {check["name"] for check in report["checks"]}
     assert {"bounds", "velocity_at_zero", "translation_witness"} <= names
@@ -248,7 +253,7 @@ def test_appendix_command(tmp_path):
 def test_appendix_bad_model_exits_4(tmp_path):
     out = str(tmp_path / "bad-appendix")
     assert main(["appendix", "--poly", "0,2,-2", "--out", out]) == 4
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = _read_json(os.path.join(out, "report.json"))
     assert report["all_passed"] is False
     assert "model_error" in report
 

@@ -9,15 +9,22 @@ from qlax import (
     DomainError,
     AlgebraElement,
     GradedSeries,
+    algebra,
+    diffop_descriptor,
+    diffop_element,
     matrix_descriptor,
     matrix_element,
 )
+from qlax.algebra import stacked_commutator, stacked_product
 from qlax.timeorder import (
     FlowSample,
     OperatorPath,
+    _integrate_chain,
     left_log_derivative_residual,
     time_ordered_exp,
 )
+from helpers import integrate_chain_reference
+
 ROT = [[0.0, -1.0], [1.0, 0.0]]
 
 
@@ -116,6 +123,67 @@ def test_constant_path_is_q0_independent():
     for a, c in zip(one.series, half.series):
         for g in range(5):
             assert np.array_equal(a.coeffs[g].data, c.coeffs[g].data)
+
+
+def _signed_zero_element(rng, descriptor) -> AlgebraElement:
+    """About half the entries zero and each complex entry real or imaginary, so
+    that products meet terms such as ``(-a) * 0 - 0 * b = -0.0``."""
+    values = rng.standard_normal(descriptor.shape)
+    values[rng.random(descriptor.shape) < 0.5] = 0.0
+    if descriptor.dtype == np.complex128:
+        values = np.where(rng.random(descriptor.shape) < 0.5, values, 1j * values)
+    return AlgebraElement(descriptor, values.astype(descriptor.dtype))
+
+
+def _chains():
+    """``(name, produce, path, base)``: the group and the bracket chain on real and
+    complex 4x4 paths of degree 0, 1 and 2.
+
+    A matrix product sums from +0.0, so it never returns -0.0; the group of
+    ``-P`` with the sign applied after the product does, in every zero entry.
+    """
+    rng = np.random.default_rng(8)
+    for field in ("real", "complex"):
+        desc = matrix_descriptor(4, field)
+        for degree in range(3):
+            path = OperatorPath.polynomial(
+                [_signed_zero_element(rng, desc) for _ in range(degree + 1)])
+            yield (f"{field} group, degree {degree}",
+                   lambda p, x, d=desc: stacked_product(d, p, x), path, AlgebraElement.one(desc))
+            yield (f"{field} group of -P, degree {degree}",
+                   lambda p, x, d=desc: -stacked_product(d, p, x), path,
+                   AlgebraElement.one(desc))
+            yield (f"{field} bracket, degree {degree}",
+                   lambda p, x, d=desc: stacked_commutator(d, p, x), path,
+                   _signed_zero_element(rng, desc))
+
+
+# 8960 bytes hold 7 nodes of a complex 4x4 chain of order 4, 14 of a real one and
+# 2 of the diffop chain: none of them divides the step count (50 or 25)
+@pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1, 8960])
+def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
+    signed_zeros = 0
+    for name, produce, path, base in _chains():
+        chain = _integrate_chain(produce, path, 0.7, base, 4, (0.02, 1.0))
+        reference = integrate_chain_reference(produce, path, 0.7, base, 4, (0.02, 1.0))
+        assert chain[0].tobytes() == reference[0].tobytes(), name
+        assert chain[1].tobytes() == reference[1].tobytes(), name
+        # the first slope; the loop sums its -0.0 entries into node 1 as 0.0 + (-0.0)
+        floats = np.asarray(produce(path.sample(np.zeros(1)), base.data)).view(np.float64)
+        signed_zeros += np.count_nonzero(np.signbit(floats) & (floats == 0.0))
+    assert signed_zeros > 0
+
+    desc = diffop_descriptor(5, 4)
+    path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
+                                    diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})])
+    initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
+    for produce, base in ((stacked_product, AlgebraElement.one(desc)),
+                          (stacked_commutator, initial)):
+        args = (lambda p, x, f=produce: f(desc, p, x), path, 0.5, base, 3, (0.02, 0.5))
+        values = _integrate_chain(*args)[1]
+        reference = integrate_chain_reference(*args)[1]
+        assert np.abs(values - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
 def test_left_log_derivative_residual_small():
