@@ -349,12 +349,12 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact Leibniz products ``a[p] * b[p]`` of two ``(P, J+1, 2M+1)`` payload stacks.
 
-    Each block of pairs is composed into a scratch array wide enough for
-    orders up to ``2J`` and modes up to ``2M``.  An entry outside the window
-    is a sum of products with an exactly zero factor unless the product
-    really reaches it, so a nonzero there raises :class:`WindowOverflowError`
-    instead of being truncated.  Only the rows and modes that are nonzero
-    somewhere in the stack take part.
+    Each block of pairs is composed over every order and mode that the
+    factors' spans reach.  An entry outside the window is a sum of products
+    with an exactly zero factor unless the product really reaches it, so a
+    nonzero there raises :class:`WindowOverflowError` instead of being
+    truncated.  Only the rows and modes that are nonzero somewhere in the
+    stack take part.
     """
     max_order = descriptor.max_order
     max_mode = descriptor.max_mode
@@ -367,22 +367,23 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     a = a[:, :_span(a_rows).stop, a_modes]
     b = b[:, :_span(b_rows).stop, b_modes]
     orders = a.shape[1] + b.shape[1] - 1
-    modes = slice(a_modes.start + b_modes.start, a_modes.stop + b_modes.stop - 1)
+    width = a.shape[2] + b.shape[2] - 1
     # the Toeplitz stack is the largest temporary of a pair
-    toeplitz_bytes = 16 * (modes.stop - modes.start) * b.shape[2] * a.shape[1]
-    out = np.empty((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
+    toeplitz_bytes = 16 * width * b.shape[2] * a.shape[1]
+    # the product's columns of modes -M and M + 1; either may lie outside it
+    low = max_mode - a_modes.start - b_modes.start
+    high = low + descriptor.width
+    inside = slice(max(low, 0), max(low, min(high, width)))
+    out = np.zeros((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
     for block in blocks(len(a), toeplitz_bytes):
-        wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode)
-        scratch = np.zeros((len(wide), 2 * max_order + 1, 2 * descriptor.width - 1),
-                           dtype=np.complex128)
-        scratch[:, :orders, modes] = wide.transpose(0, 2, 1)
-        if scratch[:, max_order + 1:].any():
+        wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode).transpose(0, 2, 1)
+        if wide[:, max_order + 1:].any():
             raise WindowOverflowError(
                 f"product order exceeds the cap J={max_order}; enlarge the descriptor window")
-        if scratch[:, :, :max_mode].any() or scratch[:, :, 3 * max_mode + 1:].any():
+        if wide[:, :, :max(low, 0)].any() or wide[:, :, max(high, 0):].any():
             raise WindowOverflowError(
                 f"product modes exceed the cap M={max_mode}; enlarge the descriptor window")
-        out[block] = scratch[:, :max_order + 1, max_mode:3 * max_mode + 1]
+        out[block, :orders, inside.start - low:inside.stop - low] = wide[:, :max_order + 1, inside]
     return out
 
 

@@ -36,7 +36,6 @@ from qlax.algebra import (
     AlgebraError,
     CapabilityError,
     DomainError,
-    blocks,
     diffop_descriptor,
     element_norms,
     matrix_descriptor,
@@ -361,7 +360,7 @@ def _write_json(path: str, payload: dict) -> None:
     """The bytes of ``json.dump(payload, sort_keys=True, indent=2)`` and a newline.
 
     ndarray values stand for their nested lists of floats and are written node
-    block by node block, so no nested list of a whole flow is ever built.
+    by node, so no nested list of a whole flow is ever built.
     """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("{")
@@ -378,37 +377,18 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_json_array(handle, array: np.ndarray) -> None:
     """``array.tolist()`` as ``json.dump(..., indent=2)`` writes a top-level key's value.
 
-    json formats the floats of one node (a first-axis entry) at a time, and one
-    period of indentation separators, one after each float, is interleaved
-    with them.  Formatting a whole block in one ``json.dumps`` call would hold
-    a string per float of the block at once.
+    json lays out one node (a first-axis entry) of zeros once; each node is
+    written as that layout with json's own text of the node's floats in place
+    of the zeros, so -0.0, subnormals, NaN and Infinity match json.
     """
-    rank = array.ndim
-
-    def newline(level: int) -> str:
-        return "\n" + "  " * (level + 1)
-
-    def separator(closed: int) -> str:
-        # after a float that ends ``closed`` innermost lists, before the next float
-        return ("".join(newline(rank - 1 - j) + "]" for j in range(closed)) + ","
-                + newline(rank - closed)
-                + "".join("[" + newline(rank - closed + 1 + j) for j in range(closed)))
-
-    ends = np.cumprod(array.shape[:0:-1]).tolist()
-    parts = [""] * (2 * array[0].size)
-    parts[1::2] = [separator(sum((k + 1) % end == 0 for end in ends))
-                   for k in range(array[0].size)]
-    handle.write("".join("[" + newline(1 + j) for j in range(rank)))
-    for block in blocks(len(array), array[0].nbytes):
-        texts = []
-        for node in array[block].reshape(block.stop - block.start, -1).tolist():
-            # json's own float text, so -0.0, subnormals, NaN and Infinity match it
-            parts[0::2] = json.dumps(node)[1:-1].split(", ")
-            texts.append("".join(parts))
-        if block.stop == len(array):
-            parts[-1] = "".join(newline(rank - 1 - j) + "]" for j in range(rank))
-            texts[-1] = "".join(parts)
-        handle.writelines(texts)
+    layout = "\n" + json.dumps(np.zeros(array.shape[1:]).tolist(), indent=2)
+    pieces = layout.replace("\n", "\n    ").split("0.0")
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    for index, node in enumerate(array):
+        parts[1::2] = json.dumps(node.ravel().tolist())[1:-1].split(", ")
+        handle.write(("," if index else "[") + "".join(parts))
+    handle.write("\n  ]")
 
 
 def _series_payload(descriptor, values: np.ndarray) -> np.ndarray:

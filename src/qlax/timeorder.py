@@ -85,14 +85,11 @@ class OperatorPath:
         return len(self.coeffs) - 1
 
     def at(self, t: float) -> AlgebraElement:
-        """Evaluate the polynomial path (Horner form)."""
-        acc = self.coeffs[-1]
-        for d in range(self.degree - 1, -1, -1):
-            acc = self.coeffs[d] + t * acc
-        return acc
+        """The path at ``t``: :meth:`sample` at the one time ``t``."""
+        return AlgebraElement(self.descriptor, self.sample(np.array([t]))[0])
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Payloads of ``at(t)`` for every ``t`` in ``times``, as one stack."""
+        """Payloads of the path at every ``t`` in ``times`` (Horner form), as one stack."""
         acc = np.broadcast_to(self.coeffs[-1].data, (len(times), *self.descriptor.shape))
         factors = np.asarray(times)[:, None, None]
         for d in range(self.degree - 1, -1, -1):

@@ -242,7 +242,8 @@ def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
                for _ in range(5)]
     high = diffop_element(desc, {2: {0: 1.0}}).data           # D^2: D^2 D^2 has order 4 > 3
     wide = diffop_element(desc, {0: {3: 1.0, -1: 0.5}}).data  # e^3ix e^3ix has mode 6 > 4
-    for bad in ((high, high), (wide, wide)):
+    low = diffop_element(desc, {0: {-3: 1.0}}).data           # e^-3ix e^-3ix has mode -6 < -4
+    for bad in ((high, high), (wide, wide), (low, low)):
         pairs = fitting[:3] + [bad] + fitting[3:]
         a = np.stack([x for x, _ in pairs])
         b = np.stack([y for _, y in pairs])
