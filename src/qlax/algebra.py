@@ -199,10 +199,8 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             _check_same(self.descriptor, other.descriptor)
-            if self.descriptor.backend == MATRIX:
-                return AlgebraElement(self.descriptor, self.data @ other.data)
-            product = _diffop_products(self.descriptor, self.data[None], other.data[None])
-            return AlgebraElement(self.descriptor, product[0])
+            return AlgebraElement(self.descriptor, stacked_product(
+                self.descriptor, self.data[None], other.data[None])[0])
         if isinstance(other, numbers.Number):
             return AlgebraElement(self.descriptor,
                                   self.data * coerce_scalar(self.descriptor, other))

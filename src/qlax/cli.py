@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -41,6 +42,9 @@ from qlax.algebra import (
     matrix_descriptor,
 )
 from qlax.lax import (
+    DEFAULT_GRID,
+    DEFAULT_ORDER,
+    DEFAULT_SCALING,
     LaxProblem,
     PRESET_NAMES,
     conserved_trace_tables,
@@ -56,7 +60,6 @@ from qlax.nonregular import (
     ModelError,
     demonstrate_nonregularity,
     phi,
-    c_path,
     velocity_at_zero,
     verify_diffeo_bounds,
 )
@@ -81,6 +84,7 @@ EQUIVARIANCE_TOL = 1e-8
 ORDER_WINDOW = 0.5
 SWEEP_ASSERT_MAX_Q0 = 0.25
 ORDER_NOISE_FLOOR = 1e-13
+APPENDIX_TIMES = (0.9, -0.9, 0.5, -0.5, 0.1)
 
 
 class ProblemFormatError(Exception):
@@ -292,13 +296,11 @@ def _build_descriptor(backend_spec: dict):
 def build_problem(document: dict, overrides: dict | None = None) -> tuple[LaxProblem, dict]:
     """Turn a validated document plus CLI overrides into a problem and options."""
     overrides = overrides or {}
-    q0 = overrides.get("q0", document.get("q0", 0.5))
-    order = overrides.get("order", document.get("N", 8))
-    grid_doc = document.get("grid", {"h": 1e-3, "T": 1.0})
-    grid = (
-        overrides.get("step", grid_doc["h"]),
-        overrides.get("horizon", grid_doc["T"]),
-    )
+    q0 = overrides.get("q0", document.get("q0", DEFAULT_SCALING))
+    order = overrides.get("order", document.get("N", DEFAULT_ORDER))
+    grid_doc = document.get("grid")
+    step, horizon = DEFAULT_GRID if grid_doc is None else (grid_doc["h"], grid_doc["T"])
+    grid = (overrides.get("step", step), overrides.get("horizon", horizon))
     options = document.get("options", {})
     path_spec = document.get("P")
     if path_spec is None:
@@ -625,9 +627,10 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     return ResultBundle(out_dir, files, all_passed)
 
 
-def run_appendix(out_dir: str, coefficients=(0.0, 0.5, -0.5), margin: float = 1e-3,
-                 points: int = 2001, t_values=(0.9, -0.9, 0.5, -0.5, 0.1),
-                 dt: float = 1e-7) -> ResultBundle:
+def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
+                 margin: float = AppendixModel.margin, points: int = AppendixModel.points,
+                 t_values=APPENDIX_TIMES) -> ResultBundle:
+    """Each check is the library report's fields plus its ``name`` and ``passed``."""
     os.makedirs(out_dir, exist_ok=True)
     try:
         model = AppendixModel(tuple(float(c) for c in coefficients),
@@ -640,43 +643,12 @@ def run_appendix(out_dir: str, coefficients=(0.0, 0.5, -0.5), margin: float = 1e
                          "points": points}, ["report.json", "manifest.json"], False)
         raise
 
-    checks = []
+    reports = [*(("bounds", verify_diffeo_bounds(model, t)) for t in t_values),
+               ("velocity_at_zero", velocity_at_zero(model)),
+               ("translation_witness", demonstrate_nonregularity(model))]
+    checks = [{"name": name, "passed": report.passed, **dataclasses.asdict(report)}
+              for name, report in reports]
     grid = model.grid()
-    for t in t_values:
-        bounds = verify_diffeo_bounds(model, t)
-        c_values = c_path(model, t, grid)
-        monotone = bool(np.all(np.diff(c_values) > 0.0))
-        checks.append({
-            "name": "bounds",
-            "t": t,
-            "passed": bounds.passed and monotone,
-            "enclosure_violations": bounds.enclosure_violations,
-            "derivative_violations": bounds.derivative_violations,
-            "min_enclosure_gap": bounds.min_enclosure_gap,
-            "min_derivative_gap": bounds.min_derivative_gap,
-            "monotone": monotone,
-        })
-    velocity = velocity_at_zero(model, dt)
-    checks.append({
-        "name": "velocity_at_zero",
-        "passed": velocity.passed,
-        "dt": velocity.dt,
-        "max_deviation": velocity.max_deviation,
-        "max_analytic_deviation": velocity.max_analytic_deviation,
-        "branches_match": velocity.branches_match,
-    })
-    witness = demonstrate_nonregularity(model)
-    checks.append({
-        "name": "translation_witness",
-        "passed": witness.passed,
-        "x": witness.x,
-        "t": witness.t,
-        "translation_value": witness.translation_value,
-        "translation_exits": witness.translation_exits,
-        "path_value": witness.path_value,
-        "path_enclosed": witness.path_enclosed,
-        "identity_at_zero": witness.identity_at_zero,
-    })
     bound_gap = float((model.p(grid) - phi(model, 0.999, grid)).min())
     checks.append({
         "name": "phi_dominated_by_p",
@@ -687,8 +659,7 @@ def run_appendix(out_dir: str, coefficients=(0.0, 0.5, -0.5), margin: float = 1e
     all_passed = all(check["passed"] for check in checks)
     report = {
         "schema": 1,
-        "model": {"coefficients": list(model.coefficients), "margin": model.margin,
-                  "points": model.points},
+        "model": dataclasses.asdict(model),
         "checks": checks,
         "all_passed": all_passed,
     }
@@ -774,6 +745,10 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(value) for value in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlax",
@@ -785,11 +760,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common_flags(sub)
 
     appendix = commands.add_parser("appendix")
-    appendix.add_argument("--poly", default="0,0.5,-0.5",
+    appendix.add_argument("--poly", type=_float_list, default=AppendixModel.coefficients,
                           help="comma-separated polynomial coefficients, low degree first")
-    appendix.add_argument("--margin", type=float, default=1e-3)
-    appendix.add_argument("--points", type=int, default=2001)
-    appendix.add_argument("--t-values", default="0.9,-0.9,0.5,-0.5,0.1")
+    appendix.add_argument("--margin", type=float, default=AppendixModel.margin)
+    appendix.add_argument("--points", type=int, default=AppendixModel.points)
+    appendix.add_argument("--t-values", type=_float_list, default=APPENDIX_TIMES)
     appendix.add_argument("--out", default="qlax-out")
 
     selftest = commands.add_parser("selftest")
@@ -808,9 +783,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             bundle = run_sweep(_document_from_args(args), args.out, _overrides_from_args(args))
         elif args.command == "appendix":
-            coefficients = [float(c) for c in args.poly.split(",")]
-            t_values = [float(t) for t in args.t_values.split(",")]
-            bundle = run_appendix(args.out, coefficients, args.margin, args.points, t_values)
+            bundle = run_appendix(args.out, args.poly, args.margin, args.points, args.t_values)
         else:
             bundle = run_selftest(args.out)
     except ModelError as exc:

@@ -259,39 +259,13 @@ def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
 
 # -- presets ----------------------------------------------------------------
 
-def _preset_sl2_nilpotent() -> tuple[AlgebraElement, OperatorPath]:
-    initial = matrix_element([[0.0, 0.0], [1.0, 0.0]])
-    raising = matrix_element([[0.0, 1.0], [0.0, 0.0]])
-    return initial, OperatorPath.constant(raising, name="sl2-nilpotent")
-
-
-def _preset_toda_3() -> tuple[AlgebraElement, OperatorPath]:
-    # Symmetric tridiagonal initial element with its antisymmetric part as the path.
-    off = 0.4
-    diagonal = (0.5, 0.0, -0.5)
-    initial = matrix_element([
-        [diagonal[0], off, 0.0],
-        [off, diagonal[1], off],
-        [0.0, off, diagonal[2]],
-    ])
-    antisymmetric = matrix_element([
-        [0.0, off, 0.0],
-        [-off, 0.0, off],
-        [0.0, -off, 0.0],
-    ])
-    return initial, OperatorPath.constant(antisymmetric, name="toda-3")
-
-
-def _preset_rotation_2() -> tuple[AlgebraElement, OperatorPath]:
-    initial = matrix_element([[1.0, 0.0], [0.0, -1.0]])
-    generator = matrix_element([[0.0, -0.4], [0.4, 0.0]])
-    return initial, OperatorPath.constant(generator, name="rotation-2")
-
-
+# name -> (L0 rows, P rows); toda-3 is a symmetric tridiagonal L0 driven by
+# its antisymmetric part
 _PRESETS = {
-    "sl2-nilpotent": _preset_sl2_nilpotent,
-    "toda-3": _preset_toda_3,
-    "rotation-2": _preset_rotation_2,
+    "sl2-nilpotent": ([[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+    "toda-3": ([[0.5, 0.4, 0.0], [0.4, 0.0, 0.4], [0.0, 0.4, -0.5]],
+               [[0.0, 0.4, 0.0], [-0.4, 0.0, 0.4], [0.0, -0.4, 0.0]]),
+    "rotation-2": ([[1.0, 0.0], [0.0, -1.0]], [[0.0, -0.4], [0.4, 0.0]]),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -301,8 +275,8 @@ def preset_problem(name: str, *, q0: float = DEFAULT_SCALING, order: int = DEFAU
                    grid: tuple[float, float] = DEFAULT_GRID) -> LaxProblem:
     """A named desk-scale problem; see :data:`PRESET_NAMES`."""
     try:
-        build = _PRESETS[name]
+        initial, generator = _PRESETS[name]
     except KeyError:
         raise DomainError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
-    initial, path = build()
-    return LaxProblem(initial=initial, path=path, q0=q0, order=order, grid=grid)
+    path = OperatorPath.constant(matrix_element(generator), name=name)
+    return LaxProblem(initial=matrix_element(initial), path=path, q0=q0, order=order, grid=grid)

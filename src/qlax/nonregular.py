@@ -25,6 +25,9 @@ import numpy as np
 
 from qlax.algebra import DomainError
 
+FD_TOLERANCE = 1e-6
+VELOCITY_STEP = 1e-7
+
 
 class ModelError(DomainError):
     """The polynomial or grid violates the standing assumptions."""
@@ -95,26 +98,27 @@ def c_path(model: AppendixModel, t: float, x):
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Grid verification of the enclosure and derivative chains at one time."""
+    """Grid verification of the enclosure, derivative and monotonicity at one time."""
 
     t: float
     enclosure_violations: int
     derivative_violations: int
     min_enclosure_gap: float
     min_derivative_gap: float
-    fd_tolerance: float
+    monotone: bool
 
     @property
     def passed(self) -> bool:
-        return self.enclosure_violations == 0 and self.derivative_violations == 0
+        return (self.enclosure_violations == 0 and self.derivative_violations == 0
+                and self.monotone)
 
 
-def verify_diffeo_bounds(model: AppendixModel, t: float,
-                         fd_tolerance: float = 1e-6) -> BoundsReport:
-    """Check ``0 < x - P < c_t < x + P < 1`` and ``|d/dx c_t - 1| <= |P'|`` on the grid.
+def verify_diffeo_bounds(model: AppendixModel, t: float) -> BoundsReport:
+    """Check ``0 < x - P < c_t < x + P < 1``, ``|d/dx c_t - 1| <= |P'|`` and
+    that ``c_t`` increases on the grid.
 
     The x-derivative is taken by centred differences with the grid spacing,
-    so the derivative chain carries the supplied tolerance.
+    so the derivative chain carries the tolerance :data:`FD_TOLERANCE`.
     """
     x = model.grid()
     p = model.p(x)
@@ -131,7 +135,7 @@ def verify_diffeo_bounds(model: AppendixModel, t: float,
     gaps = np.stack([lower, c - lower, upper - c, 1.0 - upper])
     spacing = x[1] - x[0]
     slope = (c[2:] - c[:-2]) / (2.0 * spacing)
-    allowance = np.abs(model.p_slope(x[1:-1])) + fd_tolerance
+    allowance = np.abs(model.p_slope(x[1:-1])) + FD_TOLERANCE
     deviation = np.abs(slope - 1.0)
     derivative_violations = int((deviation > allowance).sum())
     return BoundsReport(
@@ -140,7 +144,7 @@ def verify_diffeo_bounds(model: AppendixModel, t: float,
         derivative_violations=derivative_violations,
         min_enclosure_gap=float(gaps.min()),
         min_derivative_gap=float((allowance - deviation).min()),
-        fd_tolerance=fd_tolerance,
+        monotone=bool(np.all(np.diff(c) > 0.0)),
     )
 
 
@@ -158,16 +162,15 @@ class VelocityReport:
         return self.max_deviation <= 1e-6 and self.max_analytic_deviation == 0.0
 
 
-def velocity_at_zero(model: AppendixModel, dt: float = 1e-7) -> VelocityReport:
+def velocity_at_zero(model: AppendixModel) -> VelocityReport:
     """Estimate ``d/dt c_t(x)`` at ``t = 0`` over the grid.
 
     The path is only C^1 at ``t = 0`` (the two branches meet there), so the
-    estimate extrapolates the one-sided slope ``phi(dt, x)/dt``, which is
-    second-order accurate in ``dt``.  The closed form at ``t = 0`` is
-    ``(P/P)^2 = 1`` for every grid point.
+    estimate extrapolates the one-sided slope ``phi(dt, x)/dt`` with
+    ``dt = VELOCITY_STEP``, which is second-order accurate in ``dt``.  The
+    closed form at ``t = 0`` is ``(P/P)^2 = 1`` for every grid point.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    dt = VELOCITY_STEP
     x = model.grid()
     forward = c_path(model, dt, x) - x
     backward = x - c_path(model, -dt, x)

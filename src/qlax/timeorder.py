@@ -45,7 +45,8 @@ class OperatorPath:
 
     ``q0`` is carried but unused: every integration routine takes the scaling
     parameter explicitly, and :func:`~qlax.symmetry.ad_path` only forwards it.
-    Its removal is pending (ROADMAP.md, "Delete duplicate work").
+    Its removal waits on ROADMAP.md open item 3, since the frozen benchmark
+    passes ``q0`` positionally to :meth:`polynomial`.
     """
 
     coeffs: tuple[AlgebraElement, ...]
@@ -71,10 +72,6 @@ class OperatorPath:
     @classmethod
     def polynomial(cls, coeffs, q0: float = 1.0, name: str | None = None) -> "OperatorPath":
         return cls(tuple(coeffs), q0, name)
-
-    @classmethod
-    def zero(cls, descriptor: AlgebraDescriptor, q0: float = 1.0) -> "OperatorPath":
-        return cls((AlgebraElement.zero(descriptor),), q0)
 
     @property
     def descriptor(self) -> AlgebraDescriptor:

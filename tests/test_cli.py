@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,12 @@ from qlax.cli import (
     build_problem,
     main,
     validate_problem_document,
+)
+from qlax.nonregular import (
+    AppendixModel,
+    demonstrate_nonregularity,
+    velocity_at_zero,
+    verify_diffeo_bounds,
 )
 from qlax.series import evaluate_values
 from qlax.timeorder import FlowSample
@@ -248,6 +255,21 @@ def test_appendix_command(tmp_path):
     assert report["all_passed"] is True
     names = {check["name"] for check in report["checks"]}
     assert {"bounds", "velocity_at_zero", "translation_witness"} <= names
+
+
+def test_appendix_checks_are_the_library_reports(tmp_path):
+    out = str(tmp_path / "appendix")
+    assert main(["appendix", "--poly", "0,0.4,-0.4", "--t-values", "0.99,-0.3",
+                 "--out", out]) == 0
+    checks = _read_json(os.path.join(out, "report.json"))["checks"]
+    model = AppendixModel((0.0, 0.4, -0.4))
+    reports = [("bounds", verify_diffeo_bounds(model, 0.99)),
+               ("bounds", verify_diffeo_bounds(model, -0.3)),
+               ("velocity_at_zero", velocity_at_zero(model)),
+               ("translation_witness", demonstrate_nonregularity(model))]
+    for check, (name, report) in zip(checks, reports):
+        assert check == {"name": name, "passed": report.passed, **dataclasses.asdict(report)}
+    assert [check["name"] for check in checks[len(reports):]] == ["phi_dominated_by_p"]
 
 
 def test_appendix_bad_model_exits_4(tmp_path):

@@ -128,3 +128,4 @@ def test_monotone_in_x():
     x = model.grid()
     for t in (0.9, -0.9, 0.5):
         assert np.all(np.diff(c_path(model, t, x)) > 0.0)
+        assert verify_diffeo_bounds(model, t).monotone
