@@ -4,8 +4,10 @@ Subcommands: ``solve`` (flow + diagnostics), ``symmetry`` (operator flow),
 ``sweep`` (scaling sweep with convergence table), ``appendix`` (interval
 diffeomorphism checks) and ``selftest`` (a fixed deterministic battery).
 
-Problem files are JSON documents with ``"schema": 1``; unknown keys are
-rejected.  Result bundles are deterministic: repeated runs with the same
+Problem files are JSON documents with ``"schema": 1``.  :func:`build_problem`
+is their one reader: it checks each object's keys (an unknown key is rejected
+at every level) and each value's JSON type as it builds the problem, and the
+library's own checks bound the values.  Result bundles are deterministic: repeated runs with the same
 inputs produce byte-identical files (wall-clock timing goes to stdout only).
 
 Exit codes: 0 all diagnostics pass, 1 a diagnostic failed, 2 malformed
@@ -19,13 +21,14 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 import qlax
 from qlax.algebra import (
@@ -33,13 +36,11 @@ from qlax.algebra import (
     COMPLEX,
     MATRIX,
     REAL,
+    AlgebraDescriptor,
     AlgebraElement,
     AlgebraError,
     CapabilityError,
-    DomainError,
-    diffop_descriptor,
     element_norms,
-    matrix_descriptor,
 )
 from qlax.lax import (
     DEFAULT_GRID,
@@ -88,241 +89,203 @@ APPENDIX_TIMES = (0.9, -0.9, 0.5, -0.5, 0.1)
 
 
 class ProblemFormatError(Exception):
-    """The problem document is malformed (schema or semantic)."""
+    """The problem document is malformed: a key, a JSON type or a value's range."""
 
 
-# -- problem schema -----------------------------------------------------------
+# -- problem documents --------------------------------------------------------
 
-_NUMBER_OR_PAIR = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-    ]
-}
-
-_MATRIX_PAYLOAD = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": _NUMBER_OR_PAIR},
-}
-
-_DIFFOP_PAYLOAD = {
-    "type": "object",
-    "patternProperties": {r"^\d+$": {"type": "array", "items": _NUMBER_OR_PAIR}},
-    "additionalProperties": False,
-}
-
-_ELEMENT_PAYLOAD = {"oneOf": [_MATRIX_PAYLOAD, _DIFFOP_PAYLOAD]}
-
-_BACKEND_SPEC = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": MATRIX},
-                "n": {"type": "integer", "minimum": 1},
-                "field": {"enum": [REAL, COMPLEX]},
-            },
-            "required": ["kind", "n"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": CIRCLE_DIFFOP},
-                "max_order": {"type": "integer", "minimum": 0},
-                "max_mode": {"type": "integer", "minimum": 1},
-                "field": {"const": COMPLEX},
-            },
-            "required": ["kind", "max_order", "max_mode"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_PATH_SPEC = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "constant"}, "value": _ELEMENT_PAYLOAD},
-            "required": ["kind", "value"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "poly"},
-                "coeffs": {"type": "array", "minItems": 1, "items": _ELEMENT_PAYLOAD},
-            },
-            "required": ["kind", "coeffs"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "preset"}, "name": {"enum": list(PRESET_NAMES)}},
-            "required": ["kind", "name"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_S0_SPEC = {
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "identity"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "ad-of-initial"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "matrix"}, "value": _MATRIX_PAYLOAD},
-            "required": ["kind", "value"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema": {"const": 1},
-        "backend": _BACKEND_SPEC,
-        "L0": _ELEMENT_PAYLOAD,
-        "P": _PATH_SPEC,
-        "q0": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "N": {"type": "integer", "minimum": 1},
-        "grid": {
-            "type": "object",
-            "properties": {
-                "h": {"type": "number", "exclusiveMinimum": 0},
-                "T": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["h", "T"],
-            "additionalProperties": False,
-        },
-        "options": {
-            "type": "object",
-            "properties": {
-                "trace_powers": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1, "maximum": 4},
-                    "minItems": 1,
-                },
-                "sweep": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-                "symmetry_s0": _S0_SPEC,
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["schema"],
-    "additionalProperties": False,
-}
-
-_VALIDATOR = Draft202012Validator(PROBLEM_SCHEMA)
-
-
-def load_problem_document(path: str) -> dict:
+def load_problem_document(path: str):
+    """The JSON value in ``path``; :func:`build_problem` checks it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not JSON or UTF-8
         raise ProblemFormatError(f"cannot read problem file {path}: {exc}") from exc
-    validate_problem_document(document)
-    return document
 
 
-def validate_problem_document(document) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(document), key=lambda e: list(e.path))
-    if errors:
-        first = errors[0]
-        location = "/".join(str(part) for part in first.path) or "<root>"
-        raise ProblemFormatError(f"problem file rejected at {location}: {first.message}")
+def _reject(where: str, message: str) -> NoReturn:
+    raise ProblemFormatError(f"{where or '<root>'}: {message}")
 
 
-# -- payload parsing ----------------------------------------------------------
-
-def _scalar_from_json(value, field: str):
-    if isinstance(value, (int, float)):
-        return float(value)
-    real, imag = float(value[0]), float(value[1])
-    if field == REAL and imag != 0.0:
-        raise ProblemFormatError("complex entry in a real-field payload")
-    return complex(real, imag)
+def _at(where: str, key) -> str:
+    return f"{where}/{key}" if where else str(key)
 
 
-def _build_element(descriptor, payload) -> AlgebraElement:
+def _object(value, where: str, required=(), optional=()) -> dict:
+    """``value`` if it is an object that has every ``required`` key and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(value, dict):
+        _reject(where, "expected an object")
+    for key in value:
+        if key not in required and key not in optional:
+            _reject(_at(where, key), "unknown key")
+    for key in required:
+        if key not in value:
+            _reject(where, f"missing key {key!r}")
+    return value
+
+
+def _kind(spec, where: str, kinds: dict, optional=()) -> str:
+    """``spec["kind"]``, one of ``kinds``, once ``spec`` has that kind's required keys
+    ``kinds[kind]``, any of ``optional`` and nothing else."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        _reject(_at(where, "kind"), f"expected one of {', '.join(kinds)}")
+    _object(spec, where, ("kind", *kinds[kind]), optional)
+    return kind
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        _reject(where, "expected a non-empty list")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """``value`` if it is written as a JSON integer (``4``, not ``4.0`` or ``true``)."""
+    if type(value) is not int:
+        _reject(where, "expected an integer")
+    return value
+
+
+def _number(value, where: str, expected: str = "a finite number"):
+    """``value``, unconverted, if it is a finite JSON number (not a bool)."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _reject(where, f"expected {expected}")
+    return value
+
+
+def _scalar_from_json(value, where: str, field: str):
+    """A matrix or mode entry: a finite number, or an ``[re, im]`` pair of them.  A
+    real field takes a pair only when ``im`` is zero, and keeps ``re``."""
+    if not (isinstance(value, list) and len(value) == 2):
+        return float(_number(value, where, "a finite number or an [re, im] pair"))
+    real, imag = (float(_number(part, _at(where, k))) for k, part in enumerate(value))
+    if field == COMPLEX:
+        return complex(real, imag)
+    if imag != 0.0:
+        _reject(where, "complex entry in a real-field payload")
+    return real
+
+
+def _matrix_entries(payload, where: str, field: str) -> list[list]:
+    """The rows of a non-empty nested-array payload, each a non-empty list of entries."""
+    rows = []
+    for i, row in enumerate(_list(payload, where)):
+        row_at = _at(where, i)
+        rows.append([_scalar_from_json(v, _at(row_at, j), field)
+                     for j, v in enumerate(_list(row, row_at))])
+    return rows
+
+
+def _build_element(descriptor, payload, where: str) -> AlgebraElement:
     if descriptor.backend == MATRIX:
-        if not isinstance(payload, list):
-            raise ProblemFormatError("matrix backend expects a nested-array payload")
+        rows = _matrix_entries(payload, where, descriptor.field)
         n = descriptor.n
-        if len(payload) != n or any(len(row) != n for row in payload):
-            raise ProblemFormatError(f"payload must be a {n}x{n} array")
-        data = np.array(
-            [[_scalar_from_json(v, descriptor.field) for v in row] for row in payload],
-            dtype=descriptor.dtype,
-        )
-        return AlgebraElement(descriptor, data)
+        if len(rows) != n or any(len(row) != n for row in rows):
+            _reject(where, f"expected a {n}x{n} array")
+        return AlgebraElement(descriptor, np.array(rows, dtype=descriptor.dtype))
     if not isinstance(payload, dict):
-        raise ProblemFormatError("diffop backend expects an {order: modes} payload")
-    data = np.zeros((descriptor.max_order + 1, descriptor.width), dtype=np.complex128)
+        _reject(where, "expected an {order: modes} object")
+    data = np.zeros(descriptor.shape, dtype=np.complex128)
     for key, row in payload.items():
+        row_at = _at(where, key)
+        if not key.isdecimal():
+            _reject(row_at, "expected a derivative order")
         order = int(key)
         if order > descriptor.max_order:
-            raise ProblemFormatError(f"order {order} exceeds the cap {descriptor.max_order}")
-        if len(row) != descriptor.width:
-            raise ProblemFormatError(
-                f"mode array for order {order} must have {descriptor.width} entries")
-        data[order] = [_scalar_from_json(v, COMPLEX) for v in row]
+            _reject(row_at, f"order exceeds the cap {descriptor.max_order}")
+        if len(_list(row, row_at)) != descriptor.width:
+            _reject(row_at, f"expected {descriptor.width} modes")
+        data[order] = [_scalar_from_json(v, _at(row_at, m), COMPLEX) for m, v in enumerate(row)]
     return AlgebraElement(descriptor, data)
 
 
-def _build_descriptor(backend_spec: dict):
-    if backend_spec["kind"] == MATRIX:
-        return matrix_descriptor(backend_spec["n"], backend_spec.get("field", REAL))
-    return diffop_descriptor(backend_spec["max_order"], backend_spec["max_mode"])
+_BACKEND_KINDS = {MATRIX: ("n",), CIRCLE_DIFFOP: ("max_order", "max_mode")}
+_PATH_KINDS = {"constant": ("value",), "poly": ("coeffs",), "preset": ("name",)}
+_S0_KINDS = {"identity": (), "ad-of-initial": (), "matrix": ("value",)}
 
 
-def build_problem(document: dict, overrides: dict | None = None) -> tuple[LaxProblem, dict]:
-    """Turn a validated document plus CLI overrides into a problem and options."""
-    overrides = overrides or {}
-    q0 = overrides.get("q0", document.get("q0", DEFAULT_SCALING))
-    order = overrides.get("order", document.get("N", DEFAULT_ORDER))
-    grid_doc = document.get("grid")
-    step, horizon = DEFAULT_GRID if grid_doc is None else (grid_doc["h"], grid_doc["T"])
-    grid = (overrides.get("step", step), overrides.get("horizon", horizon))
-    options = document.get("options", {})
-    path_spec = document.get("P")
-    if path_spec is None:
-        raise ProblemFormatError("problem file must carry a path specification P")
+def _build_descriptor(spec) -> AlgebraDescriptor:
+    kind = _kind(spec, "backend", _BACKEND_KINDS, ("field",))
+    sizes = {key: _integer(spec[key], _at("backend", key)) for key in _BACKEND_KINDS[kind]}
+    return AlgebraDescriptor(kind, field=spec.get("field", REAL if kind == MATRIX else COMPLEX),
+                             **sizes)
+
+
+def _checked_options(options) -> dict:
+    """``options``, once it passes the range checks that no library call makes for
+    every command."""
+    _object(options, "options", (), ("trace_powers", "sweep", "symmetry_s0"))
+    if "trace_powers" in options:
+        where = "options/trace_powers"
+        for k, power in enumerate(_list(options["trace_powers"], where)):
+            if not 1 <= _integer(power, _at(where, k)) <= 4:
+                _reject(_at(where, k), "expected a power in 1..4")
+    if "sweep" in options:
+        where = "options/sweep"
+        for k, q0 in enumerate(_list(options["sweep"], where)):
+            if not 0 < _number(q0, _at(where, k)) <= 1:
+                _reject(_at(where, k), "expected a scaling in (0, 1]")
+    if "symmetry_s0" in options:
+        where = "options/symmetry_s0"
+        if _kind(options["symmetry_s0"], where, _S0_KINDS) == "matrix":
+            _matrix_entries(options["symmetry_s0"]["value"], _at(where, "value"), COMPLEX)
+    return options
+
+
+def build_problem(document, overrides: dict | None = None) -> tuple[LaxProblem, dict]:
+    """Check a problem document while building its problem and options.
+
+    The document's keys and JSON types are checked here, and so are the ranges
+    of its options; the ranges of the problem's own values are the checks the
+    library makes as it builds the problem, whose errors come out as
+    :class:`ProblemFormatError`.  Numbers reach the problem as written.  CLI
+    ``overrides`` (``q0``, ``order``, ``step``, ``horizon``) then replace the
+    document's values, which must still be valid on their own.
+    """
+    _object(document, "", ("schema", "P"), ("backend", "L0", "q0", "N", "grid", "options"))
+    if _integer(document["schema"], "schema") != 1:
+        _reject("schema", "expected 1")
+    q0 = _number(document["q0"], "q0") if "q0" in document else DEFAULT_SCALING
+    order = _integer(document["N"], "N") if "N" in document else DEFAULT_ORDER
+    grid = DEFAULT_GRID
+    if "grid" in document:
+        grid_doc = _object(document["grid"], "grid", ("h", "T"))
+        grid = (_number(grid_doc["h"], "grid/h"), _number(grid_doc["T"], "grid/T"))
+    options = _checked_options(document.get("options", {}))
+    path_spec = document["P"]
+    kind = _kind(path_spec, "P", _PATH_KINDS)
     try:
-        if path_spec["kind"] == "preset":
+        if kind == "preset":
             if "backend" in document or "L0" in document:
                 raise ProblemFormatError(
                     "a preset path fixes the backend and initial element; drop those keys")
             problem = preset_problem(path_spec["name"], q0=q0, order=order, grid=grid)
-            return problem, options
-        if "backend" not in document or "L0" not in document:
-            raise ProblemFormatError("non-preset problems need backend and L0")
-        descriptor = _build_descriptor(document["backend"])
-        initial = _build_element(descriptor, document["L0"])
-        if path_spec["kind"] == "constant":
-            path = OperatorPath.constant(_build_element(descriptor, path_spec["value"]), q0)
         else:
-            coeffs = [_build_element(descriptor, c) for c in path_spec["coeffs"]]
-            path = OperatorPath.polynomial(coeffs, q0)
-        problem = LaxProblem(initial=initial, path=path, q0=q0, order=order, grid=grid)
-    except DomainError as exc:
+            if "backend" not in document or "L0" not in document:
+                raise ProblemFormatError("non-preset problems need backend and L0")
+            descriptor = _build_descriptor(document["backend"])
+            initial = _build_element(descriptor, document["L0"], "L0")
+            if kind == "constant":
+                path = OperatorPath.constant(_build_element(descriptor, path_spec["value"],
+                                                            "P/value"))
+            else:
+                path = OperatorPath.polynomial(
+                    [_build_element(descriptor, c, _at("P/coeffs", k))
+                     for k, c in enumerate(_list(path_spec["coeffs"], "P/coeffs"))])
+            problem = LaxProblem(initial=initial, path=path, q0=q0, order=order, grid=grid)
+        if overrides:
+            step, horizon = problem.grid
+            problem = dataclasses.replace(
+                problem, q0=overrides.get("q0", problem.q0),
+                order=overrides.get("order", problem.order),
+                grid=(overrides.get("step", step), overrides.get("horizon", horizon)))
+    except AlgebraError as exc:
         raise ProblemFormatError(str(exc)) from exc
     return problem, options
 
@@ -481,7 +444,6 @@ def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError(
             "the solve bundle's trace and oracle diagnostics need the matrix backend")
-    os.makedirs(out_dir, exist_ok=True)
     result = solve_lax(problem)
 
     rows: list[DiagnosticRow] = []
@@ -500,6 +462,7 @@ def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> Re
         rows.append(DiagnosticRow("oracle_decay", None, decay, ORACLE_DECAY_FACTOR,
                                   decay <= ORACLE_DECAY_FACTOR))
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_flow_csv(os.path.join(out_dir, "flow.csv"), result.flow)
     _write_json(os.path.join(out_dir, "flow.json"), _flow_json_payload(result.flow))
     all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
@@ -516,12 +479,11 @@ def _build_symmetry_initial(spec: dict | None, problem: LaxProblem) -> AlgebraEl
     if spec["kind"] == "ad-of-initial":
         return ad_operator(problem.initial)
     descriptor = operator_descriptor(base)
-    return _build_element(descriptor, spec["value"])
+    return _build_element(descriptor, spec["value"], "options/symmetry_s0/value")
 
 
 def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) -> ResultBundle:
     problem, options = build_problem(document, overrides)
-    os.makedirs(out_dir, exist_ok=True)
     s0_spec = options.get("symmetry_s0")
     initial_operator = _build_symmetry_initial(s0_spec, problem)
 
@@ -541,6 +503,7 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
             lambda block: sym.flow.values[block] - ad_matrices(lax_result.flow.values[block]))
         rows.extend(_grade_rows("equivariance_gap", gap, EQUIVARIANCE_TOL))
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_flow_csv(os.path.join(out_dir, "flow.csv"), sym.flow)
     all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
     files = ("flow.csv", "diagnostics.csv", "manifest.json")
@@ -581,12 +544,12 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     problem, options = build_problem(document, overrides)
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError("sweeps evaluate entrywise and need the matrix backend")
-    os.makedirs(out_dir, exist_ok=True)
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
 
     points = [solve_lax(LaxProblem(problem.initial, problem.path, q0, problem.order,
                                    problem.grid))
               for q0 in sweep_values]
+    os.makedirs(out_dir, exist_ok=True)
     _write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_values,
                      [point.flow for point in points])
 
@@ -630,12 +593,16 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
 def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
                  margin: float = AppendixModel.margin, points: int = AppendixModel.points,
                  t_values=APPENDIX_TIMES) -> ResultBundle:
-    """Each check is the library report's fields plus its ``name`` and ``passed``."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Each check is the library report's fields plus its ``name`` and ``passed``.
+
+    A rejected model still gets a bundle that records the rejection; any other
+    error writes nothing.
+    """
     try:
         model = AppendixModel(tuple(float(c) for c in coefficients),
                               float(margin), int(points))
     except ModelError as exc:
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "report.json"),
                     {"schema": 1, "model_error": str(exc), "all_passed": False})
         _write_manifest(out_dir, "appendix",
@@ -663,6 +630,7 @@ def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
         "checks": checks,
         "all_passed": all_passed,
     }
+    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), report)
     files = ("report.json", "manifest.json")
     _write_manifest(out_dir, "appendix", report["model"], list(files), all_passed)

@@ -274,9 +274,8 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 def preset_problem(name: str, *, q0: float = DEFAULT_SCALING, order: int = DEFAULT_ORDER,
                    grid: tuple[float, float] = DEFAULT_GRID) -> LaxProblem:
     """A named desk-scale problem; see :data:`PRESET_NAMES`."""
-    try:
-        initial, generator = _PRESETS[name]
-    except KeyError:
+    if name not in PRESET_NAMES:  # a tuple: an unhashable name is unknown, not a TypeError
         raise DomainError(f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}")
+    initial, generator = _PRESETS[name]
     path = OperatorPath.constant(matrix_element(generator), name=name)
     return LaxProblem(initial=matrix_element(initial), path=path, q0=q0, order=order, grid=grid)

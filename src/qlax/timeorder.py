@@ -21,6 +21,7 @@ the running sum of its step increments.  A sampled path is kept as one
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -158,11 +159,15 @@ def _expand_grid(grid) -> tuple[float, float, int]:
     step, horizon = grid
     step = float(step)
     horizon = float(horizon)
+    if not (math.isfinite(step) and math.isfinite(horizon)):
+        raise DomainError("grid step and horizon must be finite")
     if step <= 0.0:
         raise DomainError("grid step must be positive")
     if horizon < step:
         raise DomainError("grid horizon must cover at least one step")
     count = horizon / step
+    if not math.isfinite(count):
+        raise DomainError("grid step is too small for its horizon")
     steps = round(count)
     if abs(count - steps) > 1e-9 * max(1.0, steps):
         raise DomainError("grid horizon must be a whole number of steps")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import io
@@ -12,7 +13,6 @@ import pytest
 from qlax import algebra, cli, lax, matrix_descriptor
 from qlax.algebra import element_norms
 from qlax.cli import (
-    PROBLEM_SCHEMA,
     ProblemFormatError,
     _flow_json_payload,
     _sweep_entry_columns,
@@ -22,7 +22,6 @@ from qlax.cli import (
     _write_sweep_csv,
     build_problem,
     main,
-    validate_problem_document,
 )
 from qlax.nonregular import (
     AppendixModel,
@@ -72,19 +71,156 @@ def _read_json(path):
         return json.load(handle)
 
 
-def test_schema_accepts_and_rejects():
-    validate_problem_document(SL2_DOC)
-    validate_problem_document(DIFFOP_DOC)
-    with pytest.raises(ProblemFormatError):
-        validate_problem_document({**SL2_DOC, "unknown_key": 1})
-    with pytest.raises(ProblemFormatError):
-        validate_problem_document({**SL2_DOC, "schema": 2})
-    with pytest.raises(ProblemFormatError):
-        validate_problem_document({**SL2_DOC, "q0": 1.5})
-    bad_backend = {**SL2_DOC, "backend": {"kind": "matrix", "n": 2, "rows": 2}}
-    with pytest.raises(ProblemFormatError):
-        validate_problem_document(bad_backend)
-    assert PROBLEM_SCHEMA["additionalProperties"] is False
+PRESET_DOC = {
+    "schema": 1,
+    "P": {"kind": "preset", "name": "sl2-nilpotent"},
+    "q0": 0.5,
+    "N": 3,
+    "grid": {"h": 0.002, "T": 0.2},
+    "options": {"trace_powers": [1, 2], "sweep": [0.2, 0.1],
+                "symmetry_s0": {"kind": "matrix", "value": np.eye(4).tolist()}},
+}
+
+POLY_DOC = {**SL2_DOC, "P": {"kind": "poly", "coeffs": [SL2_DOC["P"]["value"], SL2_DOC["L0"]]}}
+
+MISSING = object()
+
+
+def _edited(document, where, value):
+    """A deep copy of ``document`` with the value at ``where`` (keys joined by ``/``)
+    set to ``value``, or removed if ``value`` is ``MISSING``."""
+    document = copy.deepcopy(document)
+    *parents, last = where.split("/")
+    target = document
+    for key in parents:
+        target = target[int(key) if isinstance(target, list) else key]
+    if isinstance(target, list):
+        last = int(last)
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return document
+
+
+def _malformed(base, where, value, flags=()):
+    """A test case; its id is the edit, or the flags, with brackets written as parentheses
+    and double quotes as single ones."""
+    shown = "missing" if value is MISSING else json.dumps(value, separators=(",", ":"))
+    case = "=".join(flags) if flags else f"{where}={shown}"
+    return pytest.param(base, where, value, list(flags),
+                        id=case.replace('"', "'").translate(str.maketrans("[]{}", "()()"))[:40])
+
+
+MALFORMED = [
+    # an unknown key at every object level
+    _malformed(SL2_DOC, "mystery", 3),
+    _malformed(SL2_DOC, "backend/rows", 2),
+    _malformed(DIFFOP_DOC, "backend/n", 2),
+    _malformed(SL2_DOC, "P/scale", 1.0),
+    _malformed(PRESET_DOC, "P/value", [[1.0]]),
+    _malformed(SL2_DOC, "grid/dt", 0.1),
+    _malformed(PRESET_DOC, "options/colour", "red"),
+    _malformed(PRESET_DOC, "options/symmetry_s0/scale", 2.0),
+    _malformed(PRESET_DOC, "options/symmetry_s0", {"kind": "identity", "value": [[1.0]]}),
+    # each missing required key
+    _malformed(SL2_DOC, "schema", MISSING),
+    _malformed(SL2_DOC, "P", MISSING),
+    _malformed(SL2_DOC, "backend", MISSING),
+    _malformed(SL2_DOC, "L0", MISSING),
+    _malformed(SL2_DOC, "backend/kind", MISSING),
+    _malformed(SL2_DOC, "backend/n", MISSING),
+    _malformed(DIFFOP_DOC, "backend/max_order", MISSING),
+    _malformed(DIFFOP_DOC, "backend/max_mode", MISSING),
+    _malformed(SL2_DOC, "P/kind", MISSING),
+    _malformed(SL2_DOC, "P/value", MISSING),
+    _malformed(POLY_DOC, "P/coeffs", MISSING),
+    _malformed(PRESET_DOC, "P/name", MISSING),
+    _malformed(SL2_DOC, "grid/h", MISSING),
+    _malformed(SL2_DOC, "grid/T", MISSING),
+    _malformed(PRESET_DOC, "options/symmetry_s0/kind", MISSING),
+    _malformed(PRESET_DOC, "options/symmetry_s0/value", MISSING),
+    # a wrong JSON type, and a bool where a number goes
+    _malformed(SL2_DOC, "q0", "0.5"),
+    _malformed(SL2_DOC, "q0", True),
+    _malformed(SL2_DOC, "N", False),
+    _malformed(SL2_DOC, "grid", [0.002, 0.2]),
+    _malformed(SL2_DOC, "grid/h", [0.002]),
+    _malformed(SL2_DOC, "grid/T", None),
+    _malformed(SL2_DOC, "L0", {"0": [0.0, 1.0]}),
+    _malformed(SL2_DOC, "L0/0", 0.0),
+    _malformed(SL2_DOC, "L0/0/0", "0"),
+    _malformed(SL2_DOC, "L0/0/0", True),
+    _malformed(SL2_DOC, "L0/0/0", [0.0, 1.0, 2.0]),
+    _malformed(SL2_DOC, "L0/0/0", [0.0, False]),
+    _malformed(SL2_DOC, "L0/0/0", [0.5, 0.5]),
+    _malformed(DIFFOP_DOC, "L0", [[1.0]]),
+    _malformed(DIFFOP_DOC, "L0/1", 1.0),
+    _malformed(DIFFOP_DOC, "backend/field", "real"),
+    _malformed(SL2_DOC, "backend/field", "quaternion"),
+    _malformed(POLY_DOC, "P/coeffs", SL2_DOC["L0"]),
+    _malformed(PRESET_DOC, "options", []),
+    _malformed(PRESET_DOC, "options/trace_powers", 2),
+    _malformed(PRESET_DOC, "options/sweep", [True]),
+    _malformed(PRESET_DOC, "options/symmetry_s0/value", [[1.0, "x"]]),
+    # the schema version
+    _malformed(SL2_DOC, "schema", 2),
+    _malformed(SL2_DOC, "schema", "1"),
+    # out of range
+    _malformed(SL2_DOC, "q0", 0),
+    _malformed(SL2_DOC, "q0", 1.5),
+    _malformed(PRESET_DOC, "q0", -0.5),
+    _malformed(SL2_DOC, "N", 0),
+    _malformed(SL2_DOC, "grid/h", 0),
+    _malformed(SL2_DOC, "grid/h", -0.002),
+    _malformed(SL2_DOC, "grid/T", 0),
+    _malformed(SL2_DOC, "backend/n", 0),
+    _malformed(DIFFOP_DOC, "backend/max_order", -1),
+    _malformed(DIFFOP_DOC, "backend/max_mode", 0),
+    _malformed(PRESET_DOC, "options/trace_powers", [0]),
+    _malformed(PRESET_DOC, "options/trace_powers", [1, 5]),
+    _malformed(PRESET_DOC, "options/trace_powers", []),
+    _malformed(PRESET_DOC, "options/sweep", [0.2, 0]),
+    _malformed(PRESET_DOC, "options/sweep", [1.5]),
+    _malformed(PRESET_DOC, "options/sweep", []),
+    # diffop keys are derivative orders within the cap
+    _malformed(DIFFOP_DOC, "L0/-1", [0] * 13),
+    _malformed(DIFFOP_DOC, "L0/1a", [0] * 13),
+    _malformed(DIFFOP_DOC, "L0/2", [0] * 13),
+    # a bad symmetry seed
+    _malformed(PRESET_DOC, "options/symmetry_s0/kind", "random"),
+    _malformed(PRESET_DOC, "options/symmetry_s0/value", []),
+    _malformed(PRESET_DOC, "options/symmetry_s0/value", [[]]),
+    # empty coefficients, and unknown kinds and names
+    _malformed(POLY_DOC, "P/coeffs", []),
+    _malformed(SL2_DOC, "P/kind", "spline"),
+    _malformed(SL2_DOC, "backend/kind", "tensor"),
+    _malformed(PRESET_DOC, "P/name", "toda-4"),
+    # documents that crashed with a traceback before this parser
+    _malformed(PRESET_DOC, "N", 4.0),
+    _malformed(SL2_DOC, "backend/n", 2.0),
+    _malformed(DIFFOP_DOC, "backend/max_mode", 6.0),
+    _malformed(SL2_DOC, "grid/T", float("inf")),
+    _malformed(SL2_DOC, "L0/0/0", float("nan")),
+    _malformed(PRESET_DOC, "P/name", ["sl2-nilpotent"]),
+    _malformed(PRESET_DOC, "schema", 1.0),
+    _malformed(PRESET_DOC, "options/trace_powers", [1.0]),
+    _malformed(SL2_DOC, "grid/h", 1e-310),
+    # non-finite grid flags
+    _malformed(PRESET_DOC, "grid", MISSING, ["--step", "nan"]),
+    _malformed(PRESET_DOC, "grid", MISSING, ["--horizon", "nan"]),
+    _malformed(PRESET_DOC, "grid", MISSING, ["--horizon", "inf"]),
+]
+
+
+@pytest.mark.parametrize("base, where, value, flags", MALFORMED)
+def test_malformed_documents_exit_2(tmp_path, base, where, value, flags):
+    build_problem(base)  # so the edit is what makes the document malformed
+    document = _edited(base, where, value)
+    for command in ("solve", "symmetry", "sweep"):
+        out = tmp_path / command
+        assert main([command, _write(tmp_path, document), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_build_problem_from_document():
@@ -114,6 +250,20 @@ def test_build_problem_guards():
     complex_in_real = {**SL2_DOC, "L0": [[[0.0, 1.0], 0.0], [0.0, 0.0]]}
     with pytest.raises(ProblemFormatError):
         build_problem(complex_in_real)
+    zero_imaginary = {**SL2_DOC, "L0": [[[0.5, 0.0], 0.0], [1.0, [0.0, -0.0]]]}
+    problem, _ = build_problem(zero_imaginary)
+    assert problem.initial.data.dtype == np.float64
+    assert problem.initial.data.tolist() == [[0.5, 0.0], [1.0, 0.0]]
+
+
+def test_integers_reach_the_manifest_as_written(tmp_path):
+    doc = {**SL2_DOC, "q0": 1, "grid": {"h": 0.01, "T": 1}}
+    out = tmp_path / "integers"
+    assert main(["solve", _write(tmp_path, doc), "--out", str(out)]) == 0
+    inputs = _read_json(out / "manifest.json")["inputs"]
+    for echo in (inputs, inputs["document"]):
+        assert type(echo["q0"]) is int and echo["q0"] == 1
+        assert type(echo["grid"]["T"]) is int and echo["grid"] == {"h": 0.01, "T": 1}
 
 
 def test_solve_command_bundle(tmp_path):
@@ -148,6 +298,11 @@ def test_solve_rejects_malformed_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", str(bad), "--out", str(tmp_path / "x")]) == 2
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["solve", str(bad), "--out", str(tmp_path / "x")]) == 2
+    bad.write_text('{"schema": 1, "P": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["solve", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
     unknown = _write(tmp_path, {**SL2_DOC, "mystery": 3}, "unknown.json")
     assert main(["solve", unknown, "--out", str(tmp_path / "y")]) == 2
     assert main(["solve", "--out", str(tmp_path / "z")]) == 2  # no input at all
@@ -162,7 +317,7 @@ def test_diffop_real_field_exits_2(tmp_path):
     # diffop coefficients are complex; a real field is a malformed file
     doc = {**DIFFOP_DOC, "backend": {**DIFFOP_DOC["backend"], "field": "real"}}
     with pytest.raises(ProblemFormatError):
-        validate_problem_document(doc)
+        build_problem(doc)
     assert main(["solve", _write(tmp_path, doc), "--out", str(tmp_path / "d")]) == 2
 
 
@@ -270,6 +425,12 @@ def test_appendix_checks_are_the_library_reports(tmp_path):
     for check, (name, report) in zip(checks, reports):
         assert check == {"name": name, "passed": report.passed, **dataclasses.asdict(report)}
     assert [check["name"] for check in checks[len(reports):]] == ["phi_dominated_by_p"]
+
+
+def test_appendix_time_out_of_range_writes_nothing(tmp_path):
+    out = tmp_path / "appendix"
+    assert main(["appendix", "--t-values", "1.5", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_appendix_bad_model_exits_4(tmp_path):

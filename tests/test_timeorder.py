@@ -223,3 +223,6 @@ def test_grid_validation():
         time_ordered_exp(path, q0=0.5, order=4, grid=(0.3, 0.1))
     with pytest.raises(DomainError):
         time_ordered_exp(path, q0=0.5, order=0, grid=(1e-3, 1.0))
+    for grid in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0), (np.inf, np.inf), (1e-310, 1.0)):
+        with pytest.raises(DomainError):
+            time_ordered_exp(path, q0=0.5, order=4, grid=grid)
