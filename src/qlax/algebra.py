@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -30,6 +30,9 @@ CIRCLE_DIFFOP = "circle-diffop"
 
 REAL = "real"
 COMPLEX = "complex"
+
+# the largest payload, and the largest flow of payloads, that may be built
+MAX_FLOW_BYTES = 1 << 30
 
 
 class AlgebraError(Exception):
@@ -87,6 +90,8 @@ class AlgebraDescriptor:
             if self.field != COMPLEX:
                 raise ShapeMismatchError("diffop coefficients are complex; the field must be "
                                          f"{COMPLEX!r}")
+        if prod(self.shape) * self.dtype.itemsize > MAX_FLOW_BYTES:
+            raise DomainError(f"one element's payload exceeds {MAX_FLOW_BYTES} bytes")
 
     @property
     def dtype(self) -> np.dtype:

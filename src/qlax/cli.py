@@ -7,12 +7,22 @@ diffeomorphism checks) and ``selftest`` (a fixed deterministic battery).
 Problem files are JSON documents with ``"schema": 1``.  :func:`build_problem`
 is their one reader: it checks each object's keys (an unknown key is rejected
 at every level) and each value's JSON type as it builds the problem, and the
-library's own checks bound the values.  Result bundles are deterministic: repeated runs with the same
-inputs produce byte-identical files (wall-clock timing goes to stdout only).
+library's own checks bound the values.
+
+Each command states its checks as the rows its bundle writes: a ``solve`` or
+``symmetry`` check is a ``diagnostics.csv`` row ``(check, grade, value,
+threshold, passed)``, with ``""`` for the grade of a check that has none; a
+``sweep`` check is a ``convergence.csv`` row; an ``appendix`` check is a
+library report in ``report.json``.  Once every check is computed,
+:func:`_write_bundle` writes the bundle's files and its ``manifest.json``, so
+a command that fails before then leaves no directory.  Result bundles are
+deterministic: repeated runs with the same inputs produce byte-identical files
+(wall-clock timing goes to stdout only).
 
 Exit codes: 0 all diagnostics pass, 1 a diagnostic failed, 2 malformed
-problem file or bad parameters, 3 capability not available on the requested
-backend, 4 appendix model preconditions violated.
+problem file or bad parameters (a problem over the ``MAX_FLOW_BYTES`` size cap
+included), 3 capability not available on the requested backend, 4 appendix
+model preconditions violated (a grid over ``MAX_GRID_POINTS`` included).
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -374,54 +383,26 @@ def _flow_json_payload(flow):
     }
 
 
-@dataclass(frozen=True)
-class DiagnosticRow:
-    check: str
-    grade: int | None
-    value: float
-    threshold: float
-    passed: bool
+def _write_bundle(out_dir: str, command: str, inputs: dict, writers: dict,
+                  all_passed: bool) -> bool:
+    """Create ``out_dir``, write each file ``name`` of the bundle as
+    ``writers[name](path)``, then the ``manifest.json`` that lists them all.
 
-    def as_row(self):
-        grade = "" if self.grade is None else self.grade
-        return (self.check, grade, self.value, self.threshold, self.passed)
-
-
-def _grade_rows(check: str, profile, threshold: float) -> list[DiagnosticRow]:
-    return [
-        DiagnosticRow(check, grade, float(value), threshold, bool(value <= threshold))
-        for grade, value in enumerate(profile)
-    ]
-
-
-def _write_diagnostics(path: str, rows: list[DiagnosticRow]) -> bool:
-    _write_csv(path, ["check", "grade", "value", "threshold", "passed"],
-               (row.as_row() for row in rows))
-    return all(row.passed for row in rows)
-
-
-def _write_manifest(out_dir: str, command: str, inputs: dict, outputs: list[str],
-                    all_passed: bool) -> None:
-    manifest = {
+    Returns ``all_passed``.  Callers finish every computation first, so an
+    error leaves no directory behind.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, write in writers.items():
+        write(os.path.join(out_dir, name))
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "schema": 1,
         "command": command,
         "inputs": inputs,
-        "outputs": sorted(outputs),
+        "outputs": sorted([*writers, "manifest.json"]),
         "all_passed": all_passed,
         "package": {"name": "qlax", "version": qlax.__version__},
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-@dataclass(frozen=True)
-class ResultBundle:
-    out_dir: str
-    files: tuple[str, ...]
-    all_passed: bool
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.all_passed else 1
+    })
+    return all_passed
 
 
 def _problem_echo(document: dict | None, problem: LaxProblem, options: dict) -> dict:
@@ -439,37 +420,40 @@ def _problem_echo(document: dict | None, problem: LaxProblem, options: dict) -> 
 
 # -- subcommands --------------------------------------------------------------
 
-def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> ResultBundle:
+DIAGNOSTICS_HEADER = ["check", "grade", "value", "threshold", "passed"]
+
+
+def _diagnostic_rows(checks) -> list[tuple]:
+    """The ``diagnostics.csv`` rows of ``(check, per-grade values, threshold)``
+    checks: one per grade, which passes at or below the threshold."""
+    return [(check, grade, float(value), threshold, bool(value <= threshold))
+            for check, profile, threshold in checks for grade, value in enumerate(profile)]
+
+
+def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> bool:
     problem, options = build_problem(document, overrides)
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError(
             "the solve bundle's trace and oracle diagnostics need the matrix backend")
     result = solve_lax(problem)
-
-    rows: list[DiagnosticRow] = []
-    rows.extend(_grade_rows("lax_residual", lax_residual(result), RESIDUAL_TOL))
-
     powers = options.get("trace_powers", [1, 2, 3, 4])
     tables = conserved_trace_tables(result, max(powers))
-    for power in powers:
-        rows.extend(_grade_rows(f"trace_drift_k{power}", tables[power].drift, TRACE_TOL))
-
+    rows = _diagnostic_rows([("lax_residual", lax_residual(result), RESIDUAL_TOL),
+                             *((f"trace_drift_k{power}", tables[power].drift, TRACE_TOL)
+                               for power in powers)])
     oracle = oracle_integrate(result)
     if oracle.error <= ORACLE_EXACT_TOL:
-        rows.append(DiagnosticRow("oracle_exact", None, oracle.error, ORACLE_EXACT_TOL, True))
+        rows.append(("oracle_exact", "", oracle.error, ORACLE_EXACT_TOL, True))
     else:
         decay = oracle.error_half / oracle.error
-        rows.append(DiagnosticRow("oracle_decay", None, decay, ORACLE_DECAY_FACTOR,
-                                  decay <= ORACLE_DECAY_FACTOR))
+        rows.append(("oracle_decay", "", decay, ORACLE_DECAY_FACTOR,
+                     decay <= ORACLE_DECAY_FACTOR))
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write_flow_csv(os.path.join(out_dir, "flow.csv"), result.flow)
-    _write_json(os.path.join(out_dir, "flow.json"), _flow_json_payload(result.flow))
-    all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
-    files = ("flow.csv", "flow.json", "diagnostics.csv", "manifest.json")
-    _write_manifest(out_dir, "solve", _problem_echo(document, problem, options),
-                    list(files), all_passed)
-    return ResultBundle(out_dir, files, all_passed)
+    return _write_bundle(out_dir, "solve", _problem_echo(document, problem, options), {
+        "flow.csv": lambda path: _write_flow_csv(path, result.flow),
+        "flow.json": lambda path: _write_json(path, _flow_json_payload(result.flow)),
+        "diagnostics.csv": lambda path: _write_csv(path, DIAGNOSTICS_HEADER, rows),
+    }, all(row[-1] for row in rows))
 
 
 def _build_symmetry_initial(spec: dict | None, problem: LaxProblem) -> AlgebraElement:
@@ -482,7 +466,7 @@ def _build_symmetry_initial(spec: dict | None, problem: LaxProblem) -> AlgebraEl
     return _build_element(descriptor, spec["value"], "options/symmetry_s0/value")
 
 
-def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) -> ResultBundle:
+def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) -> bool:
     problem, options = build_problem(document, overrides)
     s0_spec = options.get("symmetry_s0")
     initial_operator = _build_symmetry_initial(s0_spec, problem)
@@ -490,26 +474,22 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
     lax_result = solve_lax(problem)
     sym = solve_symmetry(initial_operator, problem.path, problem.q0,
                          problem.order, problem.grid)
-
-    rows: list[DiagnosticRow] = []
-    rows.extend(_grade_rows("operator_flow_residual", lax_residual(sym), RESIDUAL_TOL))
-    rows.extend(_grade_rows("applied_flow_residual",
-                            symmetry_residual_full(sym, lax_result), RESIDUAL_TOL))
-    rows.extend(_grade_rows("ad_exp_gap", check_ad_exp_ad(lax_result.group, sym.group),
-                            AD_EXP_TOL))
+    checks = [
+        ("operator_flow_residual", lax_residual(sym), RESIDUAL_TOL),
+        ("applied_flow_residual", symmetry_residual_full(sym, lax_result), RESIDUAL_TOL),
+        ("ad_exp_gap", check_ad_exp_ad(lax_result.group, sym.group), AD_EXP_TOL),
+    ]
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
         gap = grade_max_norms(
             sym.flow.descriptor, sym.flow.values,
             lambda block: sym.flow.values[block] - ad_matrices(lax_result.flow.values[block]))
-        rows.extend(_grade_rows("equivariance_gap", gap, EQUIVARIANCE_TOL))
+        checks.append(("equivariance_gap", gap, EQUIVARIANCE_TOL))
+    rows = _diagnostic_rows(checks)
 
-    os.makedirs(out_dir, exist_ok=True)
-    _write_flow_csv(os.path.join(out_dir, "flow.csv"), sym.flow)
-    all_passed = _write_diagnostics(os.path.join(out_dir, "diagnostics.csv"), rows)
-    files = ("flow.csv", "diagnostics.csv", "manifest.json")
-    _write_manifest(out_dir, "symmetry", _problem_echo(document, problem, options),
-                    list(files), all_passed)
-    return ResultBundle(out_dir, files, all_passed)
+    return _write_bundle(out_dir, "symmetry", _problem_echo(document, problem, options), {
+        "flow.csv": lambda path: _write_flow_csv(path, sym.flow),
+        "diagnostics.csv": lambda path: _write_csv(path, DIAGNOSTICS_HEADER, rows),
+    }, all(row[-1] for row in rows))
 
 
 def _sweep_entry_columns(descriptor) -> list[str]:
@@ -540,7 +520,29 @@ def _write_sweep_csv(path: str, sweep_values, flows) -> None:
             writer.writerows(zip([_format_value(q0)] * len(flow), times, *entries))
 
 
-def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> ResultBundle:
+def _convergence_rows(sweep_values, errors, expected: int) -> list[tuple]:
+    """The ``convergence.csv`` rows: each scaling's oracle error, and the order
+    measured from the scaling before it, which is asserted to lie within
+    ``ORDER_WINDOW`` of ``expected`` when both scalings are at most
+    ``SWEEP_ASSERT_MAX_Q0``."""
+    points = list(zip(sweep_values, errors))
+    rows = [(*points[0], "", "", expected, False, "")]
+    for (prev_q0, prev_error), (q0, error) in zip(points, points[1:]):
+        estimate = deviation = passed = ""
+        asserted = False
+        # near-exact truncations (nilpotent problems) leave only roundoff,
+        # where order estimates are meaningless noise: skip those pairs
+        if error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR and prev_q0 != q0:
+            estimate = float(np.log(prev_error / error) / np.log(prev_q0 / q0))
+            deviation = abs(estimate - expected)
+            asserted = max(prev_q0, q0) <= SWEEP_ASSERT_MAX_Q0
+            if asserted:
+                passed = deviation <= ORDER_WINDOW
+        rows.append((q0, error, estimate, deviation, expected, asserted, passed))
+    return rows
+
+
+def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> bool:
     problem, options = build_problem(document, overrides)
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError("sweeps evaluate entrywise and need the matrix backend")
@@ -549,50 +551,21 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> Re
     points = [solve_lax(LaxProblem(problem.initial, problem.path, q0, problem.order,
                                    problem.grid))
               for q0 in sweep_values]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sweep_values,
-                     [point.flow for point in points])
+    rows = _convergence_rows(sweep_values, oracle_errors(points), problem.order + 1)
 
-    expected = problem.order + 1
-    convergence_rows = []
-    asserted_failures = 0
-    previous = None
-    for q0, error in zip(sweep_values, oracle_errors(points)):
-        estimate = ""
-        deviation = ""
-        asserted = False
-        passed = ""
-        if previous is not None:
-            prev_q0, prev_error = previous
-            # near-exact truncations (nilpotent problems) leave only roundoff,
-            # where order estimates are meaningless noise: skip those pairs
-            if error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR \
-                    and prev_q0 != q0:
-                estimate = float(np.log(prev_error / error) / np.log(prev_q0 / q0))
-                deviation = abs(estimate - expected)
-                asserted = max(prev_q0, q0) <= SWEEP_ASSERT_MAX_Q0
-                if asserted:
-                    passed = deviation <= ORDER_WINDOW
-                    if not passed:
-                        asserted_failures += 1
-        convergence_rows.append((q0, error, estimate, deviation, expected, asserted, passed))
-        previous = (q0, error)
-    _write_csv(os.path.join(out_dir, "convergence.csv"),
-               ["q0", "oracle_error", "order_estimate", "order_deviation",
-                "expected_order", "asserted", "passed"],
-               convergence_rows)
-
-    all_passed = asserted_failures == 0
-    files = ("sweep.csv", "convergence.csv", "manifest.json")
-    inputs = _problem_echo(document, problem, options)
-    inputs["sweep"] = list(sweep_values)
-    _write_manifest(out_dir, "sweep", inputs, list(files), all_passed)
-    return ResultBundle(out_dir, files, all_passed)
+    inputs = {**_problem_echo(document, problem, options), "sweep": list(sweep_values)}
+    return _write_bundle(out_dir, "sweep", inputs, {
+        "sweep.csv": lambda path: _write_sweep_csv(path, sweep_values,
+                                                   [point.flow for point in points]),
+        "convergence.csv": lambda path: _write_csv(
+            path, ["q0", "oracle_error", "order_estimate", "order_deviation", "expected_order",
+                   "asserted", "passed"], rows),
+    }, not any(asserted and not passed for *_, asserted, passed in rows))
 
 
 def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
                  margin: float = AppendixModel.margin, points: int = AppendixModel.points,
-                 t_values=APPENDIX_TIMES) -> ResultBundle:
+                 t_values=APPENDIX_TIMES) -> bool:
     """Each check is the library report's fields plus its ``name`` and ``passed``.
 
     A rejected model still gets a bundle that records the rejection; any other
@@ -602,12 +575,10 @@ def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
         model = AppendixModel(tuple(float(c) for c in coefficients),
                               float(margin), int(points))
     except ModelError as exc:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(os.path.join(out_dir, "report.json"),
-                    {"schema": 1, "model_error": str(exc), "all_passed": False})
-        _write_manifest(out_dir, "appendix",
-                        {"coefficients": list(coefficients), "margin": margin,
-                         "points": points}, ["report.json", "manifest.json"], False)
+        rejection = {"schema": 1, "model_error": str(exc), "all_passed": False}
+        _write_bundle(out_dir, "appendix",
+                      {"coefficients": list(coefficients), "margin": margin, "points": points},
+                      {"report.json": lambda path: _write_json(path, rejection)}, False)
         raise
 
     reports = [*(("bounds", verify_diffeo_bounds(model, t)) for t in t_values),
@@ -630,16 +601,12 @@ def run_appendix(out_dir: str, coefficients=AppendixModel.coefficients,
         "checks": checks,
         "all_passed": all_passed,
     }
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    files = ("report.json", "manifest.json")
-    _write_manifest(out_dir, "appendix", report["model"], list(files), all_passed)
-    return ResultBundle(out_dir, files, all_passed)
+    return _write_bundle(out_dir, "appendix", report["model"],
+                         {"report.json": lambda path: _write_json(path, report)}, all_passed)
 
 
-def run_selftest(out_dir: str) -> ResultBundle:
+def run_selftest(out_dir: str) -> bool:
     """A fixed battery with pinned inputs; bundles are byte-identical across runs."""
-    os.makedirs(out_dir, exist_ok=True)
     solve_doc = {
         "schema": 1,
         "P": {"kind": "preset", "name": "sl2-nilpotent"},
@@ -647,7 +614,6 @@ def run_selftest(out_dir: str) -> ResultBundle:
         "N": 6,
         "grid": {"h": 2e-3, "T": 0.5},
     }
-    solve_bundle = run_solve(solve_doc, os.path.join(out_dir, "solve"))
     symmetry_doc = {
         "schema": 1,
         "P": {"kind": "preset", "name": "rotation-2"},
@@ -656,25 +622,19 @@ def run_selftest(out_dir: str) -> ResultBundle:
         "grid": {"h": 1e-3, "T": 0.25},
         "options": {"symmetry_s0": {"kind": "ad-of-initial"}},
     }
-    symmetry_bundle = run_symmetry(symmetry_doc, os.path.join(out_dir, "symmetry"))
-    appendix_bundle = run_appendix(os.path.join(out_dir, "appendix"))
+    table_rows = [(left[0].label, right[0].label,
+                   "undefined" if product is None else product[0].label,
+                   "" if product is None else product[1])
+                  for left, right, product in composition_table(gr1_monoid(), grade=1)]
 
-    table_rows = []
-    for left, right, product in composition_table(gr1_monoid(), grade=1):
-        table_rows.append((
-            left[0].label, right[0].label,
-            "undefined" if product is None else product[0].label,
-            "" if product is None else product[1],
-        ))
-    _write_csv(os.path.join(out_dir, "gr1_table.csv"),
-               ["left", "right", "result", "grade"], table_rows)
-
-    all_passed = all(b.all_passed for b in (solve_bundle, symmetry_bundle, appendix_bundle))
-    files = ("gr1_table.csv", "manifest.json")
-    _write_manifest(out_dir, "selftest",
-                    {"solve": solve_doc, "symmetry": symmetry_doc, "appendix": "default"},
-                    list(files), all_passed)
-    return ResultBundle(out_dir, files, all_passed)
+    passed = [run_solve(solve_doc, os.path.join(out_dir, "solve")),
+              run_symmetry(symmetry_doc, os.path.join(out_dir, "symmetry")),
+              run_appendix(os.path.join(out_dir, "appendix"))]
+    return _write_bundle(
+        out_dir, "selftest", {"solve": solve_doc, "symmetry": symmetry_doc, "appendix": "default"},
+        {"gr1_table.csv": lambda path: _write_csv(path, ["left", "right", "result", "grade"],
+                                                  table_rows)},
+        all(passed))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -744,16 +704,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.command == "solve":
-            bundle = run_solve(_document_from_args(args), args.out, _overrides_from_args(args))
-        elif args.command == "symmetry":
-            bundle = run_symmetry(_document_from_args(args), args.out, _overrides_from_args(args))
-        elif args.command == "sweep":
-            bundle = run_sweep(_document_from_args(args), args.out, _overrides_from_args(args))
-        elif args.command == "appendix":
-            bundle = run_appendix(args.out, args.poly, args.margin, args.points, args.t_values)
-        else:
-            bundle = run_selftest(args.out)
+        if args.command == "appendix":
+            all_passed = run_appendix(args.out, args.poly, args.margin, args.points,
+                                      args.t_values)
+        elif args.command == "selftest":
+            all_passed = run_selftest(args.out)
+        else:  # looked up at call time, so a runner replaced on this module is the one run
+            all_passed = globals()[f"run_{args.command}"](
+                _document_from_args(args), args.out, _overrides_from_args(args))
     except ModelError as exc:
         print(f"appendix model rejected: {exc}", file=sys.stderr)
         return 4
@@ -763,16 +721,13 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability unavailable: {exc}", file=sys.stderr)
         return 3
-    except AlgebraError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (AlgebraError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    status = "PASS" if bundle.all_passed else "FAIL"
-    print(f"{args.command}: {status} in {elapsed:.2f}s -> {bundle.out_dir}")
-    return bundle.exit_code
+    status = "PASS" if all_passed else "FAIL"
+    print(f"{args.command}: {status} in {elapsed:.2f}s -> {args.out}")
+    return 0 if all_passed else 1
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

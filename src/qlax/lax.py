@@ -27,6 +27,7 @@ import numpy as np
 
 from qlax.algebra import (
     MATRIX,
+    MAX_FLOW_BYTES,
     AlgebraElement,
     CapabilityError,
     DomainError,
@@ -74,7 +75,9 @@ class LaxProblem:
         _check_scaling(self.q0)
         if self.order < 1:
             raise DomainError("truncation order must be >= 1")
-        _expand_grid(self.grid)
+        steps = _expand_grid(self.grid)[2]
+        if (steps + 1) * (self.order + 1) * self.initial.data.nbytes > MAX_FLOW_BYTES:
+            raise DomainError(f"the flow's nodes exceed {MAX_FLOW_BYTES} bytes")
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from qlax.algebra import DomainError
 
 FD_TOLERANCE = 1e-6
 VELOCITY_STEP = 1e-7
+MAX_GRID_POINTS = 10**6
 
 
 class ModelError(DomainError):
@@ -42,22 +43,23 @@ class AppendixModel:
     points: int = 2001
 
     def __post_init__(self) -> None:
+        # each precondition is written so that NaN fails it: NaN compares false
         if not 0.0 < self.margin < 0.5:
             raise ModelError("grid margin must lie in (0, 0.5)")
-        if self.points < 3:
-            raise ModelError("grid needs at least three points")
+        if not 3 <= self.points <= MAX_GRID_POINTS:
+            raise ModelError(f"grid needs 3 to {MAX_GRID_POINTS} points")
         poly = np.polynomial.Polynomial(self.coefficients)
         for endpoint in (0.0, 1.0):
-            if abs(poly(endpoint)) > 1e-12:
+            if not abs(poly(endpoint)) <= 1e-12:
                 raise ModelError(f"P must vanish at {endpoint}")
         x = self.grid()
         values = poly(x)
-        if np.any(values <= 0.0):
+        if not np.all(values > 0.0):
             raise ModelError("P must be positive on the grid")
-        if np.any(values >= np.minimum(x, 1.0 - x)):
+        if not np.all(values < np.minimum(x, 1.0 - x)):
             raise ModelError("P must stay below min(x, 1-x) on the grid")
         slope = poly.deriv()(x)
-        if np.abs(slope).max() >= 1.0:
+        if not np.abs(slope).max() < 1.0:
             raise ModelError("sup |P'| must be < 1 on the grid")
 
     def grid(self) -> np.ndarray:

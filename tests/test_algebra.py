@@ -37,6 +37,16 @@ def test_descriptor_validation():
         diffop_descriptor(2, 0)
 
 
+def test_payload_size_cap():
+    # a complex 8192 x 8192 payload is exactly MAX_FLOW_BYTES
+    assert matrix_descriptor(8192, "complex").dtype.itemsize * 8192**2 == algebra.MAX_FLOW_BYTES
+    for too_large in (lambda: matrix_descriptor(8193, "complex"),
+                      lambda: matrix_descriptor(10**12),
+                      lambda: diffop_descriptor(10**4, 10**4)):
+        with pytest.raises(DomainError, match="payload exceeds"):
+            too_large()
+
+
 def test_diffop_descriptor_is_complex_only():
     assert diffop_descriptor(2, 3).field == COMPLEX
     assert diffop_descriptor(2, 3).dtype == np.complex128

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qlax import algebra, cli, lax, matrix_descriptor
-from qlax.algebra import element_norms
+from qlax.algebra import MAX_FLOW_BYTES, DomainError, element_norms
 from qlax.cli import (
     ProblemFormatError,
     _flow_json_payload,
@@ -24,6 +24,7 @@ from qlax.cli import (
     main,
 )
 from qlax.nonregular import (
+    MAX_GRID_POINTS,
     AppendixModel,
     demonstrate_nonregularity,
     velocity_at_zero,
@@ -467,6 +468,134 @@ def test_selftest_gr1_table(tmp_path):
     assert lookup[("[0;1[", "[0;1]")] == "[0;1["
     assert lookup[("[0;1[", "]0;1]")] == "]0;1["
     assert lookup[("S1", "[0;1]")] == "undefined"
+
+
+SYMMETRY_DOC = {
+    "schema": 1,
+    "P": {"kind": "preset", "name": "rotation-2"},
+    "q0": 0.5,
+    "N": 3,
+    "grid": {"h": 0.001, "T": 0.1},
+    "options": {"symmetry_s0": {"kind": "ad-of-initial"}},
+}
+
+SWEEP_DOC = {**PRESET_DOC, "options": {"sweep": [0.2, 0.1]}}
+
+
+def _plus_one(library_call):
+    return lambda *args: library_call(*args) + 1.0
+
+
+FAILING_CHECKS = [
+    pytest.param("solve", SL2_DOC, "lax_residual", _plus_one, "lax_residual",
+                 id="solve-lax_residual"),
+    pytest.param("solve", SL2_DOC, "conserved_trace_tables",
+                 lambda tables: lambda *args: {
+                     power: dataclasses.replace(table, drift=table.drift + 1.0)
+                     for power, table in tables(*args).items()},
+                 "trace_drift_k", id="solve-trace_drift"),
+    pytest.param("solve", SL2_DOC, "oracle_integrate",
+                 lambda oracle: lambda result: dataclasses.replace(
+                     oracle(result), error=1e-3, error_half=1e-3),
+                 "oracle_decay", id="solve-oracle_decay"),
+    pytest.param("symmetry", SYMMETRY_DOC, "lax_residual", _plus_one,
+                 "operator_flow_residual", id="symmetry-operator_flow_residual"),
+    pytest.param("symmetry", SYMMETRY_DOC, "symmetry_residual_full", _plus_one,
+                 "applied_flow_residual", id="symmetry-applied_flow_residual"),
+    pytest.param("symmetry", SYMMETRY_DOC, "check_ad_exp_ad", _plus_one, "ad_exp_gap",
+                 id="symmetry-ad_exp_gap"),
+    pytest.param("symmetry", SYMMETRY_DOC, "grade_max_norms", _plus_one, "equivariance_gap",
+                 id="symmetry-equivariance_gap"),
+    # errors proportional to q0: a measured order of 1 where N + 1 = 4 is expected
+    pytest.param("sweep", SWEEP_DOC, "oracle_errors",
+                 lambda errors: lambda points: [1e-3 * point.problem.q0 for point in points],
+                 "0.1", id="sweep-pair"),
+    pytest.param("appendix", None, "velocity_at_zero",
+                 lambda velocity: lambda model: dataclasses.replace(velocity(model),
+                                                                    max_deviation=1.0),
+                 "velocity_at_zero", id="appendix-velocity_at_zero"),
+]
+
+
+def _passed_by_check(out, command, check) -> tuple[list, list]:
+    """The ``passed`` cells of the rows (or reports) of ``check`` and of the
+    other asserted checks in the bundle at ``out``."""
+    if command == "appendix":
+        cells = [(c["name"] == check, c["passed"])
+                 for c in _read_json(out / "report.json")["checks"]]
+    elif command == "sweep":
+        cells = [(row["q0"] == check, row["passed"])
+                 for row in _read_rows(out / "convergence.csv") if row["asserted"] == "true"]
+    else:
+        cells = [(row["check"].startswith(check), row["passed"])
+                 for row in _read_rows(out / "diagnostics.csv")]
+    return ([passed for mine, passed in cells if mine],
+            [passed for mine, passed in cells if not mine])
+
+
+@pytest.mark.parametrize("command, document, name, patch, check", FAILING_CHECKS)
+def test_every_check_can_fail_its_bundle(monkeypatch, capsys, tmp_path, command, document,
+                                         name, patch, check):
+    out = tmp_path / "out"
+    args = [command] if document is None else [command, _write(tmp_path, document)]
+    assert main([*args, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, name, patch(getattr(cli, name)))
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{command}: FAIL in ")
+    assert _read_json(out / "manifest.json")["all_passed"] is False
+    failed, others = _passed_by_check(out, command, check)
+    assert failed and all(passed in (False, "false") for passed in failed)
+    assert all(passed in (True, "true") for passed in others)
+
+
+def _raise_domain_error(*args):
+    raise DomainError("injected")
+
+
+BUNDLES = [
+    pytest.param(["solve", SL2_DOC], None, 0, id="solve"),
+    pytest.param(["symmetry", SYMMETRY_DOC], None, 0, id="symmetry"),
+    pytest.param(["sweep", SWEEP_DOC], None, 0, id="sweep"),
+    pytest.param(["appendix"], None, 0, id="appendix"),
+    pytest.param(["appendix", "--poly", "0,2,-2"], None, 4, id="appendix-rejected"),
+    pytest.param(["appendix", "--poly", "nan"], None, 4, id="appendix-nan"),
+    pytest.param(["appendix", "--points", str(MAX_GRID_POINTS + 1)], None, 4,
+                 id="appendix-points-cap"),
+    pytest.param(["selftest"], None, 0, id="selftest"),
+    pytest.param(["sweep", SWEEP_DOC], "oracle_errors", 2, id="sweep-oracle-error"),
+]
+
+
+@pytest.mark.parametrize("args, fault, code", BUNDLES)
+def test_bundle_holds_exactly_its_manifest_files(monkeypatch, tmp_path, args, fault, code):
+    if fault is not None:
+        monkeypatch.setattr(cli, fault, _raise_domain_error)
+    out = tmp_path / "out"
+    argv = [arg if isinstance(arg, str) else _write(tmp_path, arg) for arg in args]
+    assert main([*argv, "--out", str(out)]) == code
+    if code == 2:
+        assert not out.exists()
+        return
+    manifest = _read_json(out / "manifest.json")
+    assert manifest["all_passed"] is (code == 0)
+    bundles = {"solve", "symmetry", "appendix"} if args[0] == "selftest" else set()
+    assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], *bundles])
+    for name in bundles:
+        assert sorted(os.listdir(out / name)) == _read_json(out / name / "manifest.json")["outputs"]
+
+
+def test_problem_size_caps():
+    preset = {"schema": 1, "P": {"kind": "preset", "name": "toda-3"}}
+    huge = [
+        {**preset, "grid": {"h": 1e-9, "T": 1.0}},
+        {**preset, "N": 10**9},
+        {**SL2_DOC, "backend": {"kind": "matrix", "n": 10**5}},
+        {**DIFFOP_DOC, "backend": {"kind": "circle-diffop", "max_order": 10**4,
+                                   "max_mode": 10**4}},
+    ]
+    for document in huge:
+        with pytest.raises(ProblemFormatError, match=f"exceed.* {MAX_FLOW_BYTES} bytes"):
+            build_problem(document)
 
 
 def _special_flow(nodes: int, field: str) -> FlowSample:

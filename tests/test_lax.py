@@ -337,6 +337,18 @@ def test_diffop_product_count(monkeypatch):
     assert len(calls) == 231
 
 
+def test_flow_size_cap():
+    # a 1x1 real flow on one step holds 2 * (N + 1) * 8 bytes
+    one = AlgebraElement.one(matrix_descriptor(1))
+    path = OperatorPath.constant(one)
+    largest = algebra.MAX_FLOW_BYTES // 16 - 1
+    assert LaxProblem(one, path, q0=0.5, order=largest, grid=(1.0, 1.0)).order == largest
+    with pytest.raises(DomainError, match="flow's nodes exceed"):
+        LaxProblem(one, path, q0=0.5, order=largest + 1, grid=(1.0, 1.0))
+    with pytest.raises(DomainError, match="flow's nodes exceed"):
+        LaxProblem(one, path, q0=0.5, order=4, grid=(1e-9, 1.0))
+
+
 def test_preset_names_and_validation():
     assert PRESET_NAMES == ("rotation-2", "sl2-nilpotent", "toda-3")
     with pytest.raises(DomainError):

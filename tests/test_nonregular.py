@@ -5,6 +5,7 @@ import pytest
 
 from qlax import DomainError
 from qlax.nonregular import (
+    MAX_GRID_POINTS,
     AppendixModel,
     ModelError,
     c_path,
@@ -39,6 +40,20 @@ def test_model_precondition_gates():
         AppendixModel(margin=0.6)
     with pytest.raises(ModelError):
         AppendixModel(points=2)
+    with pytest.raises(ModelError):
+        AppendixModel(points=MAX_GRID_POINTS + 1)  # rejected before the grid is built
+    assert len(AppendixModel(points=MAX_GRID_POINTS).grid()) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("coefficients, margin", [
+    ((float("nan"),), 1e-3),
+    ((0.0, float("nan"), -0.5), 1e-3),
+    ((0.0, 0.5, float("nan")), 1e-3),
+    ((0.0, 0.5, -0.5), float("nan")),
+])
+def test_nan_model_is_rejected(coefficients, margin):
+    with pytest.raises(ModelError):
+        AppendixModel(coefficients=coefficients, margin=margin)
 
 
 def test_phi_literals():
