@@ -405,17 +405,15 @@ def _write_bundle(out_dir: str, command: str, inputs: dict, writers: dict,
     return all_passed
 
 
-def _problem_echo(document: dict | None, problem: LaxProblem, options: dict) -> dict:
-    echo = {
+def _problem_echo(document: dict, problem: LaxProblem, options: dict) -> dict:
+    return {
         "q0": problem.q0,
         "order": problem.order,
         "grid": {"h": problem.grid[0], "T": problem.grid[1]},
         "path_name": problem.path.name,
         "options": options,
+        "document": document,
     }
-    if document is not None:
-        echo["document"] = document
-    return echo
 
 
 # -- subcommands --------------------------------------------------------------
@@ -548,9 +546,7 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> bo
         raise CapabilityError("sweeps evaluate entrywise and need the matrix backend")
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
 
-    points = [solve_lax(LaxProblem(problem.initial, problem.path, q0, problem.order,
-                                   problem.grid))
-              for q0 in sweep_values]
+    points = [solve_lax(dataclasses.replace(problem, q0=q0)) for q0 in sweep_values]
     rows = _convergence_rows(sweep_values, oracle_errors(points), problem.order + 1)
 
     inputs = {**_problem_echo(document, problem, options), "sweep": list(sweep_values)}

@@ -7,6 +7,9 @@ The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways:
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
+Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
+every integration, which this module re-exports with its defaults.
+
 Diagnostics: a centred-difference residual of the flow equation, conserved
 traces of powers (conjugation invariance), and a plain RK4 oracle for the
 evaluated series, whose error must shrink like ``q0^(order+1)``.
@@ -21,13 +24,12 @@ small whatever the grid length and coefficient size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from qlax.algebra import (
     MATRIX,
-    MAX_FLOW_BYTES,
     AlgebraElement,
     CapabilityError,
     DomainError,
@@ -46,38 +48,16 @@ from qlax.series import (
     right_divide,
 )
 from qlax.timeorder import (
+    DEFAULT_GRID,
+    DEFAULT_ORDER,
+    DEFAULT_SCALING,
     FlowSample,
+    LaxProblem,
     OperatorPath,
-    _check_scaling,
     _expand_grid,
     _integrate_chain,
     time_ordered_exp,
 )
-
-DEFAULT_ORDER = 8
-DEFAULT_GRID = (1e-3, 1.0)
-DEFAULT_SCALING = 0.5
-
-
-@dataclass(frozen=True)
-class LaxProblem:
-    """A Lax flow instance: initial element, driving path, scaling, truncation, grid."""
-
-    initial: AlgebraElement
-    path: OperatorPath
-    q0: float = DEFAULT_SCALING
-    order: int = DEFAULT_ORDER
-    grid: tuple[float, float] = DEFAULT_GRID
-
-    def __post_init__(self) -> None:
-        if self.initial.descriptor != self.path.descriptor:
-            raise ShapeMismatchError("initial element and path live in different algebras")
-        _check_scaling(self.q0)
-        if self.order < 1:
-            raise DomainError("truncation order must be >= 1")
-        steps = _expand_grid(self.grid)[2]
-        if (steps + 1) * (self.order + 1) * self.initial.data.nbytes > MAX_FLOW_BYTES:
-            raise DomainError(f"the flow's nodes exceed {MAX_FLOW_BYTES} bytes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +92,7 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
 def integrate_directly(problem: LaxProblem) -> FlowSample:
     """Second route: RK4 on the triangular bracket system, no conjugation."""
     descriptor = problem.initial.descriptor
-    times, values = _integrate_chain(lambda p, x: stacked_commutator(descriptor, p, x),
-                                     problem.path, problem.q0, problem.initial,
-                                     problem.order, problem.grid)
-    return FlowSample(times=times, values=values, descriptor=descriptor,
-                      step=float(problem.grid[0]), order=problem.order, q0=problem.q0)
+    return _integrate_chain(lambda p, x: stacked_commutator(descriptor, p, x), problem)
 
 
 def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
@@ -249,8 +225,7 @@ def oracle_integrate(result: LaxFlowResult) -> OracleComparison:
     so halving the scaling should divide the error by about ``2^(order+1)``.
     """
     problem = result.problem
-    halved = solve_lax(LaxProblem(problem.initial, problem.path, problem.q0 / 2.0,
-                                  problem.order, problem.grid))
+    halved = solve_lax(replace(problem, q0=problem.q0 / 2.0))
     error, error_half = oracle_errors([result, halved])
     if error > 0.0 and error_half > 0.0:
         ratio = math.log2(error / error_half)

@@ -75,15 +75,9 @@ class IndexMonoid:
 
     name: str
     neutral: Any | None
-    grade_of: Callable[[Any], int]
-    compose_pair: Callable[[Any, Any], Any | None]
+    grade: Callable[[Any], int]
+    compose: Callable[[Any, Any], Any | None]
     grade_elements: Callable[[int], tuple]
-
-    def grade(self, index) -> int:
-        return self.grade_of(index)
-
-    def compose(self, first, second):
-        return self.compose_pair(first, second)
 
     def enumerate_grade(self, grade: int) -> tuple:
         if grade < 0:
@@ -96,8 +90,8 @@ def natural_monoid() -> IndexMonoid:
     return IndexMonoid(
         name="natural",
         neutral=0,
-        grade_of=lambda n: n,
-        compose_pair=lambda a, b: a + b,
+        grade=lambda n: n,
+        compose=lambda a, b: a + b,
         grade_elements=lambda n: (n,),
     )
 
@@ -127,8 +121,8 @@ def gr1_monoid() -> IndexMonoid:
     return IndexMonoid(
         name="gr1",
         neutral=NEUTRAL_INDEX,
-        grade_of=lambda index: index[1],
-        compose_pair=_gr1_compose,
+        grade=lambda index: index[1],
+        compose=_gr1_compose,
         grade_elements=_gr1_grade_elements,
     )
 
@@ -168,8 +162,8 @@ def generated_monoid(monoid: IndexMonoid, generators, max_grade: int) -> IndexMo
     return IndexMonoid(
         name=f"{monoid.name}-generated",
         neutral=monoid.neutral if monoid.neutral in family else None,
-        grade_of=monoid.grade_of,
-        compose_pair=monoid.compose_pair,
+        grade=monoid.grade,
+        compose=monoid.compose,
         grade_elements=grade_elements,
     )
 

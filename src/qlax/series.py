@@ -17,7 +17,8 @@ sums here:
 The products, the right division and evaluation are kernels on stacked
 series: ``(nodes, N+1, *shape)`` arrays holding one series per node, so a
 sampled flow is multiplied, divided or evaluated in one pass.  A
-:class:`GradedSeries` is the one-node case of the same kernels.
+:class:`GradedSeries` is one read-only ``(N+1, *shape)`` array, and its
+arithmetic is array operations and the one-node case of the same kernels.
 """
 
 from __future__ import annotations
@@ -161,9 +162,13 @@ def centred_residual(descriptor: AlgebraDescriptor, values: np.ndarray, step: fl
 
 
 class GradedSeries:
-    """Immutable truncated series; ``coeffs[n]`` is the grade-``n`` coefficient."""
+    """Immutable truncated series: one read-only ``(N+1, *shape)`` array ``values``
+    whose entry ``n`` is the payload of the grade-``n`` coefficient in ``descriptor``.
 
-    __slots__ = ("descriptor", "coeffs")
+    ``coeffs`` shows the grades as :class:`AlgebraElement`, built on access.
+    """
+
+    __slots__ = ("descriptor", "values")
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -173,8 +178,12 @@ class GradedSeries:
         for c in coeffs[1:]:
             if c.descriptor != descriptor:
                 raise ShapeMismatchError("series coefficients live in different algebras")
+        self._hold(descriptor, np.stack([c.data for c in coeffs]))
+
+    def _hold(self, descriptor: AlgebraDescriptor, values: np.ndarray) -> None:
+        values.setflags(write=False)
         object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("GradedSeries is immutable")
@@ -182,14 +191,23 @@ class GradedSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_values(cls, descriptor: AlgebraDescriptor, values) -> "GradedSeries":
+        """The series whose grade-``n`` coefficient has payload ``values[n]`` (a copy)."""
+        values = np.array(values, dtype=descriptor.dtype)
+        if values.shape[1:] != descriptor.shape or not len(values):
+            raise ShapeMismatchError(f"series values of shape {values.shape} do not hold "
+                                     f"coefficients of shape {descriptor.shape}")
+        series = object.__new__(cls)
+        series._hold(descriptor, values)
+        return series
+
+    @classmethod
     def zero(cls, descriptor: AlgebraDescriptor, order: int) -> "GradedSeries":
-        z = AlgebraElement.zero(descriptor)
-        return cls([z] * (order + 1))
+        return cls.single(descriptor, order, 0, AlgebraElement.zero(descriptor))
 
     @classmethod
     def unit(cls, descriptor: AlgebraDescriptor, order: int) -> "GradedSeries":
-        z = AlgebraElement.zero(descriptor)
-        return cls([AlgebraElement.one(descriptor)] + [z] * order)
+        return cls.single(descriptor, order, 0, AlgebraElement.one(descriptor))
 
     @classmethod
     def single(cls, descriptor: AlgebraDescriptor, order: int, grade: int,
@@ -199,44 +217,34 @@ class GradedSeries:
             raise DomainError(f"grade {grade} outside 0..{order}")
         if element.descriptor != descriptor:
             raise ShapeMismatchError("element does not match the series descriptor")
-        z = AlgebraElement.zero(descriptor)
-        coeffs = [z] * (order + 1)
-        coeffs[grade] = element
-        return cls(coeffs)
+        values = np.zeros((order + 1, *descriptor.shape), dtype=descriptor.dtype)
+        values[grade] = element.data
+        return cls.from_values(descriptor, values)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.values) - 1
+
+    @property
+    def coeffs(self) -> tuple[AlgebraElement, ...]:
+        return tuple(AlgebraElement(self.descriptor, v) for v in self.values)
 
     def valuation(self):
         """Least grade with a nonzero coefficient; ``math.inf`` for the zero series."""
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return n
-        return math.inf
+        grades = np.flatnonzero(_nonzero_grades(self.values[None])[0])
+        return int(grades[0]) if grades.size else math.inf
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.descriptor == other.descriptor and np.array_equal(self.values, other.values)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"<GradedSeries order={self.order} valuation={self.valuation()}>"
-
-    @property
-    def values(self) -> np.ndarray:
-        """The coefficients as one ``(N+1, *shape)`` array."""
-        return np.stack([c.data for c in self.coeffs])
-
-    @classmethod
-    def from_values(cls, descriptor: AlgebraDescriptor, values: np.ndarray) -> "GradedSeries":
-        """The series whose grade-``n`` coefficient has payload ``values[n]``."""
-        return cls([AlgebraElement(descriptor, v) for v in values])
 
     def _check_compatible(self, other: "GradedSeries") -> None:
         if self.descriptor != other.descriptor:
@@ -245,45 +253,43 @@ class GradedSeries:
             raise ShapeMismatchError(
                 f"truncation orders differ: {self.order} vs {other.order}")
 
+    def _like(self, values: np.ndarray) -> "GradedSeries":
+        return GradedSeries.from_values(self.descriptor, values)
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return GradedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like(self.values + other.values)
 
     def __sub__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_compatible(other)
-        return GradedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like(self.values - other.values)
 
     def __neg__(self):
-        return GradedSeries([-a for a in self.coeffs])
+        return self._like(-self.values)
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
             self._check_compatible(other)
-            return self._cauchy(other)
-        if isinstance(other, numbers.Number):
-            return GradedSeries([c * other for c in self.coeffs])
-        return NotImplemented
+            return self._like(cauchy_product(self.descriptor, self.values[None],
+                                             other.values[None])[0])
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
-            return GradedSeries([c * other for c in self.coeffs])
+            return self._like(self.values * coerce_scalar(self.descriptor, other))
         return NotImplemented
-
-    def _cauchy(self, other: "GradedSeries") -> "GradedSeries":
-        product = cauchy_product(self.descriptor, self.values[None], other.values[None])
-        return GradedSeries.from_values(self.descriptor, product[0])
 
     # -- group maps --------------------------------------------------------
 
     def exp(self) -> "GradedSeries":
         """``sum_{k<=N} S^k / k!``; requires valuation >= 1 so the sum is finite."""
-        if not self.coeffs[0].is_zero:
+        if self.values[0].any():
             raise DomainError("exp needs valuation >= 1 (zero grade-0 coefficient)")
         acc = GradedSeries.unit(self.descriptor, self.order)
         term = acc
@@ -292,17 +298,13 @@ class GradedSeries:
             acc = acc + term
         return acc
 
-    def _unit_offset(self) -> "GradedSeries":
-        one = AlgebraElement.one(self.descriptor)
-        if self.coeffs[0] != one:
-            raise DomainError("grade-0 coefficient must equal the unit")
-        return self - GradedSeries.unit(self.descriptor, self.order)
-
     def log(self) -> "GradedSeries":
         """``sum_{k<=N} (-1)^(k+1) (U-1)^k / k``; requires unit grade-0 coefficient."""
-        offset = self._unit_offset()
-        acc = GradedSeries.zero(self.descriptor, self.order)
         power = GradedSeries.unit(self.descriptor, self.order)
+        if not np.array_equal(self.values[0], power.values[0]):
+            raise DomainError("grade-0 coefficient must equal the unit")
+        offset = self - power
+        acc = GradedSeries.zero(self.descriptor, self.order)
         for k in range(1, self.order + 1):
             power = power * offset
             acc = acc + power * ((-1.0) ** (k + 1) / k)
@@ -311,8 +313,7 @@ class GradedSeries:
     def inverse(self) -> "GradedSeries":
         """``U^(-1)`` by forward substitution (:func:`right_divide`); requires unit grade-0."""
         unit = GradedSeries.unit(self.descriptor, self.order).values[None]
-        inverse = right_divide(self.descriptor, unit, self.values[None])
-        return GradedSeries.from_values(self.descriptor, inverse[0])
+        return self._like(right_divide(self.descriptor, unit, self.values[None])[0])
 
     def unit_inverse(self) -> "GradedSeries":
         """Inverse for an invertible grade-0 coefficient (matrix backend).
@@ -322,16 +323,13 @@ class GradedSeries:
         """
         if self.descriptor.backend != MATRIX:
             raise CapabilityError("unit_inverse needs the matrix backend (dense solve)")
-        a0 = self.coeffs[0]
         eye = np.eye(self.descriptor.n, dtype=self.descriptor.dtype)
         try:
-            a0_inv_data = np.linalg.solve(a0.data, eye)
+            a0_inv = np.linalg.solve(self.values[0], eye)
         except np.linalg.LinAlgError as exc:
             raise DomainError("grade-0 coefficient is singular") from exc
-        a0_inv = AlgebraElement(self.descriptor, a0_inv_data)
-        unit = AlgebraElement.one(self.descriptor)
-        headed = GradedSeries([unit] + [a0_inv * c for c in self.coeffs[1:]])
-        return GradedSeries([c * a0_inv for c in headed.inverse().coeffs])
+        headed = self._like(np.concatenate((eye[None], a0_inv @ self.values[1:])))
+        return self._like(headed.inverse().values @ a0_inv)
 
     # -- evaluation --------------------------------------------------------
 

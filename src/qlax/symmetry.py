@@ -111,10 +111,7 @@ def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: flo
     The driving path is the element-level path, pushed through ``ad``; the
     result is the solve of that operator-algebra problem.
     """
-    operator_path = ad_path(path)
-    if initial_operator.descriptor != operator_path.descriptor:
-        raise ShapeMismatchError("initial operator does not match the operator algebra")
-    return solve_lax(LaxProblem(initial=initial_operator, path=operator_path,
+    return solve_lax(LaxProblem(initial=initial_operator, path=ad_path(path),
                                 q0=q0, order=order, grid=grid))
 
 

@@ -16,7 +16,8 @@ Since no grade feeds back into itself, RK4 integrates the chain one node
 block at a time and, within a block, one grade at a time: each stage of a
 grade is one product over all the block's steps, and the grade's nodes are
 the running sum of its step increments.  A sampled path is kept as one
-``(nodes, N+1, *shape)`` array (:class:`FlowSample`).
+``(nodes, N+1, *shape)`` array (:class:`FlowSample`).  Every integration
+takes a :class:`LaxProblem`, whose construction is the one check of its inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlax.algebra import (
+    MAX_FLOW_BYTES,
     AlgebraDescriptor,
     AlgebraElement,
     DomainError,
@@ -38,6 +40,9 @@ from qlax.algebra import (
 from qlax.series import GradedSeries, centred_residual, right_divide
 
 MAX_PATH_DEGREE = 8
+DEFAULT_ORDER = 8
+DEFAULT_GRID = (1e-3, 1.0)
+DEFAULT_SCALING = 0.5
 
 
 @dataclass(frozen=True)
@@ -174,39 +179,58 @@ def _expand_grid(grid) -> tuple[float, float, int]:
     return step, horizon, int(steps)
 
 
-def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElement,
-                     order: int, grid) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class LaxProblem:
+    """A Lax flow instance: initial element, driving path, scaling, truncation, grid.
+    Building one checks every field and the ``MAX_FLOW_BYTES`` cap before anything is
+    allocated."""
+
+    initial: AlgebraElement
+    path: OperatorPath
+    q0: float = DEFAULT_SCALING
+    order: int = DEFAULT_ORDER
+    grid: tuple[float, float] = DEFAULT_GRID
+
+    def __post_init__(self) -> None:
+        if self.initial.descriptor != self.path.descriptor:
+            raise ShapeMismatchError("initial element and path live in different algebras")
+        _check_scaling(self.q0)
+        if self.order < 1:
+            raise DomainError("truncation order must be >= 1")
+        steps = _expand_grid(self.grid)[2]
+        if (steps + 1) * (self.order + 1) * self.initial.data.nbytes > MAX_FLOW_BYTES:
+            raise DomainError(f"the flow's nodes exceed {MAX_FLOW_BYTES} bytes")
+
+
+def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
     """RK4 for the triangular system ``X_i' = produce(P(q0 t), X_{i-1})``.
 
-    ``X_0 = base`` is constant and ``X_i(0) = 0`` for ``i >= 1``.  No grade
-    feeds back into itself, so each node block is integrated grade by grade:
-    each RK4 stage of grade ``i`` is one call ``produce(p, x)`` on the block's
-    ``(steps, *shape)`` stack of path samples and grade ``i - 1``'s stage
-    inputs (``base`` itself for grade 1).  The grade's nodes are the sequential
-    sums ``X_{k+1} = X_k + delta_k`` of its step increments (``np.cumsum``),
-    started from the node carried over from the previous block, so each node
-    gets the sum a step-by-step loop forms.  Returns the node times and the
-    ``(nodes, order + 1, *shape)`` array of series ``(base, X_1, ..., X_order)``.
+    ``X_0 = problem.initial`` is constant and ``X_i(0) = 0`` for ``i >= 1``.
+    No grade feeds back into itself, so each node block is integrated grade by
+    grade: each RK4 stage of grade ``i`` is one call ``produce(p, x)`` on the
+    block's ``(steps, *shape)`` stack of path samples and grade ``i - 1``'s
+    stage inputs (``X_0`` itself for grade 1).  The grade's nodes are the
+    sequential sums ``X_{k+1} = X_k + delta_k`` of its step increments
+    (``np.cumsum``), started from the node carried over from the previous
+    block, so each node gets the sum a step-by-step loop forms.  Returns the
+    sample of the series ``(X_0, X_1, ..., X_order)``.
     """
-    if order < 1:
-        raise DomainError("truncation order must be >= 1")
-    _check_scaling(q0)
-    if path.descriptor != base.descriptor:
-        raise ShapeMismatchError("path and base element live in different algebras")
-    step, horizon, steps = _expand_grid(grid)
-    descriptor = base.descriptor
+    path, q0, order = problem.path, problem.q0, problem.order
+    step, horizon, steps = _expand_grid(problem.grid)
+    base = problem.initial.data
+    descriptor = path.descriptor
     times = np.linspace(0.0, horizon, steps + 1)
     half = 0.5 * step
     sixth = step / 6.0
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
-    values[:, 0] = base.data
+    values[:, 0] = base
     for block in blocks(steps, values[0].nbytes):
         # P(q0 t) at the start, midpoint and end of every step
         start, middle, end = (path.sample(q0 * (times[block] + shift))
                               for shift in (0.0, half, step))
         samples = start, middle, middle, end
         nodes = slice(block.start, block.stop + 1)
-        inputs = (base.data,) * 4
+        inputs = (base,) * 4
         for i in range(1, order + 1):
             k1, k2, k3, k4 = (produce(p, x) for p, x in zip(samples, inputs))
             deltas = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -214,7 +238,7 @@ def _integrate_chain(produce, path: OperatorPath, q0: float, base: AlgebraElemen
                                          axis=0)
             x = values[block, i]
             inputs = x, x + half * k1, x + half * k2, x + step * k3
-    return times, values
+    return FlowSample(times, values, descriptor, step=step, order=order, q0=q0)
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
@@ -224,11 +248,8 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
     grades: grade ``i`` only ever reads grades below it.
     """
     descriptor = path.descriptor
-    base = AlgebraElement.one(descriptor)
-    times, values = _integrate_chain(lambda p, x: stacked_product(descriptor, p, x),
-                                     path, q0, base, order, grid)
-    return FlowSample(times=times, values=values, descriptor=descriptor,
-                      step=float(grid[0]), order=order, q0=q0)
+    problem = LaxProblem(AlgebraElement.one(descriptor), path, q0, order, grid)
+    return _integrate_chain(lambda p, x: stacked_product(descriptor, p, x), problem)
 
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,

@@ -244,3 +244,74 @@ def test_shape_guards():
         a + b
     with pytest.raises(ShapeMismatchError):
         a * c
+
+
+def _contract_series(kind: str):
+    """Two order-4 series with a zero grade each, and their algebra.
+
+    Half the matrix entries are zero and each complex entry is real or
+    imaginary, so complex products meet ``-0.0``.  Every nonzero diffop
+    coefficient fills the same rows and modes, so each product of a pair
+    reaches the same window inside a stack as on its own.
+    """
+    rng = np.random.default_rng(11)
+    if kind == "diffop":
+        desc = diffop_descriptor(4, 4)
+        center = slice(desc.max_mode - 1, desc.max_mode + 2)
+
+        def draw():
+            data = np.zeros(desc.shape, dtype=np.complex128)
+            data[:2, center] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            return AlgebraElement(desc, data)
+    else:
+        desc = matrix_descriptor(3, kind)
+
+        def draw():
+            values = rng.standard_normal(desc.shape)
+            values[rng.random(desc.shape) < 0.5] = 0.0
+            if kind == "complex":
+                values = np.where(rng.random(desc.shape) < 0.5, values, 1j * values)
+            return AlgebraElement(desc, values)
+    zero = AlgebraElement.zero(desc)
+    a = GradedSeries([draw(), draw(), zero, draw(), draw()])
+    b = GradedSeries([draw(), zero, draw(), draw(), zero])
+    return desc, a, b
+
+
+def _cauchy_by_coefficient(a: GradedSeries, b: GradedSeries) -> list[AlgebraElement]:
+    """``graded_product``'s rules on elements: ``i`` ascending, the first term
+    assigned, pairs with a zero factor skipped."""
+    grades = []
+    for n in range(a.order + 1):
+        total = AlgebraElement.zero(a.descriptor)
+        started = False
+        for i in range(n + 1):
+            x, y = a.coeffs[i], b.coeffs[n - i]
+            if x.is_zero or y.is_zero:
+                continue
+            total = total + x * y if started else x * y
+            started = True
+        grades.append(total)
+    return grades
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "diffop"])
+def test_series_is_one_array_with_coefficient_arithmetic(kind):
+    desc, a, b = _contract_series(kind)
+    assert GradedSeries.__slots__ == ("descriptor", "values")
+    assert a.values.shape == (5, *desc.shape)
+    with pytest.raises(ValueError):
+        a.values[0, 0, 0] = 1.0
+    for bad in (np.zeros(desc.shape), np.zeros((0, *desc.shape)),
+                np.zeros((2, desc.shape[0] + 1, desc.shape[1]))):
+        with pytest.raises(ShapeMismatchError):
+            GradedSeries.from_values(desc, bad)
+    scalar = 0.37 if kind == "real" else 0.37 - 0.5j
+    cases = [(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+             (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+             (a * scalar, [x * scalar for x in a.coeffs]),
+             (scalar * a, [scalar * x for x in a.coeffs]),
+             (a * b, _cauchy_by_coefficient(a, b)),
+             (b * a, _cauchy_by_coefficient(b, a))]
+    for series, expected in cases:
+        assert series.values.tobytes() == np.stack([c.data for c in expected]).tobytes()

@@ -196,6 +196,12 @@ def test_diffop_backend_rejected():
         solve_symmetry(AlgebraElement.one(desc), zero_path, 0.5, 3, (1e-2, 0.1))
 
 
+def test_operator_of_the_wrong_algebra_rejected():
+    path = OperatorPath.constant(matrix_element(E12))
+    with pytest.raises(ShapeMismatchError):
+        solve_symmetry(AlgebraElement.one(matrix_descriptor(2)), path, 0.5, 3, (1e-2, 0.1))
+
+
 def test_ad_path_maps_coefficients():
     b = matrix_element(E12)
     path = OperatorPath.polynomial([b, 2.0 * b])

@@ -10,6 +10,7 @@ from qlax import (
     AlgebraElement,
     GradedSeries,
     algebra,
+    timeorder,
     diffop_descriptor,
     diffop_element,
     matrix_descriptor,
@@ -18,6 +19,7 @@ from qlax import (
 from qlax.algebra import stacked_commutator, stacked_product
 from qlax.timeorder import (
     FlowSample,
+    LaxProblem,
     OperatorPath,
     _integrate_chain,
     left_log_derivative_residual,
@@ -165,10 +167,10 @@ def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
     monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     signed_zeros = 0
     for name, produce, path, base in _chains():
-        chain = _integrate_chain(produce, path, 0.7, base, 4, (0.02, 1.0))
+        chain = _integrate_chain(produce, LaxProblem(base, path, 0.7, 4, (0.02, 1.0)))
         reference = integrate_chain_reference(produce, path, 0.7, base, 4, (0.02, 1.0))
-        assert chain[0].tobytes() == reference[0].tobytes(), name
-        assert chain[1].tobytes() == reference[1].tobytes(), name
+        assert chain.times.tobytes() == reference[0].tobytes(), name
+        assert chain.values.tobytes() == reference[1].tobytes(), name
         # the first slope; the loop sums its -0.0 entries into node 1 as 0.0 + (-0.0)
         floats = np.asarray(produce(path.sample(np.zeros(1)), base.data)).view(np.float64)
         signed_zeros += np.count_nonzero(np.signbit(floats) & (floats == 0.0))
@@ -180,9 +182,11 @@ def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     for produce, base in ((stacked_product, AlgebraElement.one(desc)),
                           (stacked_commutator, initial)):
-        args = (lambda p, x, f=produce: f(desc, p, x), path, 0.5, base, 3, (0.02, 0.5))
-        values = _integrate_chain(*args)[1]
-        reference = integrate_chain_reference(*args)[1]
+        def multiply(p, x, f=produce):
+            return f(desc, p, x)
+
+        values = _integrate_chain(multiply, LaxProblem(base, path, 0.5, 3, (0.02, 0.5))).values
+        reference = integrate_chain_reference(multiply, path, 0.5, base, 3, (0.02, 0.5))[1]
         assert np.abs(values - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
@@ -226,3 +230,13 @@ def test_grid_validation():
     for grid in ((1e-3, np.inf), (1e-3, np.nan), (np.nan, 1.0), (np.inf, np.inf), (1e-310, 1.0)):
         with pytest.raises(DomainError):
             time_ordered_exp(path, q0=0.5, order=4, grid=grid)
+
+
+def test_time_ordered_exp_obeys_the_size_cap(monkeypatch):
+    # 11 nodes of a real 2x2 group of order 2 hold 11 * 3 * 32 = 1056 bytes
+    path = OperatorPath.constant(matrix_element(ROT))
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 1055)
+    with pytest.raises(DomainError, match="flow's nodes exceed"):
+        time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 1056)
+    assert time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0)).values.nbytes == 1056
