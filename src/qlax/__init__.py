@@ -52,7 +52,6 @@ from qlax.timeorder import (
 from qlax.lax import (
     LaxFlowResult,
     LaxProblem,
-    OracleComparison,
     PRESET_NAMES,
     TraceDriftTable,
     conserved_trace_tables,
@@ -105,8 +104,7 @@ __all__ = [
     "OperatorPath", "FlowSample",
     "time_ordered_exp", "left_log_derivative_residual",
     "LaxProblem", "LaxFlowResult", "solve_lax", "integrate_directly",
-    "flow_difference", "lax_residual", "TraceDriftTable",
-    "conserved_trace_tables", "OracleComparison",
+    "flow_difference", "lax_residual", "TraceDriftTable", "conserved_trace_tables",
     "oracle_errors", "oracle_integrate", "preset_problem", "PRESET_NAMES",
     "ad_operator", "ad_path", "operator_descriptor",
     "identity_operator", "apply_operator", "apply_operator_series",

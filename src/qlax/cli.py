@@ -439,11 +439,11 @@ def run_solve(document: dict, out_dir: str, overrides: dict | None = None) -> bo
     rows = _diagnostic_rows([("lax_residual", lax_residual(result), RESIDUAL_TOL),
                              *((f"trace_drift_k{power}", tables[power].drift, TRACE_TOL)
                                for power in powers)])
-    oracle = oracle_integrate(result)
-    if oracle.error <= ORACLE_EXACT_TOL:
-        rows.append(("oracle_exact", "", oracle.error, ORACLE_EXACT_TOL, True))
+    error, error_half = oracle_integrate(result)
+    if error <= ORACLE_EXACT_TOL:
+        rows.append(("oracle_exact", "", error, ORACLE_EXACT_TOL, True))
     else:
-        decay = oracle.error_half / oracle.error
+        decay = error_half / error
         rows.append(("oracle_decay", "", decay, ORACLE_DECAY_FACTOR,
                      decay <= ORACLE_DECAY_FACTOR))
 

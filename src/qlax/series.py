@@ -56,10 +56,10 @@ def graded_product(a: np.ndarray, b: np.ndarray, multiply) -> np.ndarray:
     ``y`` of shape ``(nodes, k, ...)``; ``mask`` flags the pairs whose factors
     are both nonzero.  The result has ``b``'s coefficient shape.
 
-    Each node gets the bits of the one-series loop: terms are added with
-    ``i`` ascending, each sum starts from its first term, and a pair with a
-    zero factor on that node adds nothing (a complex product of zero with a
-    nonzero factor can be ``-0.0``, which would change zero signs).
+    Terms are added with ``i`` ascending, and a pair with a zero factor on a
+    node adds nothing (a complex product of zero with a nonzero factor can be
+    ``-0.0``, which would change zero signs); a coefficient that no pair
+    reaches is ``+0.0``.
     """
     order = a.shape[1] - 1
     nodes = max(a.shape[0], b.shape[0])
@@ -71,7 +71,10 @@ def graded_product(a: np.ndarray, b: np.ndarray, multiply) -> np.ndarray:
         return out
     # grades of b outside [low, top) are zero on every node: no pair uses them
     low, top = int(used_b[0]), int(used_b[-1]) + 1
-    started = np.zeros((nodes, order + 1), dtype=bool)
+    # every sum starts at -0.0 (in both parts of a complex), the exact additive
+    # identity, so its first term keeps its bits
+    np.negative(out, out=out)
+    touched = np.zeros((nodes, order + 1), dtype=bool)
     for i in range(order + 1 - low):
         if not nonzero_a[:, i].any():
             continue
@@ -80,17 +83,12 @@ def graded_product(a: np.ndarray, b: np.ndarray, multiply) -> np.ndarray:
         mask = np.broadcast_to(nonzero_a[:, i, None] & nonzero_b[:, grades], (nodes, width))
         term = multiply(a[:, i, None], b[:, grades], mask)
         region = out[:, i + low:i + low + width]
-        seen = started[:, i + low:i + low + width]
-        added = mask & seen
-        fresh = mask & ~seen
-        if added.all():
+        if mask.all():
             region += term
-        elif fresh.all():
-            region[...] = term
         else:
-            region[added] += term[added]
-            region[fresh] = term[fresh]
-        seen |= mask
+            region[mask] += term[mask]
+        touched[:, i + low:i + low + width] |= mask
+    out[~touched] = 0.0
     return out
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +26,7 @@ from qlax.lax import (
     flow_difference,
     integrate_directly,
     lax_residual,
+    oracle_errors,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -182,25 +185,24 @@ def test_trace_table_guards():
 def test_oracle_exact_when_series_terminates():
     # nilpotent problem: truncation is exact, oracle gap is roundoff
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=6, grid=(1e-3, 0.5))
-    comparison = oracle_integrate(solve_lax(prob))
-    assert comparison.error <= 1e-12
+    error, _error_half = oracle_integrate(solve_lax(prob))
+    assert error <= 1e-12
 
 
 def test_oracle_zero_generator():
     desc = matrix_descriptor(2)
     rng = np.random.default_rng(2)
     prob = _problem(rand_matrix(rng, desc), AlgebraElement.zero(desc), grid=(1e-2, 0.2))
-    comparison = oracle_integrate(solve_lax(prob))
-    assert comparison.error == 0.0
+    error, _error_half = oracle_integrate(solve_lax(prob))
+    assert error == 0.0
 
 
 def test_oracle_convergence_order():
     # truncation at N leaves an O(q0^{N+1}) gap: halving q0 divides the
-    # error by about 2^{N+1}
+    # error by about 2^{N+1} = 2^5
     prob = preset_problem("toda-3", q0=0.2, order=4, grid=(1e-3, 1.0))
-    comparison = oracle_integrate(solve_lax(prob))
-    assert comparison.expected_order == 5
-    assert 4.5 <= comparison.log2_ratio <= 5.5
+    error, error_half = oracle_integrate(solve_lax(prob))
+    assert 4.5 <= math.log2(error / error_half) <= 5.5
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -212,10 +214,18 @@ def test_oracle_matches_one_rk4_loop_per_scaling(field, degree):
     path = OperatorPath.polynomial([rand_matrix(rng, desc) * 0.5 for _ in range(degree + 1)])
     prob = LaxProblem(rand_matrix(rng, desc), path, 0.6, 3, (0.01, 0.37))
     result = solve_lax(prob)
-    comparison = oracle_integrate(result)
-    error, error_half = oracle_errors_reference(result)
-    assert comparison.error == error
-    assert comparison.error_half == error_half
+    assert oracle_integrate(result) == oracle_errors_reference(result)
+
+
+@pytest.mark.parametrize("change", [
+    {"order": 3}, {"grid": (1e-2, 0.2)}, {"initial": matrix_element(np.eye(3))},
+    {"path": preset_problem("toda-3").path.scaled(0.5)},
+], ids=["order", "grid", "initial", "path"])
+def test_oracle_errors_rejects_solves_that_differ_beyond_q0(change):
+    prob = preset_problem("toda-3", q0=0.2, order=4, grid=(1e-2, 0.1))
+    other = solve_lax(replace(prob, q0=0.1, **change))
+    with pytest.raises(ShapeMismatchError, match="differ in more than their scaling"):
+        oracle_errors([solve_lax(prob), other])
 
 
 def _exact_conjugation(group_values: np.ndarray, initial: np.ndarray) -> np.ndarray:

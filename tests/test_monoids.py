@@ -12,6 +12,7 @@ from qlax import (
     OPEN,
     RIGHT_OPEN,
     DomainError,
+    ShapeMismatchError,
     AlgebraElement,
     GradedSeries,
     IndexedSeries,
@@ -158,6 +159,25 @@ def test_indexed_series_unit_and_single_products():
     product = s * t
     assert set(product.terms) == {(LEFT_OPEN, 2)}
     assert np.array_equal(product.coefficient((LEFT_OPEN, 2)).data, (a * b).data)
+
+
+def test_indexed_series_sum():
+    monoid = gr1_monoid()
+    desc = matrix_descriptor(2)
+    a = matrix_element(E12)
+    b = matrix_element(E21)
+    s = _indexed(monoid, desc, 4, {(CLOSED, 1): a})
+    t = _indexed(monoid, desc, 4, {(LEFT_OPEN, 1): b, (CLOSED, 1): b})
+    total = s + t
+    assert set(total.terms) == {(CLOSED, 1), (LEFT_OPEN, 1)}
+    assert np.array_equal(total.coefficient((CLOSED, 1)).data, (a + b).data)
+    assert total.coefficient((LEFT_OPEN, 1)) == b
+    assert (s + _indexed(monoid, desc, 4, {(CLOSED, 1): -1.0 * a})).terms == {}
+    assert s.__add__(a) is NotImplemented
+    with pytest.raises(ShapeMismatchError):
+        s + _indexed(monoid, desc, 3, {})
+    with pytest.raises(ShapeMismatchError):
+        s + _indexed(natural_monoid(), desc, 4, {})
 
 
 def test_undefined_composition_annihilates():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,15 @@ def test_ad_exp_ad_rejects_groups_on_another_grid_or_order():
         check_ad_exp_ad(group, group)  # not an operator-algebra group
 
 
+def test_ad_exp_ad_with_a_complex_probe():
+    # a complex group gets a complex probe: real and imaginary parts both conjugated
+    rng = np.random.default_rng(31)
+    desc = matrix_descriptor(3, "complex")
+    path = OperatorPath.polynomial([rand_matrix(rng, desc) * 0.5, rand_matrix(rng, desc) * 0.5])
+    group, operator_group = _groups(path, 0.4, 4, (2e-3, 0.2))
+    assert check_ad_exp_ad(group, operator_group).max() <= 1e-9
+
+
 def test_identity_initial_operator_flow_is_constant():
     prob = preset_problem("rotation-2", q0=0.5, order=4, grid=(5e-3, 0.25))
     sym = solve_symmetry(identity_operator(prob.initial.descriptor), prob.path,
@@ -122,6 +133,21 @@ def test_symmetry_residuals_below_threshold():
                          prob.q0, prob.order, prob.grid)
     assert lax_residual(sym).max() <= 1e-6
     assert symmetry_residual_full(sym, lax_result).max() <= 1e-6
+
+
+@pytest.mark.parametrize("preset, change, message", [
+    ("rotation-2", {"grid": (2e-3, 0.2)}, "different grids"),  # other node count
+    ("rotation-2", {"grid": (1e-3, 0.05)}, "different grids"),  # same nodes, other step
+    ("rotation-2", {"order": 3}, "different orders"),
+    ("toda-3", {}, "does not match the element algebra"),
+    ("rotation-2", {"q0": 0.25}, "different scalings"),
+], ids=["nodes", "step", "order", "algebra", "q0"])
+def test_symmetry_residual_rejects_flows_that_do_not_match(preset, change, message):
+    prob = preset_problem("rotation-2", q0=0.5, order=4, grid=(2e-3, 0.1))
+    sym = solve_symmetry(ad_operator(prob.initial), prob.path, prob.q0, prob.order, prob.grid)
+    other = replace(preset_problem(preset, q0=0.5, order=4, grid=(2e-3, 0.1)), **change)
+    with pytest.raises(ShapeMismatchError, match=message):
+        symmetry_residual_full(sym, solve_lax(other))
 
 
 def test_equivariance_ad_of_initial():
