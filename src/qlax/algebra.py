@@ -274,17 +274,21 @@ def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
                     mask: np.ndarray | None = None) -> np.ndarray:
     """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
 
-    Matrices multiply as one batched ``matmul``.  Diffop pairs are gathered
-    into one stack and composed by one call of the exact Leibniz kernel;
-    where ``mask`` (broadcast over the leading axes) is false the pair is
-    skipped and its slot stays zero.
+    Matrices multiply as one batched ``matmul``.  Diffop pairs are composed by
+    one call of the exact Leibniz kernel.  When every pair is wanted, the
+    stacks go to it as they are, reshaped to one axis of pairs; otherwise
+    the pairs where ``mask`` (broadcast over the leading axes) is true are
+    gathered, and every other slot stays zero.
     """
     if descriptor.backend == MATRIX:
         return a @ b
     a, b = np.broadcast_arrays(a, b)
+    lead, shape = a.shape[:-2], a.shape[-2:]
+    wanted = None if mask is None else np.broadcast_to(mask, lead)
+    if wanted is None or wanted.all():
+        return _diffop_products(descriptor, a.reshape(-1, *shape),
+                                b.reshape(-1, *shape)).reshape(a.shape)
     out = np.zeros(a.shape, dtype=np.complex128)
-    lead = a.shape[:-2]
-    wanted = np.ones(lead, dtype=bool) if mask is None else np.broadcast_to(mask, lead)
     index = np.nonzero(wanted)
     if index[0].size:
         out[index] = _diffop_products(descriptor, a[index], b[index])
@@ -355,45 +359,37 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     Each block of pairs is composed over every order and mode that the
     factors' spans reach.  An entry outside the window is a sum of products
     with an exactly zero factor unless the product really reaches it, so a
-    nonzero there raises :class:`WindowOverflowError` instead of being
-    truncated.  Only the rows and modes that are nonzero somewhere in the
-    stack take part.
+    block whose product has more nonzero entries than its in-window part
+    raises :class:`WindowOverflowError`, naming the cap it overflowed, instead
+    of being truncated.  Only the rows and modes that are nonzero somewhere
+    in the stack take part.
     """
     max_order = descriptor.max_order
     max_mode = descriptor.max_mode
-    a_rows = a.any(axis=(0, 2))
-    b_rows = b.any(axis=(0, 2))
-    if not a_rows.any() or not b_rows.any():
+    a_rows, a_modes = a.any(axis=0).nonzero()
+    b_rows, b_modes = b.any(axis=0).nonzero()
+    if not a_rows.size or not b_rows.size:
         return np.zeros(a.shape, dtype=np.complex128)
-    a_modes = _span(a.any(axis=(0, 1)))
-    b_modes = _span(b.any(axis=(0, 1)))
-    a = a[:, :_span(a_rows).stop, a_modes]
-    b = b[:, :_span(b_rows).stop, b_modes]
+    a_modes = slice(int(a_modes.min()), int(a_modes.max()) + 1)
+    b_modes = slice(int(b_modes.min()), int(b_modes.max()) + 1)
+    a = a[:, :int(a_rows[-1]) + 1, a_modes]
+    b = b[:, :int(b_rows[-1]) + 1, b_modes]
     orders = a.shape[1] + b.shape[1] - 1
     width = a.shape[2] + b.shape[2] - 1
-    # the Toeplitz stack is the largest temporary of a pair
-    toeplitz_bytes = 16 * width * b.shape[2] * a.shape[1]
     # the product's columns of modes -M and M + 1; either may lie outside it
     low = max_mode - a_modes.start - b_modes.start
     high = low + descriptor.width
     inside = slice(max(low, 0), max(low, min(high, width)))
     out = np.zeros((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
-    for block in blocks(len(a), toeplitz_bytes):
+    for block in blocks(len(a), _leibniz_pair_bytes(a.shape[1:], b.shape[1:])):
         wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode).transpose(0, 2, 1)
-        if wide[:, max_order + 1:].any():
-            raise WindowOverflowError(
-                f"product order exceeds the cap J={max_order}; enlarge the descriptor window")
-        if wide[:, :, :max(low, 0)].any() or wide[:, :, max(high, 0):].any():
-            raise WindowOverflowError(
-                f"product modes exceed the cap M={max_mode}; enlarge the descriptor window")
-        out[block, :orders, inside.start - low:inside.stop - low] = wide[:, :max_order + 1, inside]
+        kept = wide[:, :max_order + 1, inside]
+        if np.count_nonzero(wide) != np.count_nonzero(kept):
+            cap = (f"order exceeds the cap J={max_order}" if wide[:, max_order + 1:].any()
+                   else f"modes exceed the cap M={max_mode}")
+            raise WindowOverflowError(f"product {cap}; enlarge the descriptor window")
+        out[block, :orders, inside.start - low:inside.stop - low] = kept
     return out
-
-
-def _span(used: np.ndarray) -> slice:
-    """The smallest slice holding every true entry of a boolean vector with one."""
-    index = used.nonzero()[0]
-    return slice(int(index[0]), int(index[-1]) + 1)
 
 
 # The two tables below depend only on row and mode spans, which take a few
@@ -424,6 +420,20 @@ def _lift_weights(low_mode: int, high_mode: int, shifts: int) -> np.ndarray:
     return weights
 
 
+def _leibniz_pair_bytes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> int:
+    """Bytes of all the temporaries :func:`_leibniz_block` makes for one pair of
+    ``a_shape`` and ``b_shape`` payloads: ``b`` padded, shifted, lifted and lifted
+    pair-major, ``a`` padded, its Toeplitz stack and the product.  Blocks sized by
+    all of them, not by the largest alone, keep every temporary small enough to be
+    reused from the heap rather than mapped and faulted in afresh."""
+    (shifts, a_width), (b_rows, b_width) = a_shape, b_shape
+    orders = shifts + b_rows - 1
+    conv_width = a_width + b_width - 1
+    return 16 * (b_width * (b_rows + 2 * shifts - 2) + 3 * b_width * shifts * orders
+                 + (a_width + 2 * b_width - 2) * shifts + conv_width * b_width * shifts
+                 + conv_width * orders)
+
+
 def _leibniz_block(a: np.ndarray, b: np.ndarray, low_mode: int) -> np.ndarray:
     """Unwindowed Leibniz products of ``(P, S, Wa)`` and ``(P, K, Wb)`` payload blocks.
 
@@ -438,19 +448,25 @@ def _leibniz_block(a: np.ndarray, b: np.ndarray, low_mode: int) -> np.ndarray:
     so ``b`` is differentiated and shifted into ``lift`` once, and the mode
     convolution with every row of ``a`` is one batched matmul of ``a``'s
     Toeplitz matrices against it: a direct sum of products, never an FFT.
+    ``b``'s stack is laid out mode-major, ``(Wb, rows, P)``, so the lift is one
+    ``(S x S) @ (S x orders P)`` matmul per mode; one pair-major copy of it
+    then feeds the Toeplitz matmul.
     """
     count, shifts, a_width = a.shape
     b_rows, b_width = b.shape[1:]
     orders = shifts + b_rows - 1
     conv_width = a_width + b_width - 1
-    # shifted[p, m, s, r] = b[p, r - s, m], zero off b's rows
-    padded = np.zeros((count, b_width, b_rows + 2 * (shifts - 1)), dtype=np.complex128)
-    padded[:, :, shifts - 1:shifts - 1 + b_rows] = b.transpose(0, 2, 1)
-    shifted = np.take(padded, _toeplitz_index(orders, shifts).T, axis=2)
-    lift = _lift_weights(low_mode, low_mode + b_width - 1, shifts) @ shifted
+    # shifted[m, s, r, p] = b[p, r - s, m], zero off b's rows
+    padded = np.zeros((b_width, b_rows + 2 * (shifts - 1), count), dtype=np.complex128)
+    padded[:, shifts - 1:shifts - 1 + b_rows] = b.transpose(2, 1, 0)
+    shifted = np.take(padded, _toeplitz_index(orders, shifts).T, axis=1)
+    lift = (_lift_weights(low_mode, low_mode + b_width - 1, shifts)
+            @ shifted.reshape(b_width, shifts, orders * count))
+    # lift[p, m * S + j, r], pair-major
+    lift = lift.reshape(b_width, shifts, orders, count).transpose(3, 0, 1, 2).reshape(
+        count, b_width * shifts, orders)
     # toeplitz[p, n, m, j] = a[p, j, n - m], zero off a's modes
     padded = np.zeros((count, a_width + 2 * (b_width - 1), shifts), dtype=np.complex128)
     padded[:, b_width - 1:b_width - 1 + a_width] = a.transpose(0, 2, 1)
     toeplitz = np.take(padded, _toeplitz_index(conv_width, b_width), axis=1)
-    return (toeplitz.reshape(count, conv_width, b_width * shifts)
-            @ lift.reshape(count, b_width * shifts, orders))
+    return toeplitz.reshape(count, conv_width, b_width * shifts) @ lift

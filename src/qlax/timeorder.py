@@ -13,9 +13,10 @@ only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.
 
 Since no grade feeds back into itself, RK4 integrates the chain one node
-block at a time and, within a block, one grade at a time: each stage of a
-grade is one product over all the block's steps, and the grade's nodes are
-the running sum of its step increments.  A sampled path is kept as one
+block at a time and, within a block, one grade at a time: a grade is one
+product over all four RK4 stages of all the block's steps, stacked on a
+leading axis, and the grade's nodes are the running sum of its step
+increments.  A sampled path is kept as one
 ``(nodes, N+1, *shape)`` array (:class:`FlowSample`).  Every integration
 takes a :class:`LaxProblem`, whose construction is the one check of its inputs.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,12 +53,13 @@ class OperatorPath:
     ``q0`` is carried but unused: every integration routine takes the scaling
     parameter explicitly, and :func:`~qlax.symmetry.ad_path` only forwards it.
     Its removal waits on ROADMAP.md open item 3, since the frozen benchmark
-    passes ``q0`` positionally to :meth:`polynomial`.
+    passes ``q0`` positionally to :meth:`polynomial`.  Two paths are equal when
+    their coefficients are: neither ``q0`` nor the label ``name`` takes part.
     """
 
     coeffs: tuple[AlgebraElement, ...]
-    q0: float = 1.0
-    name: str | None = None
+    q0: float = field(default=1.0, compare=False)
+    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -207,9 +209,10 @@ def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
 
     ``X_0 = problem.initial`` is constant and ``X_i(0) = 0`` for ``i >= 1``.
     No grade feeds back into itself, so each node block is integrated grade by
-    grade: each RK4 stage of grade ``i`` is one call ``produce(p, x)`` on the
-    block's ``(steps, *shape)`` stack of path samples and grade ``i - 1``'s
-    stage inputs (``X_0`` itself for grade 1).  The grade's nodes are the
+    grade: grade ``i`` is one call ``produce(p, x)`` on the block's
+    ``(4, steps, *shape)`` stacks of path samples (start, midpoint, midpoint,
+    end) and grade ``i - 1``'s stage inputs (``X_0`` itself for grade 1), whose
+    result unpacks into the four RK4 stages.  The grade's nodes are the
     sequential sums ``X_{k+1} = X_k + delta_k`` of its step increments
     (``np.cumsum``), started from the node carried over from the previous
     block, so each node gets the sum a step-by-step loop forms.  Returns the
@@ -220,24 +223,29 @@ def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
     base = problem.initial.data
     descriptor = path.descriptor
     times = np.linspace(0.0, horizon, steps + 1)
-    half = 0.5 * step
     sixth = step / 6.0
+    # each RK4 stage's time within a step and, for stages 2-4, the multiple of
+    # the previous stage's slope in its input: start, midpoint, midpoint, end
+    offsets = np.array([0.0, 0.5 * step, 0.5 * step, step])
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
     values[:, 0] = base
     for block in blocks(steps, values[0].nbytes):
-        # P(q0 t) at the start, midpoint and end of every step
-        start, middle, end = (path.sample(q0 * (times[block] + shift))
-                              for shift in (0.0, half, step))
-        samples = start, middle, middle, end
+        samples = path.sample(q0 * (times[block] + offsets[:, None]).ravel()).reshape(
+            4, -1, *descriptor.shape)
         nodes = slice(block.start, block.stop + 1)
-        inputs = (base,) * 4
+        inputs = base
         for i in range(1, order + 1):
-            k1, k2, k3, k4 = (produce(p, x) for p, x in zip(samples, inputs))
+            slopes = produce(samples, inputs)
+            k1, k2, k3, k4 = slopes
             deltas = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             values[nodes, i] = np.cumsum(np.concatenate((values[block.start, i][None], deltas)),
                                          axis=0)
             x = values[block, i]
-            inputs = x, x + half * k1, x + half * k2, x + step * k3
+            # x, x + k1 h/2, x + k2 h/2, x + k3 h, written in place
+            inputs = np.empty_like(slopes)
+            inputs[0] = x
+            np.multiply(offsets[1:].reshape(3, *(1,) * x.ndim), slopes[:3], out=inputs[1:])
+            inputs[1:] += x
     return FlowSample(times, values, descriptor, step=step, order=order, q0=q0)
 
 

@@ -253,11 +253,12 @@ def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
     high = diffop_element(desc, {2: {0: 1.0}}).data           # D^2: D^2 D^2 has order 4 > 3
     wide = diffop_element(desc, {0: {3: 1.0, -1: 0.5}}).data  # e^3ix e^3ix has mode 6 > 4
     low = diffop_element(desc, {0: {-3: 1.0}}).data           # e^-3ix e^-3ix has mode -6 < -4
-    for bad in ((high, high), (wide, wide), (low, low)):
+    # the message names the cap that overflowed: an order overflow is not a mode one
+    for bad, cap in (((high, high), "J=3"), ((wide, wide), "M=4"), ((low, low), "M=4")):
         pairs = fitting[:3] + [bad] + fitting[3:]
         a = np.stack([x for x, _ in pairs])
         b = np.stack([y for _, y in pairs])
-        with pytest.raises(WindowOverflowError):
+        with pytest.raises(WindowOverflowError, match=cap):
             algebra.stacked_product(desc, a, b)
         # the same stack without the bad pair fits
         keep = np.ones(len(pairs), dtype=bool)

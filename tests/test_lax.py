@@ -228,6 +228,17 @@ def test_oracle_errors_rejects_solves_that_differ_beyond_q0(change):
         oracle_errors([solve_lax(prob), other])
 
 
+def test_oracle_errors_ignores_the_path_name_and_q0():
+    # a path rebuilt from its coefficients has no name and the default q0, and
+    # is the same path: the pair is one problem solved at two scalings
+    prob = preset_problem("toda-3", q0=0.2, order=3, grid=(1e-2, 0.1))
+    rebuilt = replace(prob, q0=0.1, path=OperatorPath.constant(prob.path.coeffs[0]))
+    assert rebuilt.path.name is None and rebuilt.path == prob.path
+    errors = oracle_errors([solve_lax(prob), solve_lax(rebuilt)])
+    assert errors == oracle_errors([solve_lax(prob), solve_lax(replace(prob, q0=0.1))])
+    assert errors == pytest.approx([7.2889e-10, 4.5555e-11], rel=1e-4)
+
+
 def _exact_conjugation(group_values: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """``L g = g L0`` solved grade by grade in exact rationals, rounded once at the end."""
     def product(a, b):
@@ -327,12 +338,16 @@ def test_diffop_product_count(monkeypatch):
     # 1 + 2 + 3 = 6 in the forward substitution L_n = (g L0)_n - sum L_{n-i} g_i.
     # Multiplying zero coefficients too would add 3 + 6 products at node 0,
     # where g_1..g_3 are zero.  The kernel takes a stack of pairs per call, so the
-    # count is the pairs it receives.
+    # product count is the pairs it receives.  Its calls are counted too: the
+    # five steps are one node block, and each chain grade is one call over the
+    # block's four RK4 stages, so the group takes 3 calls and the direct route,
+    # two per bracket, 6.  The conjugation makes one call per grade of g in
+    # g * L0 (4) and one per grade n = 1..3 of the forward substitution (3).
     calls = []
     original = algebra._diffop_products
 
     def counted(descriptor, a, b):
-        calls.extend(range(len(a)))
+        calls.append(len(a))
         return original(descriptor, a, b)
 
     monkeypatch.setattr(algebra, "_diffop_products", counted)
@@ -342,9 +357,11 @@ def test_diffop_product_count(monkeypatch):
                                     diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})], 0.5)
     prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, 0.05))
     solve_lax(prob)
-    assert len(calls) == 60 + 1 + 5 * (4 + 6)
+    assert sum(calls) == 60 + 1 + 5 * (4 + 6)
+    assert len(calls) == 3 + 4 + 3
     integrate_directly(prob)
-    assert len(calls) == 231
+    assert sum(calls) == 231
+    assert len(calls) == 10 + 2 * 3
 
 
 def test_flow_size_cap():
