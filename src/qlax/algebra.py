@@ -379,7 +379,7 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     # the product's columns of modes -M and M + 1; either may lie outside it
     low = max_mode - a_modes.start - b_modes.start
     high = low + descriptor.width
-    inside = slice(max(low, 0), max(low, min(high, width)))
+    inside = slice(max(low, 0), max(low, 0, min(high, width)))
     out = np.zeros((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
     for block in blocks(len(a), _leibniz_pair_bytes(a.shape[1:], b.shape[1:])):
         wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode).transpose(0, 2, 1)

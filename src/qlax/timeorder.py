@@ -223,10 +223,10 @@ def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
     base = problem.initial.data
     descriptor = path.descriptor
     times = np.linspace(0.0, horizon, steps + 1)
+    half = 0.5 * step
     sixth = step / 6.0
-    # each RK4 stage's time within a step and, for stages 2-4, the multiple of
-    # the previous stage's slope in its input: start, midpoint, midpoint, end
-    offsets = np.array([0.0, 0.5 * step, 0.5 * step, step])
+    # each RK4 stage's time within a step: start, midpoint, midpoint, end
+    offsets = np.array([0.0, half, half, step])
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
     values[:, 0] = base
     for block in blocks(steps, values[0].nbytes):
@@ -235,17 +235,12 @@ def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
         nodes = slice(block.start, block.stop + 1)
         inputs = base
         for i in range(1, order + 1):
-            slopes = produce(samples, inputs)
-            k1, k2, k3, k4 = slopes
+            k1, k2, k3, k4 = produce(samples, inputs)
             deltas = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             values[nodes, i] = np.cumsum(np.concatenate((values[block.start, i][None], deltas)),
                                          axis=0)
             x = values[block, i]
-            # x, x + k1 h/2, x + k2 h/2, x + k3 h, written in place
-            inputs = np.empty_like(slopes)
-            inputs[0] = x
-            np.multiply(offsets[1:].reshape(3, *(1,) * x.ndim), slopes[:3], out=inputs[1:])
-            inputs[1:] += x
+            inputs = np.stack((x, x + half * k1, x + half * k2, x + step * k3))
     return FlowSample(times, values, descriptor, step=step, order=order, q0=q0)
 
 

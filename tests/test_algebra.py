@@ -264,6 +264,15 @@ def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
         keep = np.ones(len(pairs), dtype=bool)
         keep[3] = False
         algebra.stacked_product(desc, a, b, keep)
+    # both factors' spans lie near one end, so the whole product lies above (or
+    # below) the window; its one nonzero entry, mode 6 (or -6), must still raise
+    for sign in (1, -1):
+        a = np.stack([diffop_element(desc, {0: {3 * sign: 1.0}}).data,
+                      diffop_element(desc, {0: {4 * sign: 1.0}}).data])
+        b = np.stack([diffop_element(desc, {0: {3 * sign: 1.0}}).data,
+                      np.zeros(desc.shape, complex)])
+        with pytest.raises(WindowOverflowError, match="M=4"):
+            algebra.stacked_product(desc, a, b)
 
 
 def test_all_false_mask_skips_the_kernel(monkeypatch):
