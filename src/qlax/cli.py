@@ -641,7 +641,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="use a named preset instead of a problem file")
     parser.add_argument("--order", type=int, help="truncation order N")
     parser.add_argument("--q0", type=float, help="scaling parameter in (0, 1]")
-    parser.add_argument("--step", type=float, help="grid step h")
+    parser.add_argument("--step", type=float, help="grid step h, the nodes' spacing")
     parser.add_argument("--horizon", type=float, help="grid horizon T")
     parser.add_argument("--out", default="qlax-out", help="output directory")
 

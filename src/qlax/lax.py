@@ -1,6 +1,7 @@
 """Lax flows driven by scaled operator paths.
 
-The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways:
+The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways, both
+exact for every accepted path, so the grid's step sets only where the nodes lie:
 
 * conjugation: ``L(t) = g(t) L0 g(t)^(-1)`` with ``g`` the time-ordered
   exponential of the scaled path (the default solver, by forward substitution), and
@@ -10,9 +11,9 @@ The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways:
 Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
 every integration, which this module re-exports with its defaults.
 
-Diagnostics: a centred-difference residual of the flow equation, conserved
-traces of powers (conjugation invariance), and a plain RK4 oracle for the
-evaluated series, whose error must shrink like ``q0^(order+1)``.
+Diagnostics: a centred-difference residual of the flow equation and a plain RK4
+oracle for the evaluated series, whose error must shrink like ``q0^(order+1)``,
+both with floors set by the step; conserved traces of powers (conjugation invariance).
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
 :class:`~qlax.timeorder.FlowSample`; the conjugation, the trace tables and
@@ -54,7 +55,7 @@ from qlax.timeorder import (
     LaxProblem,
     OperatorPath,
     _expand_grid,
-    _integrate_chain,
+    _integrate_polynomial,
     time_ordered_exp,
 )
 
@@ -89,9 +90,9 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:
-    """Second route: RK4 on the triangular bracket system, no conjugation."""
+    """Second route: the triangular bracket system solved exactly, no conjugation."""
     descriptor = problem.initial.descriptor
-    return _integrate_chain(lambda p, x: stacked_commutator(descriptor, p, x), problem)
+    return _integrate_polynomial(lambda p, x: stacked_commutator(descriptor, p, x), problem)
 
 
 def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:

@@ -1,24 +1,20 @@
 """Time-ordered exponentials of scaled operator paths.
 
-For a smooth path ``t -> P(t)`` and a scaling parameter ``q0 in (0, 1]``, the
-scaled path ``t -> q P(q t)`` has a time-ordered exponential whose grade-``i``
-coefficient is the iterated simplex integral of ``i`` path factors.  Those
-coefficients solve the triangular linear system
+For a polynomial path ``t -> P(t)`` and a scaling parameter ``q0 in (0, 1]``,
+the scaled path ``t -> q P(q t)`` has a time-ordered exponential whose
+grade-``i`` coefficient is the iterated simplex integral of ``i`` path factors.
+Those coefficients solve the triangular linear system
 
     A_0(t) = 1,    A_i'(t) = P(q0 t) A_{i-1}(t),    A_i(0) = 0  (i >= 1),
 
-which this module integrates with the classical fixed-step RK4 scheme.  The
-grade marker stays formal: coefficients carry the numeric parameter ``q0``
-only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
-weight of ``q^i`` in the group series.
-
-Since no grade feeds back into itself, RK4 integrates the chain one node
-block at a time and, within a block, one grade at a time: a grade is one
-product over all four RK4 stages of all the block's steps, stacked on a
-leading axis, and the grade's nodes are the running sum of its step
-increments.  A sampled path is kept as one
-``(nodes, N+1, *shape)`` array (:class:`FlowSample`).  Every integration
-takes a :class:`LaxProblem`, whose construction is the one check of its inputs.
+whose grades are polynomials in ``t``: this module computes them exactly, by
+one product call per grade, and evaluates them on the grid's nodes, whose
+spacing is all the grid's step sets.  The grade marker stays formal:
+coefficients carry the numeric parameter ``q0`` only inside the integrand
+``P(q0 s)``, and each grade-``i`` coefficient is the weight of ``q^i`` in the
+group series.  A sampled path is kept as one ``(nodes, N+1, *shape)`` array
+(:class:`FlowSample`).  Every integration takes a :class:`LaxProblem`, whose
+construction is the one check of its inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
-    blocks,
     stacked_product,
 )
 from qlax.series import GradedSeries, centred_residual, right_divide
@@ -50,10 +45,12 @@ DEFAULT_SCALING = 0.5
 class OperatorPath:
     """A polynomial path ``P(t) = sum_d coeffs[d] t^d`` in one coefficient algebra.
 
-    ``q0`` is carried but unused: every integration routine takes the scaling
-    parameter explicitly, and :func:`~qlax.symmetry.ad_path` only forwards it.
-    Its removal waits on ROADMAP.md open item 3, since the frozen benchmark
-    passes ``q0`` positionally to :meth:`polynomial`.  Two paths are equal when
+    Of degree at most ``MAX_PATH_DEGREE``, it drives a group and flows that are
+    exact polynomials in ``t``.  ``q0`` is carried but unused: every integration
+    routine takes the scaling parameter explicitly, and
+    :func:`~qlax.symmetry.ad_path` only forwards it.  Its removal waits on
+    ROADMAP.md open item 3, since the frozen benchmark passes ``q0``
+    positionally to :meth:`polynomial`.  Two paths are equal when
     their coefficients are: neither ``q0`` nor the label ``name`` takes part.
     """
 
@@ -184,8 +181,8 @@ def _expand_grid(grid) -> tuple[float, float, int]:
 @dataclass(frozen=True)
 class LaxProblem:
     """A Lax flow instance: initial element, driving path, scaling, truncation, grid.
-    Building one checks every field and the ``MAX_FLOW_BYTES`` cap before anything is
-    allocated."""
+    Building one checks every field, and caps the nodes plus the integrator's largest
+    product stack at ``MAX_FLOW_BYTES``, before anything is allocated."""
 
     initial: AlgebraElement
     path: OperatorPath
@@ -200,48 +197,48 @@ class LaxProblem:
         if self.order < 1:
             raise DomainError("truncation order must be >= 1")
         steps = _expand_grid(self.grid)[2]
-        if (steps + 1) * (self.order + 1) * self.initial.data.nbytes > MAX_FLOW_BYTES:
-            raise DomainError(f"the flow's nodes exceed {MAX_FLOW_BYTES} bytes")
+        degree = self.path.degree
+        payloads = (steps + 1) * (self.order + 1) + (degree + 1) * ((self.order - 1) * degree + 1)
+        if payloads * self.initial.data.nbytes > MAX_FLOW_BYTES:
+            raise DomainError(f"the flow's nodes and product stack exceed {MAX_FLOW_BYTES} bytes")
 
 
-def _integrate_chain(produce, problem: LaxProblem) -> FlowSample:
-    """RK4 for the triangular system ``X_i' = produce(P(q0 t), X_{i-1})``.
+def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:
+    """The exact solution of ``X_i' = produce(P(q0 t), X_{i-1})`` on the grid's nodes.
 
-    ``X_0 = problem.initial`` is constant and ``X_i(0) = 0`` for ``i >= 1``.
-    No grade feeds back into itself, so each node block is integrated grade by
-    grade: grade ``i`` is one call ``produce(p, x)`` on the block's
-    ``(4, steps, *shape)`` stacks of path samples (start, midpoint, midpoint,
-    end) and grade ``i - 1``'s stage inputs (``X_0`` itself for grade 1), whose
-    result unpacks into the four RK4 stages.  The grade's nodes are the
-    sequential sums ``X_{k+1} = X_k + delta_k`` of its step increments
-    (``np.cumsum``), started from the node carried over from the previous
-    block, so each node gets the sum a step-by-step loop forms.  Returns the
-    sample of the series ``(X_0, X_1, ..., X_order)``.
+    ``X_0 = problem.initial`` and ``X_i(0) = 0`` for ``i >= 1``.  With ``P(t) =
+    sum_e P_e t^e`` of degree ``d``, grade ``i`` is a polynomial of degree
+    ``i (d + 1)`` with no terms below ``t^i``, whose coefficients ``D[i, k] =
+    C[i, k] T^k`` in ``s = t/T`` follow from ``D[0, 0] = initial`` by
+
+        D[i, k] = (T/k) sum_(e + j = k - 1) produce((q0 T)^e P_e, D[i-1, j]):
+
+    one ``produce`` call per grade over every pair ``(P_e, D[i-1, j])``.  Horner's
+    rule in ``s`` writes each grade in place on the nodes after ``t = 0``, where
+    every grade above 0 is zero.
     """
-    path, q0, order = problem.path, problem.q0, problem.order
+    path, order = problem.path, problem.order
     step, horizon, steps = _expand_grid(problem.grid)
-    base = problem.initial.data
     descriptor = path.descriptor
     times = np.linspace(0.0, horizon, steps + 1)
-    half = 0.5 * step
-    sixth = step / 6.0
-    # each RK4 stage's time within a step: start, midpoint, midpoint, end
-    offsets = np.array([0.0, half, half, step])
+    fractions = (times[1:] / horizon)[:, None, None]
+    generators = np.stack([(problem.q0 * horizon) ** e * c.data
+                           for e, c in enumerate(path.coeffs)])[:, None]
     values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
-    values[:, 0] = base
-    for block in blocks(steps, values[0].nbytes):
-        samples = path.sample(q0 * (times[block] + offsets[:, None]).ravel()).reshape(
-            4, -1, *descriptor.shape)
-        nodes = slice(block.start, block.stop + 1)
-        inputs = base
-        for i in range(1, order + 1):
-            k1, k2, k3, k4 = produce(samples, inputs)
-            deltas = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            values[nodes, i] = np.cumsum(np.concatenate((values[block.start, i][None], deltas)),
-                                         axis=0)
-            x = values[block, i]
-            inputs = np.stack((x, x + half * k1, x + half * k2, x + step * k3))
-    return FlowSample(times, values, descriptor, step=step, order=order, q0=q0)
+    values[:, 0] = problem.initial.data
+    coeffs = problem.initial.data[None]  # D[i, i:], from grade 0
+    for i in range(1, order + 1):
+        products = produce(generators, coeffs[None])
+        coeffs = np.zeros((len(coeffs) + path.degree, *descriptor.shape), dtype=descriptor.dtype)
+        for e, product in enumerate(products):
+            coeffs[e:e + len(product)] += product
+        coeffs *= (horizon / np.arange(i, i + len(coeffs)))[:, None, None]
+        grade = values[1:, i]  # zero until Horner's first step adds the top coefficient
+        for c in coeffs[::-1]:
+            grade *= fractions
+            grade += c
+        grade *= fractions ** i
+    return FlowSample(times, values, descriptor, step=step, order=order, q0=problem.q0)
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
@@ -252,7 +249,7 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
     """
     descriptor = path.descriptor
     problem = LaxProblem(AlgebraElement.one(descriptor), path, q0, order, grid)
-    return _integrate_chain(lambda p, x: stacked_product(descriptor, p, x), problem)
+    return _integrate_polynomial(lambda p, x: stacked_product(descriptor, p, x), problem)
 
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,

@@ -101,10 +101,11 @@ def leibniz_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def integrate_chain_reference(produce, path, q0: float, base: AlgebraElement, order: int,
                               grid) -> tuple[np.ndarray, np.ndarray]:
-    """``timeorder._integrate_chain`` one RK4 step at a time, all grades as one stack.
+    """Classical RK4 for the chain ``X_i' = produce(P(q0 t), X_{i-1})``, one step at a
+    time, all grades as one stack.
 
-    Each slope multiplies the path sample into ``(base, X_1, ..., X_{N-1})``;
-    the chain must give the same bits on matrices.
+    Each slope multiplies the path sample into ``(base, X_1, ..., X_{N-1})``.  Its
+    global error is O(h^4), against which the exact recurrence is checked.
     """
     step, horizon, steps = _expand_grid(grid)
     descriptor = base.descriptor

@@ -130,11 +130,11 @@ def test_acceptance_03_time_ordered_exponential():
 
 def test_acceptance_04_lax_solution():
     started = time.perf_counter()
-    # (a) the two independent solvers agree
+    # (a) the two independent solvers agree to roundoff, since both are exact
     for name in PRESET_NAMES:
         prob = preset_problem(name, q0=0.5, order=6, grid=(2e-3, 0.5))
         assert flow_difference(solve_lax(prob).flow,
-                               integrate_directly(prob)).max() <= 1e-8
+                               integrate_directly(prob)).max() <= 1e-14
     # (b) residual of the flow equation
     for name in PRESET_NAMES:
         prob = preset_problem(name, q0=0.5, order=6, grid=(1e-3, 1.0))
@@ -284,22 +284,22 @@ def test_acceptance_09_appendix_suite():
 # refactors, zero signs included; the digests hold for IEEE doubles with
 # numpy's default BLAS dot and gemm kernels.  The selftest's symmetry
 # flow.csv and diagnostics.csv, and the flow and diagnostics files of the
-# three solve bundles below, were re-pinned by the commit after 9ce6ea1,
-# which conjugates by forward substitution instead of multiplying by the
-# Neumann inverse of g: that moves the last bits of every conjugated flow and
-# makes it more accurate.  The other selftest files keep the bytes of
-# commit 2fb1fb6.
+# three solve bundles and of the sweep below, were last re-pinned when the
+# RK4 chain gave way to the exact polynomial recurrence for the group: that
+# moves the last bits of every flow (by at most 1.1e-14 at T = 1) and removes
+# the step-size error.  The other selftest files keep the bytes of commit
+# 2fb1fb6.
 PINNED_SELFTEST_DIGESTS = {
     "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
     "gr1_table.csv": "74af1db0d3dc7932ac4ed2dedb7de1fe84918fd4cfc2436185dd0545d3382064",
     "manifest.json": "cc880c109bdb711a19a8a2b7c9c60306e1fa78899af3c7848106c2b139750a22",
-    "solve/diagnostics.csv": "d9e16572a346682eb4b6d00e0b1b9c325307909d86253f13d38b34e0d3baccda",
-    "solve/flow.csv": "0e4194988310bf0496ac6fa833bee56ea802d0bc8128d1dadd0ee1b37fee55bb",
-    "solve/flow.json": "a6f6b6e1b7d0aa0c6bf3092021a56abbaf760d4b9dcb4f4c9c8efc4d40fd6171",
+    "solve/diagnostics.csv": "986a73f7c565e1b73399bc0bdd1436a3f1a1f389490a3ac063e9641646c8ccac",
+    "solve/flow.csv": "50fd8de77dc997b58687c117be0d388301c28d2c4945dd7ab5c3bf21422fd584",
+    "solve/flow.json": "2c18ecd37782ba7c66cc0eef13447c0b260d8d592ecebbecb4cac12c6a17851b",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
-    "symmetry/diagnostics.csv": "b093b65ef4903efc01c85cf7e969e237b2426c1ea3bee00111fa9563a8f8dbc4",
-    "symmetry/flow.csv": "13490e60bf91034fc012ec877c8a9bf9f95ec322ca0be299ea88aaf299abe63c",
+    "symmetry/diagnostics.csv": "37498721af249e3832730da9515b239e5d312e088c533c8d906051c1ac020e2a",
+    "symmetry/flow.csv": "ded97948a68a73147abfb6b2195d6c49f9107e019ef0e437a191162dbdb97cd5",
     "symmetry/manifest.json": "4a539ccf09b15f35dcfe1d40a4d115bb462400bfad06e604d5a9ea5fc9a3c581",
 }
 
@@ -307,9 +307,9 @@ PINNED_SELFTEST_DIGESTS = {
 TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.001",
                    "--horizon", "0.1"]
 PINNED_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "5bed3480e229d8e671b8107c3a8f013f44dab3ebbd7d764ee913ff9c917089b1",
-    "flow.csv": "a03858ea3dc90791342b9eed7156ad884323d2b1753c29c100ae362cede4b159",
-    "flow.json": "88c1816d57008b2fa9a50ae7f08b2de8da1befd9659fc50998760298ce4f1445",
+    "diagnostics.csv": "8fb2c5c54c02719b4d5abdfd6ade68f363149d4b426995c0c736ddfcbca7e490",
+    "flow.csv": "6e97bc96e7bc129ea4d02a962ee3740eb1d432ad4230f7701c8faf3e50e89f51",
+    "flow.json": "13c95f4e4836e155b766073337f35113bacbd2171b46f9fe21f354dd75418399",
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
 }
 
@@ -318,9 +318,9 @@ PINNED_TODA_SOLVE_DIGESTS = {
 # 256 KiB node blocks.
 PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
 PINNED_PRESET_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "d0c259f04d82b155cbc33a2b8562c751d453e821ca0e105324311a2fb2cc695a",
-    "flow.csv": "272bf1f14c65adb5e51e0e5a13f36d55c4258160a9938c530fa96b89d4f4b708",
-    "flow.json": "f19b4f911b6011cbc187eb2cf7e27628927d8a4ad2dc4c42ece9ec2b190a52e1",
+    "diagnostics.csv": "203206015f3e1202ae5b683d3919cd82b81d75bc1030420af57646177b834bed",
+    "flow.csv": "79f6f87025aeba9127ef6b2fb4ec2be74db9e554807dedaa16adbfd084cff001",
+    "flow.json": "600e3ced20b572f903f8b3c2912f78cc082fa1add71d32787780d136e2a49e6f",
     "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
 }
 
@@ -328,9 +328,9 @@ PINNED_PRESET_TODA_SOLVE_DIGESTS = {
 SWEEP_ARGS = ["sweep", "--preset", "rotation-2", "--order", "4", "--step", "0.01",
               "--horizon", "0.5"]
 PINNED_SWEEP_DIGESTS = {
-    "convergence.csv": "0fe1d63bfc5ae9f9dce4fcfdaa3ba04a15babd4a279b43c5f42f144c2b17ad46",
+    "convergence.csv": "a088a4718cb53f46857d59b1afa8ee7c2ffd86b69efeb6a8f4503c4f5576b1da",
     "manifest.json": "39b966623e4f24cddcc72cfb7737aa21923d78b75892b3c842e670b64d6b519c",
-    "sweep.csv": "89d848b496e4cdf2ea99ef6f22edc268c5691e76ba11937a9e3a20cf8306e1a8",
+    "sweep.csv": "c4cca56c495dea20ca522786aaa4ac4503bdff656a16445b023cac441bbb7507",
 }
 
 # A complex-field solve with a time-dependent path, pinned the same way: a
@@ -349,9 +349,9 @@ COMPLEX_SOLVE_DOC = {
     "options": {"symmetry_s0": {"kind": "ad-of-initial"}, "sweep": [0.2, 0.1, 0.05]},
 }
 PINNED_COMPLEX_SOLVE_DIGESTS = {
-    "diagnostics.csv": "47aaf1c058a93909f0e9dccbf25dc4c913317bacbc094ca4832aa22c0f76762d",
-    "flow.csv": "4193d9d5add3cf2c9c01c17481586ff0d25c8524d034b8cb704bc87efee2da6c",
-    "flow.json": "850782ba3cc30cbeb60db92846a0f1f88f3ae6d4bfeee3bc3980e97b8f91c2c1",
+    "diagnostics.csv": "7b9d5be33134b942c6db684672c7cd4ddd2d3837bdd38cb4f5671619ae5ccf5e",
+    "flow.csv": "ed62ec0a746120e03c78986275add5a9cbe44e39b3c09b9777dcf915d3cad961",
+    "flow.json": "f965f752742160165595ae56188c721479a9395662d3ceaeb4a7cc9e53b387bd",
     "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",
 }
 

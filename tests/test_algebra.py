@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlax import (
     algebra,
@@ -273,6 +275,67 @@ def test_stacked_overflow_in_one_pair_raises(monkeypatch, block_bytes):
                       np.zeros(desc.shape, complex)])
         with pytest.raises(WindowOverflowError, match="M=4"):
             algebra.stacked_product(desc, a, b)
+
+
+@st.composite
+def _edge_stacks(draw):
+    """A window ``J <= 3``, ``M <= 4`` and 1-4 pairs of payloads near one edge mode:
+    the window's first, second, centre, last but one or last.  Each factor is zero
+    or a random block on rows ``0..top`` whose modes start at that edge or one past
+    it, mostly one or two modes long, so that products of two factors near an end
+    of the window reach just past it."""
+    desc = diffop_descriptor(draw(st.integers(0, 3)), draw(st.integers(1, 4)))
+    width = desc.width
+    edge = draw(st.sampled_from((0, 1, desc.max_mode, width - 2, width - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 4))
+    stacks = np.zeros((2, count, *desc.shape), dtype=np.complex128)
+    for factor in stacks.reshape(-1, *desc.shape):
+        if draw(st.booleans()):
+            continue
+        top = draw(st.integers(0, desc.max_order))
+        start = min(edge + draw(st.integers(0, 1)), width - 1)
+        length = draw(st.integers(1, 2) | st.integers(1, width))
+        shape = (top + 1, min(length, width - start))
+        factor[:top + 1, start:start + shape[1]] = (rng.standard_normal(shape)
+                                                    + 1j * rng.standard_normal(shape))
+    return desc, stacks[0], stacks[1]
+
+
+def _monomials(descriptor, modes):
+    """A stack of the zeroth-order monomials ``e^{imx}``, one per entry of ``modes``;
+    ``None`` is a zero factor."""
+    stack = np.zeros((len(modes), *descriptor.shape), dtype=np.complex128)
+    for factor, mode in zip(stack, modes):
+        if mode is not None:
+            factor[0, mode + descriptor.max_mode] = 1.0
+    return stack
+
+
+_M4 = diffop_descriptor(0, 4)
+
+
+# The stacks' spans start near one end but their product lies wholly past it:
+# e^{3ix} e^{3ix} = e^{6ix} at M = 4, and its mirror image below the window.  The
+# random draws meet this shape in well under 1% of cases, so it is given as well.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_edge_stacks())
+@example((_M4, _monomials(_M4, (3, 4)), _monomials(_M4, (3, None))))
+@example((_M4, _monomials(_M4, (-3, -4)), _monomials(_M4, (-3, None))))
+def test_diffop_kernel_matches_the_reference_at_the_window_edges(case):
+    desc, a, b = case
+    order, mode = desc.max_order, desc.max_mode
+    wide = np.stack([leibniz_reference(x, y) for x, y in zip(a, b)])
+    inside = wide[:, :order + 1, mode:3 * mode + 1].copy()
+    wide[:, :order + 1, mode:3 * mode + 1] = 0
+    for block_bytes in (1, 1 << 18):
+        with mock.patch.object(algebra, "BLOCK_BYTES", block_bytes):
+            if wide.any():
+                with pytest.raises(WindowOverflowError):
+                    algebra._diffop_products(desc, a, b)
+                continue
+            products = algebra._diffop_products(desc, a, b)
+        assert np.abs(products - inside).max() <= 1e-12 * np.abs(inside).max()
 
 
 def test_all_false_mask_skips_the_kernel(monkeypatch):

@@ -46,7 +46,7 @@ def _diffop_problem() -> LaxProblem:
 
 def _checks(tmp_path) -> dict:
     """Every blocked result on toda-3 (N=4, h=1e-2), its symmetry run and a diffop flow,
-    the RK4 chains of both routes included."""
+    the recurrences of both routes included."""
     out = {}
     results = {}
     toda = preset_problem("toda-3", order=4, grid=(1e-2, 1.0))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -85,11 +86,28 @@ def test_sl2_nilpotent_closed_form():
 
 
 def test_conjugation_and_direct_integration_agree():
+    # both routes are exact, so they differ by roundoff: at most 4.7e-17 here
     for name in PRESET_NAMES:
         prob = preset_problem(name, q0=0.5, order=6, grid=(2e-3, 0.5))
         conjugated = solve_lax(prob).flow
         direct = integrate_directly(prob)
-        assert flow_difference(conjugated, direct).max() <= 1e-8
+        assert flow_difference(conjugated, direct).max() <= 1e-14
+
+
+def test_constant_path_closed_form_on_a_long_horizon():
+    # a constant path gives L_i = ad_P^i(L0) t^i / i!; at T = 10 both routes read
+    # 1.2e-12 and 7.1e-14 off it, where conjugating by an RK4 group at h = 1e-2 gives 1.4e-9
+    prob = preset_problem("rotation-2", q0=0.5, order=8, grid=(1e-2, 10.0))
+    generator = prob.path.coeffs[0].data.astype(np.longdouble)
+    term = prob.initial.data.astype(np.longdouble)
+    exact = []
+    for i in range(prob.order + 1):
+        exact.append(term * np.longdouble(10.0) ** i / math.factorial(i))
+        term = generator @ term - term @ generator
+    assert np.abs(exact[-1]).max() >= 1.0  # the top grade is not small
+    for flow in (solve_lax(prob).flow, integrate_directly(prob)):
+        assert flow.times[-1] == 10.0
+        assert float(np.abs(flow.values[-1] - np.array(exact)).max()) <= 1e-11
 
 
 def test_lax_residual_below_threshold_for_presets():
@@ -322,7 +340,8 @@ def test_diffop_backend_flow():
                       q0=0.5, order=4, grid=(2e-3, 0.2))
     result = solve_lax(prob)
     assert lax_residual(result).max() <= 1e-6
-    assert flow_difference(result.flow, integrate_directly(prob)).max() <= 1e-10
+    # both routes are exact: they differ by 1.4e-18 here
+    assert flow_difference(result.flow, integrate_directly(prob)).max() <= 1e-14
     with pytest.raises(CapabilityError):
         conserved_trace_tables(result, 2)
     with pytest.raises(CapabilityError):
@@ -330,19 +349,18 @@ def test_diffop_backend_flow():
 
 
 def test_diffop_product_count(monkeypatch):
-    # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3, five RK4 steps.
-    # Each RK4 slope multiplies P into N chain entries, zero or not: the group
-    # takes 5 * 4 * 3 = 60 products and the direct route, two per bracket,
-    # 120.  The conjugation multiplies only pairs of nonzero coefficients: 1
-    # (g_0 L0) at the unit node 0, and at each later node 4 (g * L0) and
-    # 1 + 2 + 3 = 6 in the forward substitution L_n = (g L0)_n - sum L_{n-i} g_i.
-    # Multiplying zero coefficients too would add 3 + 6 products at node 0,
-    # where g_1..g_3 are zero.  The kernel takes a stack of pairs per call, so the
-    # product count is the pairs it receives.  Its calls are counted too: the
-    # five steps are one node block, and each chain grade is one call over the
-    # block's four RK4 stages, so the group takes 3 calls and the direct route,
-    # two per bracket, 6.  The conjugation makes one call per grade of g in
-    # g * L0 (4) and one per grade n = 1..3 of the forward substitution (3).
+    # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3, six nodes.  P has
+    # degree 1, so grade i - 1 of the group holds the coefficients of t^(i-1) up to
+    # t^(2(i-1)), i of them, and grade i multiplies both of P's coefficients into
+    # each: 2 + 4 + 6 = 12 products in 3 calls, one per grade.  The direct route
+    # takes two products per bracket, 24 in 6 calls.  The conjugation multiplies
+    # only pairs of nonzero coefficients: 1 (g_0 L0) at the unit node 0, and at
+    # each later node 4 (g * L0) and 1 + 2 + 3 = 6 in the forward substitution
+    # L_n = (g L0)_n - sum L_{n-i} g_i.  Multiplying zero coefficients too would
+    # add 3 + 6 products at node 0, where g_1..g_3 are zero.  The kernel takes a
+    # stack of pairs per call, so the product count is the pairs it receives.  The
+    # conjugation makes one call per grade of g in g * L0 (4) and one per grade
+    # n = 1..3 of the forward substitution (3).
     calls = []
     original = algebra._diffop_products
 
@@ -357,23 +375,37 @@ def test_diffop_product_count(monkeypatch):
                                     diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})], 0.5)
     prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, 0.05))
     solve_lax(prob)
-    assert sum(calls) == 60 + 1 + 5 * (4 + 6)
+    assert calls[:3] == [2, 4, 6]
+    assert sum(calls) == 12 + 1 + 5 * (4 + 6)
     assert len(calls) == 3 + 4 + 3
     integrate_directly(prob)
-    assert sum(calls) == 231
+    assert sum(calls) == 63 + 2 * 12
     assert len(calls) == 10 + 2 * 3
 
 
 def test_flow_size_cap():
-    # a 1x1 real flow on one step holds 2 * (N + 1) * 8 bytes
+    # a 1x1 real flow on one step holds 2 * (N + 1) * 8 bytes, and a constant
+    # path's product stack one payload of 8 bytes more
     one = AlgebraElement.one(matrix_descriptor(1))
     path = OperatorPath.constant(one)
-    largest = algebra.MAX_FLOW_BYTES // 16 - 1
+    largest = algebra.MAX_FLOW_BYTES // 16 - 2
     assert LaxProblem(one, path, q0=0.5, order=largest, grid=(1.0, 1.0)).order == largest
-    with pytest.raises(DomainError, match="flow's nodes exceed"):
+    with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
         LaxProblem(one, path, q0=0.5, order=largest + 1, grid=(1.0, 1.0))
-    with pytest.raises(DomainError, match="flow's nodes exceed"):
+    with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
         LaxProblem(one, path, q0=0.5, order=4, grid=(1e-9, 1.0))
+    # a degree-8 path's top grade is 9 * (8 (N - 1) + 1) products: at this N they
+    # take 36x the nodes' 32 MB, and the check runs before any of it exists
+    octic = OperatorPath.polynomial([one] * 9)
+    order = 2_000_000
+    assert 2 * (order + 1) * 8 <= algebra.MAX_FLOW_BYTES // 32
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+            LaxProblem(one, octic, q0=0.5, order=order, grid=(1.0, 1.0))
+        assert tracemalloc.get_traced_memory()[1] <= 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_preset_names_and_validation():
