@@ -10,6 +10,7 @@ from qlax import (
     DomainError,
     AlgebraElement,
     GradedSeries,
+    algebra,
     timeorder,
     diffop_descriptor,
     diffop_element,
@@ -150,18 +151,29 @@ def _chains():
     yield "diffop bracket", lambda p, x: stacked_commutator(desc, p, x), path, initial
 
 
-def test_exact_route_converges_to_the_rk4_reference():
+# the default, one item per block, and a block size that is no power of two
+@pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1, 8960])
+def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
     # RK4's global error is O(h^4), so its gap to the exact grades falls 16x per
     # halving of h; at order 5 even a constant path's top grades (degree 4 and 5
     # in t) are past what RK4 integrates exactly.  The gaps here read
     # 0.008..0.81 h^4 relative to the largest coefficient, with ratios 15.8..16.05.
-    for name, produce, path, base in _chains():
+    # The exact route's bits do not depend on the block size of the stack kernels.
+    def exact(produce, path, base, step):
+        return _integrate_polynomial(produce, LaxProblem(base, path, 0.7, 5, (step, 1.0)))
+
+    chains = list(_chains())
+    default = [[exact(produce, path, base, step).values for step in (0.04, 0.02)]
+               for _, produce, path, base in chains]
+    monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
+    for (name, produce, path, base), pinned in zip(chains, default):
         gaps = []
-        for step in (0.04, 0.02):
-            exact = _integrate_polynomial(produce, LaxProblem(base, path, 0.7, 5, (step, 1.0)))
+        for step, values in zip((0.04, 0.02), pinned):
+            flow = exact(produce, path, base, step)
+            assert flow.values.tobytes() == values.tobytes(), name
             reference = integrate_chain_reference(produce, path, 0.7, base, 5, (step, 1.0))
-            assert np.array_equal(exact.times, reference[0]), name
-            gaps.append(np.abs(exact.values - reference[1]).max() / np.abs(reference[1]).max())
+            assert np.array_equal(flow.times, reference[0]), name
+            gaps.append(np.abs(flow.values - reference[1]).max() / np.abs(reference[1]).max())
             assert gaps[-1] <= step ** 4, name
         assert 15.0 <= gaps[0] / gaps[1] <= 17.0, (name, gaps)
 
