@@ -295,6 +295,15 @@ def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
     return out
 
 
+def kernel_block_bytes(descriptor: AlgebraDescriptor) -> int:
+    """The most bytes one block of :func:`stacked_product`'s kernel holds beside its
+    factors and its output: none for matrices, and for diffops about ``BLOCK_BYTES``,
+    or one pair's temporaries at the full window if they take more."""
+    if descriptor.backend == MATRIX:
+        return 0
+    return max(BLOCK_BYTES, _leibniz_pair_bytes(descriptor.shape, descriptor.shape))
+
+
 def stacked_commutator(descriptor: AlgebraDescriptor, a: np.ndarray,
                        b: np.ndarray) -> np.ndarray:
     """Brackets ``a[k] b[k] - b[k] a[k]`` over the broadcast leading axes."""

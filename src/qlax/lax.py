@@ -4,7 +4,10 @@ The flow ``d/dt L = [q P(q0 t), L]`` with ``L(0) = L0`` is solved two ways, both
 exact for every accepted path, so the grid's step sets only where the nodes lie:
 
 * conjugation: ``L(t) = g(t) L0 g(t)^(-1)`` with ``g`` the time-ordered
-  exponential of the scaled path (the default solver, by forward substitution), and
+  exponential of the scaled path (the default solver).  Every grade of ``g`` is
+  a polynomial in ``t``, so the forward substitution runs once, on those
+  polynomials' coefficients, whatever the number of nodes, and the flow's
+  polynomials are then sampled like the group's; and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
@@ -16,10 +19,10 @@ oracle for the evaluated series, whose error must shrink like ``q0^(order+1)``,
 both with floors set by the step; conserved traces of powers (conjugation invariance).
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
-:class:`~qlax.timeorder.FlowSample`; the conjugation, the trace tables and
-the checks (``series.grade_max_norms``, ``series.centred_residual``) run in
-blocks of about ``algebra.BLOCK_BYTES`` of series, so their temporaries stay
-small whatever the grid length and coefficient size.
+:class:`~qlax.timeorder.FlowSample`; the trace tables and the checks
+(``series.grade_max_norms``, ``series.centred_residual``) run in blocks of
+about ``algebra.BLOCK_BYTES`` of series, so their temporaries stay small
+whatever the grid length and coefficient size.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ from qlax.algebra import (
     element_norms,
     matrix_element,
     stacked_commutator,
+    stacked_product,
+    unit_payload,
 )
 from qlax.series import (
-    GradedSeries,
+    GradedSeries,  # bench/test_bench.py reaches it as lax.GradedSeries
     cauchy_product,
     centred_residual,
     evaluate_values,
     grade_max_norms,
-    right_divide,
 )
 from qlax.timeorder import (
     DEFAULT_GRID,
@@ -56,6 +60,7 @@ from qlax.timeorder import (
     OperatorPath,
     _expand_grid,
     _integrate_polynomial,
+    _sample_grades,
     time_ordered_exp,
 )
 
@@ -76,15 +81,52 @@ def solve_lax(problem: LaxProblem) -> LaxFlowResult:
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
-    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: ``right_divide(g L0, g)``."""
+    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``, from the group's polynomials.
+
+    ``L g = g L0`` grade by grade is the forward substitution ``L_n = (g L0)_n -
+    sum_{i=1..n} L_{n-i} * g_i``, where ``*`` multiplies two polynomials in ``s =
+    t/T`` (``group.coefficients``).  ``g L0`` is one product call over all of
+    ``g``'s coefficients, and grade ``n`` one call over every pair ``(i, a, b)`` of
+    a nonzero coefficient ``a`` of ``L_{n-i}`` and a nonzero coefficient ``b`` of
+    ``g_i``.  Each power of ``s`` sums its terms with ``i``, then ``a``, ascending,
+    from ``-0.0`` as :func:`~qlax.series.graded_product` does, and the sum is
+    subtracted from ``(g L0)_n``; a power no pair reaches keeps ``(g L0)_n``.  The
+    flow is then sampled on the group's nodes.
+    """
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")
-    head = GradedSeries.single(descriptor, group.order, 0, initial).values[None]
-    values = np.empty(group.values.shape, dtype=descriptor.dtype)
-    for block in blocks(len(group), group.values[0].nbytes):
-        g = group.values[block]
-        values[block] = right_divide(descriptor, cauchy_product(descriptor, g, head), g)
+    if group.coefficients is None:
+        raise DomainError("the conjugation needs the group's polynomial coefficients")
+    grades = group.coefficients
+    if not np.array_equal(grades[0][0], unit_payload(descriptor)):
+        raise DomainError("grade-0 coefficient must equal the unit")
+    starts = np.cumsum([0] + [len(grade) for grade in grades])
+    g = np.concatenate(grades)
+    flow = stacked_product(descriptor, g, initial.data[None])  # g L0, then L grade by grade
+    nonzero_g = g.reshape(len(g), -1).any(axis=1)
+    nonzero = flow.reshape(len(flow), -1).any(axis=1)
+    size = g[0].size
+    for n in range(1, len(grades)):
+        pairs = []
+        for i in range(1, n + 1):
+            a = np.flatnonzero(nonzero[starts[n - i]:starts[n - i + 1]])
+            b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
+            pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
+                          np.add.outer(a, b).ravel()))
+        left, right, power = (np.concatenate(column) for column in zip(*pairs))
+        # every sum starts at -0.0, the exact additive identity, and takes one flat
+        # index per entry of each term, so that add.at adds them in order on its fast path
+        total = np.negative(np.zeros((starts[n + 1] - starts[n], *descriptor.shape),
+                                     dtype=flow.dtype))
+        entries = np.add.outer(power * size, np.arange(size)).ravel()
+        np.add.at(total.reshape(-1), entries,
+                  stacked_product(descriptor, flow[left], g[right]).reshape(-1))
+        reached = np.flatnonzero(np.bincount(power, minlength=len(total)))
+        flow[starts[n] + reached] -= total[reached]
+        nonzero[starts[n]:starts[n + 1]] = flow[starts[n]:starts[n + 1]].reshape(
+            len(total), -1).any(axis=1)
+    values = _sample_grades(np.split(flow, starts[1:-1]), descriptor, group.times)
     return FlowSample(times=group.times, values=values, descriptor=descriptor,
                       step=group.step, order=group.order, q0=group.q0)
 
@@ -139,12 +181,21 @@ def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, T
     for block in blocks(len(flow), flow.values[0].nbytes):
         node = flow.values[block]
         power = node
-        for k in range(1, max_power + 1):
+        for k in range(1, min(max_power, 3) + 1):
             if k > 1:
                 power = cauchy_product(descriptor, power, node)
             # summed over a contiguous axis, as ndarray.trace sums one matrix
             diagonal = np.ascontiguousarray(np.diagonal(power, axis1=-2, axis2=-1))
             values[k][block] = diagonal.sum(axis=-1)
+        if max_power == 4:
+            # only the trace of L^4 is kept: grade n is sum_i trace(L^3_i L_(n-i)),
+            # added with i ascending; trace(A B) sums A * B^T over one contiguous axis,
+            # whose order, unlike einsum's, does not depend on the block's length
+            table = values[4][block]
+            table[:] = 0.0
+            for i in range(flow.order + 1):
+                terms = power[:, i, None] * np.swapaxes(node[:, :flow.order + 1 - i], -1, -2)
+                table[:, i:] += terms.reshape(*terms.shape[:2], -1).sum(axis=-1)
     return {k: TraceDriftTable(values=table, drift=np.abs(table - table[0]).max(axis=0))
             for k, table in values.items()}
 

@@ -7,14 +7,16 @@ Those coefficients solve the triangular linear system
 
     A_0(t) = 1,    A_i'(t) = P(q0 t) A_{i-1}(t),    A_i(0) = 0  (i >= 1),
 
-whose grades are polynomials in ``t``: this module computes them exactly, by
-one product call per grade, and evaluates them on the grid's nodes, whose
-spacing is all the grid's step sets.  The grade marker stays formal:
-coefficients carry the numeric parameter ``q0`` only inside the integrand
-``P(q0 s)``, and each grade-``i`` coefficient is the weight of ``q^i`` in the
-group series.  A sampled path is kept as one ``(nodes, N+1, *shape)`` array
-(:class:`FlowSample`).  Every integration takes a :class:`LaxProblem`, whose
-construction is the one check of its inputs.
+whose grades are polynomials in ``t``.  This module computes their
+coefficients exactly, by one product call per grade, and one sampler evaluates
+every grade on the grid's nodes, whose spacing is all the grid's step sets:
+one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
+grade marker stays formal: coefficients carry the numeric parameter ``q0``
+only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
+weight of ``q^i`` in the group series.  A sampled path is kept as one
+``(nodes, N+1, *shape)`` array (:class:`FlowSample`); the group also keeps the
+polynomial coefficients it was sampled from.  Every integration takes a
+:class:`LaxProblem`, whose construction is the one check of its inputs.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
+    kernel_block_bytes,
     stacked_product,
 )
 from qlax.series import GradedSeries, centred_residual, right_divide
@@ -110,19 +113,32 @@ class FlowSample:
 
     The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
     ``values``, of coefficients in the algebra ``descriptor``; ``series``
-    shows its nodes as :class:`GradedSeries`.
+    shows its nodes as :class:`GradedSeries`.  The group of
+    :func:`time_ordered_exp` also keeps the polynomials it was sampled from,
+    which :func:`~qlax.lax.conjugate` reads: ``coefficients[i]`` is the
+    read-only ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of
+    ``s^i .. s^(i (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T``
+    the last time.  Every other sample has ``None`` there.
     """
 
-    __slots__ = ("times", "values", "descriptor", "step", "order", "q0")
+    __slots__ = ("times", "values", "descriptor", "step", "order", "q0", "coefficients")
 
     def __init__(self, times, values: np.ndarray, descriptor: AlgebraDescriptor, *,
-                 step: float, order: int, q0: float):
+                 step: float, order: int, q0: float, coefficients=None):
         if values.shape[1:] != (order + 1, *descriptor.shape) or len(values) != len(times):
             raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
                                      f"{len(times)} nodes of order {order}")
         values.setflags(write=False)
+        if coefficients is not None:
+            coefficients = tuple(coefficients)
+            if len(coefficients) != order + 1:
+                raise ShapeMismatchError(f"{len(coefficients)} coefficient stacks for "
+                                         f"order {order}")
+            for stack in coefficients:
+                stack.setflags(write=False)
         for name, value in (("times", times), ("values", values), ("descriptor", descriptor),
-                            ("step", step), ("order", order), ("q0", q0)):
+                            ("step", step), ("order", order), ("q0", q0),
+                            ("coefficients", coefficients)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -181,8 +197,8 @@ def _expand_grid(grid) -> tuple[float, float, int]:
 @dataclass(frozen=True)
 class LaxProblem:
     """A Lax flow instance: initial element, driving path, scaling, truncation, grid.
-    Building one checks every field, and caps the nodes plus the integrator's largest
-    product stack at ``MAX_FLOW_BYTES``, before anything is allocated."""
+    Building one checks every field, and caps the most bytes one solve holds at once
+    (:func:`_solve_bytes`) at ``MAX_FLOW_BYTES``, before anything is allocated."""
 
     initial: AlgebraElement
     path: OperatorPath
@@ -196,49 +212,101 @@ class LaxProblem:
         _check_scaling(self.q0)
         if self.order < 1:
             raise DomainError("truncation order must be >= 1")
-        steps = _expand_grid(self.grid)[2]
-        degree = self.path.degree
-        payloads = (steps + 1) * (self.order + 1) + (degree + 1) * ((self.order - 1) * degree + 1)
-        if payloads * self.initial.data.nbytes > MAX_FLOW_BYTES:
+        nbytes = _solve_bytes(self.path.descriptor, self.path.degree, self.order,
+                              _expand_grid(self.grid)[2])
+        if nbytes > MAX_FLOW_BYTES:
             raise DomainError(f"the flow's nodes and product stack exceed {MAX_FLOW_BYTES} bytes")
 
 
-def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:
-    """The exact solution of ``X_i' = produce(P(q0 t), X_{i-1})`` on the grid's nodes.
+def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: int) -> int:
+    """The most bytes that a solve of order ``order`` on ``steps + 1`` nodes, driven by a
+    path of degree ``degree``, holds at once, counted without allocating anything.
+
+    The count adds: the group and the flow, on the nodes and as polynomials; the larger
+    of the top grade's stacks in the conjugation and in the recurrence; the power table
+    of the sampler; and one block of the product kernel.
+    """
+    d, n = degree, order
+    size = math.prod(descriptor.shape)
+    payload = size * descriptor.dtype.itemsize
+    samples = 2 * (steps + 1) * (n + 1)
+    polynomials = 2 * (n + 1 + d * n * (n + 1) // 2)
+    # sum_(i=1..n) ((n - i) d + 1)(i d + 1) pairs of an L_(n-i) and a g_i coefficient,
+    # each with both factors, the product, its flat indices and a temporary of them,
+    # and eight indices of its own
+    conjugation = (d * d * (n ** 3 - n) // 6 + n * (n * d + 1)) * (3 * payload + 16 * size + 64)
+    # (d + 1)((n - 1) d + 1) pairs in a commutator's two products and their difference,
+    # and the kernel's copies of both broadcast factors on diffops
+    recurrence = 5 * (d + 1) * ((n - 1) * d + 1) * payload
+    table = 8 * steps * (n * (d + 1) + 1)
+    return ((samples + polynomials) * payload + max(conjugation, recurrence) + table
+            + kernel_block_bytes(descriptor))
+
+
+def _grade_polynomials(produce, problem: LaxProblem) -> list[np.ndarray]:
+    """The exact solution of ``X_i' = produce(P(q0 t), X_{i-1})`` as polynomials in ``s = t/T``.
 
     ``X_0 = problem.initial`` and ``X_i(0) = 0`` for ``i >= 1``.  With ``P(t) =
     sum_e P_e t^e`` of degree ``d``, grade ``i`` is a polynomial of degree
     ``i (d + 1)`` with no terms below ``t^i``, whose coefficients ``D[i, k] =
-    C[i, k] T^k`` in ``s = t/T`` follow from ``D[0, 0] = initial`` by
+    C[i, k] T^k`` in ``s`` follow from ``D[0, 0] = initial`` by
 
         D[i, k] = (T/k) sum_(e + j = k - 1) produce((q0 T)^e P_e, D[i-1, j]):
 
-    one ``produce`` call per grade over every pair ``(P_e, D[i-1, j])``.  Horner's
-    rule in ``s`` writes each grade in place on the nodes after ``t = 0``, where
-    every grade above 0 is zero.
+    one ``produce`` call per grade over every pair ``(P_e, D[i-1, j])``.  Entry
+    ``i`` of the result is the stack ``D[i, i..i (d + 1)]``.
     """
-    path, order = problem.path, problem.order
-    step, horizon, steps = _expand_grid(problem.grid)
+    path = problem.path
+    horizon = _expand_grid(problem.grid)[1]
     descriptor = path.descriptor
-    times = np.linspace(0.0, horizon, steps + 1)
-    fractions = (times[1:] / horizon)[:, None, None]
     generators = np.stack([(problem.q0 * horizon) ** e * c.data
                            for e, c in enumerate(path.coeffs)])[:, None]
-    values = np.zeros((steps + 1, order + 1, *descriptor.shape), dtype=descriptor.dtype)
-    values[:, 0] = problem.initial.data
-    coeffs = problem.initial.data[None]  # D[i, i:], from grade 0
-    for i in range(1, order + 1):
-        products = produce(generators, coeffs[None])
-        coeffs = np.zeros((len(coeffs) + path.degree, *descriptor.shape), dtype=descriptor.dtype)
+    grades = [problem.initial.data[None]]
+    for i in range(1, problem.order + 1):
+        products = produce(generators, grades[-1][None])
+        coeffs = np.zeros((len(grades[-1]) + path.degree, *descriptor.shape),
+                          dtype=descriptor.dtype)
         for e, product in enumerate(products):
             coeffs[e:e + len(product)] += product
         coeffs *= (horizon / np.arange(i, i + len(coeffs)))[:, None, None]
-        grade = values[1:, i]  # zero until Horner's first step adds the top coefficient
-        for c in coeffs[::-1]:
-            grade *= fractions
-            grade += c
-        grade *= fractions ** i
-    return FlowSample(times, values, descriptor, step=step, order=order, q0=problem.q0)
+        grades.append(coeffs)
+    return grades
+
+
+def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> np.ndarray:
+    """The values on ``times`` of the grade polynomials ``grades`` (see :class:`FlowSample`).
+
+    Node ``k`` of grade ``i`` is ``sum_j grades[i][j] s_k^(i + j)`` with ``s_k =
+    times[k] / times[-1]``: one table of the powers of ``s`` on the nodes after
+    ``t = 0``, where every grade above 0 is zero, and one matrix product per grade
+    written in place into the sample.  The product is ``np.einsum``'s loop, not
+    BLAS: ``matmul`` here brings in a real-valued BLAS kernel that a diffop solve
+    otherwise never runs, and raised its peak RSS by 0.3-0.4 MiB.  A complex stack
+    is multiplied as pairs of real numbers, so the real table never becomes
+    complex.
+    """
+    order = len(grades) - 1
+    values = np.zeros((len(times), order + 1, *descriptor.shape), dtype=descriptor.dtype)
+    values[:, 0] = grades[0][0]
+    powers = (times[1:] / times[-1])[:, None] ** np.arange(len(grades[-1]) + order)
+    real = values.view(np.float64).reshape(len(times), order + 1, -1)
+    for i in range(1, order + 1):
+        stack = grades[i].view(np.float64).reshape(len(grades[i]), -1)
+        np.einsum("nk,kf->nf", powers[:, i:i + len(stack)], stack, out=real[1:, i])
+    return values
+
+
+def _integrate_polynomial(produce, problem: LaxProblem, *,
+                          keep_coefficients: bool = False) -> FlowSample:
+    """:func:`_grade_polynomials` sampled on the grid's nodes; the sample keeps the
+    polynomials too if ``keep_coefficients``."""
+    step, horizon, steps = _expand_grid(problem.grid)
+    times = np.linspace(0.0, horizon, steps + 1)
+    grades = _grade_polynomials(produce, problem)
+    descriptor = problem.path.descriptor
+    return FlowSample(times, _sample_grades(grades, descriptor, times), descriptor, step=step,
+                      order=problem.order, q0=problem.q0,
+                      coefficients=grades if keep_coefficients else None)
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
@@ -249,7 +317,8 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
     """
     descriptor = path.descriptor
     problem = LaxProblem(AlgebraElement.one(descriptor), path, q0, order, grid)
-    return _integrate_polynomial(lambda p, x: stacked_product(descriptor, p, x), problem)
+    return _integrate_polynomial(lambda p, x: stacked_product(descriptor, p, x), problem,
+                                 keep_coefficients=True)
 
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,

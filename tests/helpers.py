@@ -7,9 +7,9 @@ import math
 import numpy as np
 
 from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
-from qlax.algebra import element_norms
+from qlax.algebra import blocks, element_norms
 from qlax.lax import LaxProblem, solve_lax
-from qlax.series import evaluate_values
+from qlax.series import cauchy_product, evaluate_values, right_divide
 from qlax.timeorder import _expand_grid
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
@@ -169,3 +169,16 @@ def oracle_errors_reference(result) -> tuple[float, float]:
     halved = solve_lax(LaxProblem(problem.initial, problem.path, half_q0, problem.order,
                                   problem.grid))
     return error(result.flow, problem.q0), error(halved.flow, half_q0)
+
+
+def conjugate_on_nodes_reference(group, initial: AlgebraElement) -> np.ndarray:
+    """``g L0 g^(-1)`` node by node: ``right_divide(g L0, g)`` on the sampled group, in
+    blocks of nodes; the reference for ``lax.conjugate``, which works on the group's
+    polynomials instead."""
+    descriptor = group.descriptor
+    head = GradedSeries.single(descriptor, group.order, 0, initial).values[None]
+    values = np.empty(group.values.shape, dtype=descriptor.dtype)
+    for block in blocks(len(group), group.values[0].nbytes):
+        g = group.values[block]
+        values[block] = right_divide(descriptor, cauchy_product(descriptor, g, head), g)
+    return values

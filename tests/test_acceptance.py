@@ -294,12 +294,12 @@ PINNED_SELFTEST_DIGESTS = {
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
     "gr1_table.csv": "74af1db0d3dc7932ac4ed2dedb7de1fe84918fd4cfc2436185dd0545d3382064",
     "manifest.json": "cc880c109bdb711a19a8a2b7c9c60306e1fa78899af3c7848106c2b139750a22",
-    "solve/diagnostics.csv": "986a73f7c565e1b73399bc0bdd1436a3f1a1f389490a3ac063e9641646c8ccac",
-    "solve/flow.csv": "50fd8de77dc997b58687c117be0d388301c28d2c4945dd7ab5c3bf21422fd584",
-    "solve/flow.json": "2c18ecd37782ba7c66cc0eef13447c0b260d8d592ecebbecb4cac12c6a17851b",
+    "solve/diagnostics.csv": "7e86b41b9f2a009728ea7ba2d8dd948e9c3be238ec100a3802077f035204f88f",
+    "solve/flow.csv": "aada3e028ccfca3096084e2cb54a65140182a983ae81a5ca4635fa418ca9e21d",
+    "solve/flow.json": "f6979a6c65f93d14ed01622471fff64c610dff549fcece349e99b71b42e93487",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
-    "symmetry/diagnostics.csv": "37498721af249e3832730da9515b239e5d312e088c533c8d906051c1ac020e2a",
-    "symmetry/flow.csv": "ded97948a68a73147abfb6b2195d6c49f9107e019ef0e437a191162dbdb97cd5",
+    "symmetry/diagnostics.csv": "d08477fb22e44fb4c2210b6d96b1c3e57dd0a3c886f8f630a2bbca8b2f9c643d",
+    "symmetry/flow.csv": "018b8baced587a8677920dd0988ea93edd1a62deeef6ea1afbb7801bb2d9cabf",
     "symmetry/manifest.json": "4a539ccf09b15f35dcfe1d40a4d115bb462400bfad06e604d5a9ea5fc9a3c581",
 }
 
@@ -307,9 +307,9 @@ PINNED_SELFTEST_DIGESTS = {
 TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.001",
                    "--horizon", "0.1"]
 PINNED_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "8fb2c5c54c02719b4d5abdfd6ade68f363149d4b426995c0c736ddfcbca7e490",
-    "flow.csv": "6e97bc96e7bc129ea4d02a962ee3740eb1d432ad4230f7701c8faf3e50e89f51",
-    "flow.json": "13c95f4e4836e155b766073337f35113bacbd2171b46f9fe21f354dd75418399",
+    "diagnostics.csv": "78e0f491de7dc4cd581b2ce7917d49247838784f71ca64b52ce59096ddc9d35c",
+    "flow.csv": "274764156f638fff2a4da53c2ecdad997b9e0d898f6d84d28606851bee07b513",
+    "flow.json": "201a2b9999dd89f716e37f4bcb1843c7af2654858b7343dd9c0913b1c82b7a6c",
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
 }
 
@@ -318,9 +318,9 @@ PINNED_TODA_SOLVE_DIGESTS = {
 # 256 KiB node blocks.
 PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
 PINNED_PRESET_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "203206015f3e1202ae5b683d3919cd82b81d75bc1030420af57646177b834bed",
-    "flow.csv": "79f6f87025aeba9127ef6b2fb4ec2be74db9e554807dedaa16adbfd084cff001",
-    "flow.json": "600e3ced20b572f903f8b3c2912f78cc082fa1add71d32787780d136e2a49e6f",
+    "diagnostics.csv": "46eeed24dfb22308edc20ffe2a2217bf88b82efc1483679eb0ab6cb687600fdb",
+    "flow.csv": "860fe92e4430fcc09e1c10f069e4e5d29204bb75a46e6d2e04679cc8967895e4",
+    "flow.json": "42b144c52f1fb50ab122fb2119a8980a2d4f5f99acc0d0971fa22a0cc6920d1f",
     "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
 }
 
@@ -349,9 +349,9 @@ COMPLEX_SOLVE_DOC = {
     "options": {"symmetry_s0": {"kind": "ad-of-initial"}, "sweep": [0.2, 0.1, 0.05]},
 }
 PINNED_COMPLEX_SOLVE_DIGESTS = {
-    "diagnostics.csv": "7b9d5be33134b942c6db684672c7cd4ddd2d3837bdd38cb4f5671619ae5ccf5e",
-    "flow.csv": "ed62ec0a746120e03c78986275add5a9cbe44e39b3c09b9777dcf915d3cad961",
-    "flow.json": "f965f752742160165595ae56188c721479a9395662d3ceaeb4a7cc9e53b387bd",
+    "diagnostics.csv": "fff4a6b4ca4bcd304167a9239580e8e89f42dd5920a8a459e25b8b9021a2ec17",
+    "flow.csv": "65944e315a23b956400d448fdcd9168ec5be3a9ee22bed646d211c481b54a3cc",
+    "flow.json": "34606d4daf369b6ab4b3a2802b22ab41cae4391e49538cf3d4a7ede6dd6c009c",
     "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",
 }
 

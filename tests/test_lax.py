@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlax import (
     CapabilityError,
@@ -32,9 +33,16 @@ from qlax.lax import (
     preset_problem,
     solve_lax,
 )
-from qlax import algebra
+from qlax import algebra, timeorder
 from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
-from helpers import E12, E21, SL2_H, oracle_errors_reference, rand_matrix
+from helpers import (
+    E12,
+    E21,
+    SL2_H,
+    conjugate_on_nodes_reference,
+    oracle_errors_reference,
+    rand_matrix,
+)
 
 
 def _problem(initial, generator, q0=0.5, order=6, grid=(1e-3, 1.0)):
@@ -257,46 +265,108 @@ def test_oracle_errors_ignores_the_path_name_and_q0():
     assert errors == pytest.approx([7.2889e-10, 4.5555e-11], rel=1e-4)
 
 
-def _exact_conjugation(group_values: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """``L g = g L0`` solved grade by grade in exact rationals, rounded once at the end."""
-    def product(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-                for i in range(len(a))]
+def _exact_flow(path: OperatorPath, q0: float, initial: AlgebraElement, order: int,
+                times: np.ndarray) -> np.ndarray:
+    """The flow's grades at ``times`` in exact rationals, rounded once at the end.
 
-    def exact(matrix):
-        return [[Fraction(value) for value in row] for row in matrix]
-
-    l0 = exact(initial.tolist())
+    ``L_i = int_0^t [P(q0 s), L_(i-1)(s)] ds`` on the polynomial coefficients in
+    ``t``, evaluated by Horner's rule.  The path, ``q0`` and ``times`` are binary
+    floats and the recurrence divides only by integers, so nothing is rounded
+    before the last step.
+    """
+    exact = np.vectorize(Fraction, otypes=[object])
+    scaled = [exact(c.data) * Fraction(q0) ** e for e, c in enumerate(path.coeffs)]
+    grades = [[exact(initial.data)]]  # coefficients of t^0, t^1, ...
+    for _ in range(order):
+        below = grades[-1]
+        grade = [np.full(initial.data.shape, Fraction(0), dtype=object)
+                 for _ in range(len(below) + len(scaled))]
+        for e, p in enumerate(scaled):
+            for j, c in enumerate(below):
+                grade[e + j + 1] = grade[e + j + 1] + (p @ c - c @ p) / (e + j + 1)
+        grades.append(grade)
     nodes = []
-    for node in group_values.tolist():
-        g = [exact(coefficient) for coefficient in node]
-        flow = []
-        for n, g_n in enumerate(g):
-            acc = product(g_n, l0)
-            for i in range(1, n + 1):
-                term = product(flow[n - i], g[i])
-                acc = [[p - t for p, t in zip(row, term_row)]
-                       for row, term_row in zip(acc, term)]
-            flow.append(acc)
-        nodes.append([[[float(value) for value in row] for row in c] for c in flow])
-    return np.array(nodes)
+    for t in map(Fraction, times):
+        node = []
+        for grade in grades:
+            acc = grade[-1]
+            for c in grade[-2::-1]:
+                acc = c + t * acc
+            node.append(acc)
+        nodes.append(node)
+    return np.array(nodes, dtype=object).astype(float)
 
 
 def test_conjugation_matches_exact_rationals():
     # the grades of a long, strongly driven flow cancel heavily: a conjugation
-    # by the power-sum inverse of g is off by 2.7e-10 at grade 10 here
+    # by the power-sum inverse of g is off by 2.7e-10 at grade 10 here.  Against
+    # the exact flow of the path, the route reads 9.5e-13, and the node-by-node
+    # conjugation it replaced read 1.66e-12
     rng = np.random.default_rng(3)
     desc = matrix_descriptor(4)
     path = OperatorPath.polynomial([AlgebraElement(desc, rng.standard_normal((4, 4)) * 0.5)
                                     for _ in range(3)])
     initial = AlgebraElement(desc, rng.standard_normal((4, 4)))
-    group = time_ordered_exp(path, 0.7, 10, (1e-2, 2.0))
-    tail = FlowSample(group.times[-3:], group.values[-3:].copy(), desc, step=group.step,
-                      order=group.order, q0=group.q0)
-    exact = _exact_conjugation(tail.values, initial.data)
-    errors = np.abs(conjugate(tail, initial).values - exact).max(axis=(0, 2, 3))
+    flow = conjugate(time_ordered_exp(path, 0.7, 10, (1e-2, 2.0)), initial)
+    exact = _exact_flow(path, 0.7, initial, 10, flow.times[-3:])
+    errors = np.abs(flow.values[-3:] - exact).max(axis=(0, 2, 3))
     assert np.abs(exact[:, -1]).max() >= 1.0  # the top grade is not small
     assert errors.max() <= 2e-12, errors
+
+
+def test_only_the_group_keeps_its_polynomials():
+    prob = preset_problem("toda-3", order=4, grid=(1e-2, 0.1))
+    result = solve_lax(prob)
+    group = result.group
+    assert len(group.coefficients) == prob.order + 1
+    assert not any(stack.flags.writeable for stack in group.coefficients)
+    assert result.flow.coefficients is None
+    assert integrate_directly(prob).coefficients is None
+    with pytest.raises(DomainError, match="needs the group's polynomial coefficients"):
+        conjugate(result.flow, prob.initial)
+    doubled = FlowSample(group.times, group.values, group.descriptor, step=group.step,
+                         order=group.order, q0=group.q0,
+                         coefficients=[2 * stack for stack in group.coefficients])
+    with pytest.raises(DomainError, match="grade-0 coefficient must equal the unit"):
+        conjugate(doubled, prob.initial)
+
+
+@st.composite
+def _lax_problems(draw):
+    """A real or complex 3x3, or a diffop, problem: a path of degree 0-3, N in 1..6 and
+    2 to 40 nodes.  The diffop path and initial value have orders <= 1 and 2 and modes
+    |m| <= 1, so the window J = N + 2, M = N + 1 holds every product of the routes."""
+    backend = draw(st.sampled_from(("real", "complex", "diffop")))
+    degree, order = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 39))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if backend == "diffop":
+        desc = diffop_descriptor(order + 2, order + 1)
+
+        def element(rows):
+            data = np.zeros(desc.shape, dtype=np.complex128)
+            data[:rows, desc.max_mode - 1:desc.max_mode + 2] = (
+                rng.uniform(-0.5, 0.5, (rows, 3)) + 1j * rng.uniform(-0.5, 0.5, (rows, 3)))
+            return AlgebraElement(desc, data)
+
+        initial, coeffs = element(3), [element(2) for _ in range(degree + 1)]
+    else:
+        desc = matrix_descriptor(3, backend)
+        initial, coeffs = (rand_matrix(rng, desc),
+                           [rand_matrix(rng, desc) * 0.5 for _ in range(degree + 1)])
+    grid = (1.0 / steps, 1.0)
+    return LaxProblem(initial, OperatorPath.polynomial(coeffs), 0.5, order, grid)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_lax_problems())
+def test_coefficient_conjugation_matches_the_node_route_and_the_direct_route(problem):
+    # all three routes are exact, so they differ by roundoff only
+    result = solve_lax(problem)
+    for reference in (conjugate_on_nodes_reference(result.group, problem.initial),
+                      integrate_directly(problem).values):
+        scale = np.abs(reference).max()
+        assert np.abs(result.flow.values - reference).max() <= 1e-13 * scale
 
 
 def test_linearity_in_the_initial_value():
@@ -349,18 +419,16 @@ def test_diffop_backend_flow():
 
 
 def test_diffop_product_count(monkeypatch):
-    # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3, six nodes.  P has
-    # degree 1, so grade i - 1 of the group holds the coefficients of t^(i-1) up to
-    # t^(2(i-1)), i of them, and grade i multiplies both of P's coefficients into
-    # each: 2 + 4 + 6 = 12 products in 3 calls, one per grade.  The direct route
-    # takes two products per bracket, 24 in 6 calls.  The conjugation multiplies
-    # only pairs of nonzero coefficients: 1 (g_0 L0) at the unit node 0, and at
-    # each later node 4 (g * L0) and 1 + 2 + 3 = 6 in the forward substitution
-    # L_n = (g L0)_n - sum L_{n-i} g_i.  Multiplying zero coefficients too would
-    # add 3 + 6 products at node 0, where g_1..g_3 are zero.  The kernel takes a
-    # stack of pairs per call, so the product count is the pairs it receives.  The
-    # conjugation makes one call per grade of g in g * L0 (4) and one per grade
-    # n = 1..3 of the forward substitution (3).
+    # L0 = D^2 + cos x, P(t) = sin(x) D + t cos(x) / 2, N = 3.  P has degree 1, so
+    # grade i - 1 of the group holds the coefficients of t^(i-1) up to t^(2(i-1)),
+    # i of them, and grade i multiplies both of P's coefficients into each: 2 + 4 + 6
+    # = 12 products in 3 calls, one per grade.  The direct route takes two products
+    # per bracket, 24 in 6 calls.  The conjugation works on the coefficients, not on
+    # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and grade
+    # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call over the (n - i + 1)(i + 1)
+    # pairs of each i: 2, 4 + 3 = 7 and 6 + 6 + 4 = 16, as none of the coefficients
+    # is zero.  The kernel takes a stack of pairs per call, so the product count is
+    # the pairs it receives, and it does not depend on the number of nodes.
     calls = []
     original = algebra._diffop_products
 
@@ -373,29 +441,30 @@ def test_diffop_product_count(monkeypatch):
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
                                     diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})], 0.5)
-    prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, 0.05))
-    solve_lax(prob)
-    assert calls[:3] == [2, 4, 6]
-    assert sum(calls) == 12 + 1 + 5 * (4 + 6)
-    assert len(calls) == 3 + 4 + 3
-    integrate_directly(prob)
-    assert sum(calls) == 63 + 2 * 12
-    assert len(calls) == 10 + 2 * 3
+    for horizon in (0.05, 0.59):  # 6 and 60 nodes
+        calls.clear()
+        prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, horizon))
+        solve_lax(prob)
+        assert calls == [2, 4, 6, 10, 2, 7, 16]
+        integrate_directly(prob)
+        assert calls[7:] == [2, 2, 4, 4, 6, 6]
 
 
 def test_flow_size_cap():
-    # a 1x1 real flow on one step holds 2 * (N + 1) * 8 bytes, and a constant
-    # path's product stack one payload of 8 bytes more
+    # a 1x1 real solve on one step counts 8-byte payloads: the group and the flow
+    # on 2 nodes, 4 (N + 1), and as polynomials, 2 (N + 1); the conjugation's top
+    # grade, N pairs of 3 * 8 + 16 + 64 bytes; and a power table of N + 1
+    # entries: 160 N + 56 bytes in all
     one = AlgebraElement.one(matrix_descriptor(1))
     path = OperatorPath.constant(one)
-    largest = algebra.MAX_FLOW_BYTES // 16 - 2
+    largest = (algebra.MAX_FLOW_BYTES - 56) // 160
     assert LaxProblem(one, path, q0=0.5, order=largest, grid=(1.0, 1.0)).order == largest
     with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
         LaxProblem(one, path, q0=0.5, order=largest + 1, grid=(1.0, 1.0))
     with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
         LaxProblem(one, path, q0=0.5, order=4, grid=(1e-9, 1.0))
-    # a degree-8 path's top grade is 9 * (8 (N - 1) + 1) products: at this N they
-    # take 36x the nodes' 32 MB, and the check runs before any of it exists
+    # a degree-8 path's conjugation has about 64 N^3 / 6 pairs at its top grade: at
+    # this N they would take 9e21 bytes, and the check runs before any of it exists
     octic = OperatorPath.polynomial([one] * 9)
     order = 2_000_000
     assert 2 * (order + 1) * 8 <= algebra.MAX_FLOW_BYTES // 32
@@ -404,6 +473,31 @@ def test_flow_size_cap():
         with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
             LaxProblem(one, octic, q0=0.5, order=order, grid=(1.0, 1.0))
         assert tracemalloc.get_traced_memory()[1] <= 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
+    # at a cap of 3.5 MiB, a degree-1 diffop path on 101 nodes in the J = 8, M = 7
+    # window counts 3.41 MB at N = 5 and 4.12 MB at N = 6
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 7 << 19)
+    desc = diffop_descriptor(8, 7)
+    initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
+    path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
+                                    diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})])
+    problem = LaxProblem(initial, path, 0.5, 5, (1e-2, 1.0))
+    for route in (solve_lax, integrate_directly):
+        tracemalloc.start()
+        try:
+            route(problem)
+            assert tracemalloc.get_traced_memory()[1] <= timeorder.MAX_FLOW_BYTES, route
+        finally:
+            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+            replace(problem, order=6)
+        assert tracemalloc.get_traced_memory()[1] <= 1 << 16
     finally:
         tracemalloc.stop()
 

@@ -179,8 +179,8 @@ def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
 
 
 def test_horner_writes_each_grade_in_place():
-    # one grade's nodes take 1.3 MB here; everything beside the sample (times,
-    # the scaled times, the coefficients and their products) takes 0.29 MB
+    # one grade's nodes take 1.3 MB here; everything beside the sample (times, the
+    # table of 2000 x 25 powers, the coefficients and their products) takes 0.62 MB
     rng = np.random.default_rng(5)
     path = OperatorPath.polynomial([matrix_element(rng.standard_normal((9, 9)) * 0.3)
                                     for _ in range(3)])
@@ -237,11 +237,13 @@ def test_grid_validation():
 
 
 def test_time_ordered_exp_obeys_the_size_cap(monkeypatch):
-    # 11 nodes of a real 2x2 group of order 2 hold 11 * 3 * 32 = 1056 bytes, and a
-    # constant path's top grade is one product of 32 bytes
+    # a real 2x2 problem of order 2 on 11 nodes counts, in 32-byte payloads, the
+    # group and the flow (2 * 11 * 3) and their polynomials (2 * 3); the
+    # conjugation's top grade has 2 pairs of 3 * 32 + 16 * 4 + 64 bytes, and the
+    # power table takes 10 * 3 * 8 bytes: 2304 + 448 + 240 = 2992
     path = OperatorPath.constant(matrix_element(ROT))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 1087)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 2991)
     with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
         time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 1088)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 2992)
     assert time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0)).values.nbytes == 1056
