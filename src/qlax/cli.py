@@ -331,55 +331,30 @@ def _write_flow_csv(path: str, flow) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """The bytes of ``json.dump(payload, sort_keys=True, indent=2)`` and a newline.
-
-    ndarray values stand for their nested lists of floats and are written node
-    by node, so no nested list of a whole flow is ever built.
-    """
+    """``json.dump(payload, sort_keys=True, indent=2)`` and a newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{")
-        for index, key in enumerate(sorted(payload)):
-            handle.write(("," if index else "") + "\n  " + json.dumps(key) + ": ")
-            value = payload[key]
-            if isinstance(value, np.ndarray):
-                _write_json_array(handle, value)
-            else:
-                handle.write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
-        handle.write("\n}\n")
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
-def _write_json_array(handle, array: np.ndarray) -> None:
-    """``array.tolist()`` as ``json.dump(..., indent=2)`` writes a top-level key's value.
-
-    json lays out one node (a first-axis entry) of zeros once; each node is
-    written as that layout with json's own text of the node's floats in place
-    of the zeros, so -0.0, subnormals, NaN and Infinity match json.
-    """
-    layout = "\n" + json.dumps(np.zeros(array.shape[1:]).tolist(), indent=2)
-    pieces = layout.replace("\n", "\n    ").split("0.0")
-    parts = [""] * (2 * len(pieces) - 1)
-    parts[0::2] = pieces
-    for index, node in enumerate(array):
-        parts[1::2] = json.dumps(node.ravel().tolist())[1:-1].split(", ")
-        handle.write(("," if index else "[") + "".join(parts))
-    handle.write("\n  ]")
-
-
-def _series_payload(descriptor, values: np.ndarray) -> np.ndarray:
-    """A ``(nodes, N+1, n, n)`` matrix stack; complex entries as a trailing ``[re, im]`` axis."""
+def _series_payload(descriptor, stack: np.ndarray) -> list:
+    """A stack of payloads as nested lists; complex entries as a trailing ``[re, im]`` axis."""
     if descriptor.field == REAL:
-        return values
-    return np.ascontiguousarray(values).view(np.float64).reshape(*values.shape, 2)
+        return stack.tolist()
+    return np.ascontiguousarray(stack).view(np.float64).reshape(*stack.shape, 2).tolist()
 
 
 def _flow_json_payload(flow):
+    """``flow.json``: the flow's polynomial coefficients per grade (see
+    :class:`~qlax.timeorder.FlowSample`) and the times they are sampled at."""
     return {
-        "schema": 1,
+        "schema": 2,
         "q0": flow.q0,
         "order": flow.order,
         "step": flow.step,
-        "times": flow.times,
-        "series": _series_payload(flow.descriptor, flow.values),
+        "times": flow.times.tolist(),
+        "coefficients": [_series_payload(flow.descriptor, stack)
+                         for stack in flow.coefficients],
     }
 
 

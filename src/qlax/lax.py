@@ -91,7 +91,7 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     ``g_i``.  Each power of ``s`` sums its terms with ``i``, then ``a``, ascending,
     from ``-0.0`` as :func:`~qlax.series.graded_product` does, and the sum is
     subtracted from ``(g L0)_n``; a power no pair reaches keeps ``(g L0)_n``.  The
-    flow is then sampled on the group's nodes.
+    flow is then sampled on the group's nodes, and keeps its polynomials.
     """
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
@@ -126,9 +126,10 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
         flow[starts[n] + reached] -= total[reached]
         nonzero[starts[n]:starts[n + 1]] = flow[starts[n]:starts[n + 1]].reshape(
             len(total), -1).any(axis=1)
-    values = _sample_grades(np.split(flow, starts[1:-1]), descriptor, group.times)
+    polynomials = np.split(flow, starts[1:-1])
+    values = _sample_grades(polynomials, descriptor, group.times)
     return FlowSample(times=group.times, values=values, descriptor=descriptor,
-                      step=group.step, order=group.order, q0=group.q0)
+                      step=group.step, order=group.order, q0=group.q0, coefficients=polynomials)
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:

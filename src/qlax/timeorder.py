@@ -14,7 +14,7 @@ one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
 grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A sampled path is kept as one
-``(nodes, N+1, *shape)`` array (:class:`FlowSample`); the group also keeps the
+``(nodes, N+1, *shape)`` array (:class:`FlowSample`), which also keeps the
 polynomial coefficients it was sampled from.  Every integration takes a
 :class:`LaxProblem`, whose construction is the one check of its inputs.
 """
@@ -113,12 +113,14 @@ class FlowSample:
 
     The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
     ``values``, of coefficients in the algebra ``descriptor``; ``series``
-    shows its nodes as :class:`GradedSeries`.  The group of
-    :func:`time_ordered_exp` also keeps the polynomials it was sampled from,
-    which :func:`~qlax.lax.conjugate` reads: ``coefficients[i]`` is the
-    read-only ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of
-    ``s^i .. s^(i (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T``
-    the last time.  Every other sample has ``None`` there.
+    shows its nodes as :class:`GradedSeries`.  Every sample the library
+    produces (a group, a conjugated flow, a direct flow) also keeps the
+    polynomials it was sampled from: ``coefficients[i]`` is the read-only
+    ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of ``s^i .. s^(i
+    (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T`` the last time.
+    :func:`~qlax.lax.conjugate` reads a group's, and ``qlax solve`` writes a
+    flow's.  A sample built from values alone has ``None`` there.  ``times`` is
+    made read-only too, since samples of one solve share it.
     """
 
     __slots__ = ("times", "values", "descriptor", "step", "order", "q0", "coefficients")
@@ -128,6 +130,7 @@ class FlowSample:
         if values.shape[1:] != (order + 1, *descriptor.shape) or len(values) != len(times):
             raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
                                      f"{len(times)} nodes of order {order}")
+        times.setflags(write=False)
         values.setflags(write=False)
         if coefficients is not None:
             coefficients = tuple(coefficients)
@@ -296,17 +299,14 @@ def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> 
     return values
 
 
-def _integrate_polynomial(produce, problem: LaxProblem, *,
-                          keep_coefficients: bool = False) -> FlowSample:
-    """:func:`_grade_polynomials` sampled on the grid's nodes; the sample keeps the
-    polynomials too if ``keep_coefficients``."""
+def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:
+    """:func:`_grade_polynomials` sampled on the grid's nodes, with the polynomials."""
     step, horizon, steps = _expand_grid(problem.grid)
     times = np.linspace(0.0, horizon, steps + 1)
     grades = _grade_polynomials(produce, problem)
     descriptor = problem.path.descriptor
     return FlowSample(times, _sample_grades(grades, descriptor, times), descriptor, step=step,
-                      order=problem.order, q0=problem.q0,
-                      coefficients=grades if keep_coefficients else None)
+                      order=problem.order, q0=problem.q0, coefficients=grades)
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
@@ -317,8 +317,7 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
     """
     descriptor = path.descriptor
     problem = LaxProblem(AlgebraElement.one(descriptor), path, q0, order, grid)
-    return _integrate_polynomial(lambda p, x: stacked_product(descriptor, p, x), problem,
-                                 keep_coefficients=True)
+    return _integrate_polynomial(lambda p, x: stacked_product(descriptor, p, x), problem)
 
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,

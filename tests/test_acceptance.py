@@ -23,7 +23,8 @@ from qlax import (
     matrix_descriptor,
     matrix_element,
 )
-from qlax.cli import main
+from qlax.algebra import REAL
+from qlax.cli import build_problem, main
 from qlax.lax import (
     LaxProblem,
     PRESET_NAMES,
@@ -48,7 +49,12 @@ from qlax.symmetry import (
     solve_symmetry,
     symmetry_residual_full,
 )
-from qlax.timeorder import OperatorPath, left_log_derivative_residual, time_ordered_exp
+from qlax.timeorder import (
+    OperatorPath,
+    _sample_grades,
+    left_log_derivative_residual,
+    time_ordered_exp,
+)
 from helpers import E12, E21, SL2_H, apply_to_modes, rand_diffop, rand_matrix
 
 
@@ -287,8 +293,10 @@ def test_acceptance_09_appendix_suite():
 # three solve bundles and of the sweep below, were last re-pinned when the
 # RK4 chain gave way to the exact polynomial recurrence for the group: that
 # moves the last bits of every flow (by at most 1.1e-14 at T = 1) and removes
-# the step-size error.  The other selftest files keep the bytes of commit
-# 2fb1fb6.
+# the step-size error.  The four solve bundles' flow.json files were re-pinned
+# again when that file came to hold the flow's polynomial coefficients
+# (schema 2) instead of its sampled nodes.  The other selftest files keep the
+# bytes of commit 2fb1fb6.
 PINNED_SELFTEST_DIGESTS = {
     "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
@@ -296,7 +304,7 @@ PINNED_SELFTEST_DIGESTS = {
     "manifest.json": "cc880c109bdb711a19a8a2b7c9c60306e1fa78899af3c7848106c2b139750a22",
     "solve/diagnostics.csv": "7e86b41b9f2a009728ea7ba2d8dd948e9c3be238ec100a3802077f035204f88f",
     "solve/flow.csv": "aada3e028ccfca3096084e2cb54a65140182a983ae81a5ca4635fa418ca9e21d",
-    "solve/flow.json": "f6979a6c65f93d14ed01622471fff64c610dff549fcece349e99b71b42e93487",
+    "solve/flow.json": "58657ba0ea0849dee588d11428faa1b6b82fec9861a5b630479f53accbe360a5",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
     "symmetry/diagnostics.csv": "d08477fb22e44fb4c2210b6d96b1c3e57dd0a3c886f8f630a2bbca8b2f9c643d",
     "symmetry/flow.csv": "018b8baced587a8677920dd0988ea93edd1a62deeef6ea1afbb7801bb2d9cabf",
@@ -309,7 +317,7 @@ TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.0
 PINNED_TODA_SOLVE_DIGESTS = {
     "diagnostics.csv": "78e0f491de7dc4cd581b2ce7917d49247838784f71ca64b52ce59096ddc9d35c",
     "flow.csv": "274764156f638fff2a4da53c2ecdad997b9e0d898f6d84d28606851bee07b513",
-    "flow.json": "201a2b9999dd89f716e37f4bcb1843c7af2654858b7343dd9c0913b1c82b7a6c",
+    "flow.json": "a2964741c8adf54c6cc755b145a6753d2c2bd1ac60b6bf3f34a195769a383803",
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
 }
 
@@ -320,7 +328,7 @@ PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
 PINNED_PRESET_TODA_SOLVE_DIGESTS = {
     "diagnostics.csv": "46eeed24dfb22308edc20ffe2a2217bf88b82efc1483679eb0ab6cb687600fdb",
     "flow.csv": "860fe92e4430fcc09e1c10f069e4e5d29204bb75a46e6d2e04679cc8967895e4",
-    "flow.json": "42b144c52f1fb50ab122fb2119a8980a2d4f5f99acc0d0971fa22a0cc6920d1f",
+    "flow.json": "0ff42a69488fbcc77b71454b28fa5a2f5c5f4cdc9f5b775ae55b391ff29add16",
     "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
 }
 
@@ -351,7 +359,7 @@ COMPLEX_SOLVE_DOC = {
 PINNED_COMPLEX_SOLVE_DIGESTS = {
     "diagnostics.csv": "fff4a6b4ca4bcd304167a9239580e8e89f42dd5920a8a459e25b8b9021a2ec17",
     "flow.csv": "65944e315a23b956400d448fdcd9168ec5be3a9ee22bed646d211c481b54a3cc",
-    "flow.json": "34606d4daf369b6ab4b3a2802b22ab41cae4391e49538cf3d4a7ede6dd6c009c",
+    "flow.json": "7af16181bdcb3ddc9faa63e38caae995aa3c456a8d8c1d863e9062c8cedb3e7f",
     "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",
 }
 
@@ -397,3 +405,28 @@ def test_acceptance_10_selftest_determinism(tmp_path):
     assert main(["solve", str(document), "--out", complex_out]) == 0
     assert _bundle_digests(complex_out) == PINNED_COMPLEX_SOLVE_DIGESTS
     _report(10, "selftest determinism", time.perf_counter() - started, 30.0)
+
+
+def test_flow_json_samples_back_to_the_solved_flow(tmp_path):
+    # each pinned solve's flow.json holds the flow's polynomials: sampled at the
+    # file's times by the library's one sampler, they are the solved flow, bit for bit
+    document = tmp_path / "complex.json"
+    document.write_text(json.dumps(COMPLEX_SOLVE_DOC))
+    runs = {"selftest": ["selftest"], "toda": TODA_SOLVE_ARGS,
+            "preset": PRESET_TODA_SOLVE_ARGS, "complex": ["solve", str(document)]}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main([*args, "--out", str(out)]) == 0
+        bundle = out / "solve" if name == "selftest" else out
+        inputs = json.loads((bundle / "manifest.json").read_text())["inputs"]
+        problem, _options = build_problem(inputs["document"], {
+            "q0": inputs["q0"], "order": inputs["order"],
+            "step": inputs["grid"]["h"], "horizon": inputs["grid"]["T"]})
+        flow = solve_lax(problem).flow
+        saved = json.loads((bundle / "flow.json").read_text())
+        assert (saved["schema"], len(saved["coefficients"])) == (2, problem.order + 1)
+        grades = [np.array(stack) for stack in saved["coefficients"]]
+        if flow.descriptor.field != REAL:
+            grades = [stack.view(np.complex128)[..., 0] for stack in grades]
+        values = _sample_grades(grades, flow.descriptor, np.array(saved["times"]))
+        assert np.array_equal(values, flow.values), name

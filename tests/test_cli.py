@@ -285,8 +285,8 @@ def test_solve_command_bundle(tmp_path):
     assert manifest["all_passed"] is True
     assert "timings" not in manifest
     flow = _read_json(os.path.join(out, "flow.json"))
-    assert flow["order"] == 4
-    assert len(flow["series"]) == len(flow["times"])
+    assert (flow["schema"], flow["order"]) == (2, 4)
+    assert len(flow["coefficients"]) == flow["order"] + 1
 
 
 def test_solve_with_preset_flag(tmp_path):
@@ -610,14 +610,19 @@ def test_problem_size_caps():
 
 
 def _special_flow(nodes: int, field: str) -> FlowSample:
-    """A seeded 3x3, N=3 flow holding -0.0, a subnormal, huge, tiny and non-finite floats."""
+    """A seeded 3x3, N=3 flow whose values and polynomials (of a degree-1 path) hold
+    -0.0, a subnormal, huge, tiny and non-finite floats."""
     rng = np.random.default_rng(nodes)
     descriptor = matrix_descriptor(3, field)
-    shape = (nodes, 4, 3, 3)
-    scale = 10.0 ** rng.integers(-8, 8, size=shape)
-    values = rng.standard_normal(shape) * scale
-    if field == "complex":
-        values = values + 1j * rng.standard_normal(shape) * scale
+
+    def draw(shape):
+        scale = 10.0 ** rng.integers(-8, 8, size=shape)
+        values = rng.standard_normal(shape) * scale
+        if field == "complex":
+            values = values + 1j * rng.standard_normal(shape) * scale
+        return values
+
+    values = draw((nodes, 4, 3, 3))
     grades = values.reshape(nodes, 4, -1)
     grades[0, 0, :4] = [np.nan, -0.0, 5e-324, 1e-5]
     grades[0, 1, :4] = [np.inf, -np.inf, 1e300, 1e16]
@@ -625,7 +630,13 @@ def _special_flow(nodes: int, field: str) -> FlowSample:
         grades.imag[0, 2, :4] = [-0.0, 5e-324, 1e16, 1e-5]
     times = np.cumsum(rng.uniform(0.0, 1e-2, nodes))
     times[:3] = [-0.0, 5e-324, 1e16][:nodes]
-    return FlowSample(times, values, descriptor, step=1e-2, order=3, q0=0.5)
+    coefficients = [draw((i + 1, 3, 3)) for i in range(4)]
+    coefficients[0][0, 0] = [np.nan, -0.0, 5e-324]
+    coefficients[1][1, 2] = [np.inf, -np.inf, 1e300]
+    if field == "complex":
+        coefficients[3].imag[2, 1] = [-0.0, 5e-324, 1e16]
+    return FlowSample(times, values, descriptor, step=1e-2, order=3, q0=0.5,
+                      coefficients=coefficients)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -637,15 +648,21 @@ def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_byt
                                                 nodes):
     monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     flow = _special_flow(nodes, field)
-    series = flow.values
-    if field == "complex":
-        series = np.stack([series.real, series.imag], axis=-1)
-    lists = {"schema": 1, "q0": flow.q0, "order": flow.order, "step": flow.step,
-             "times": flow.times.tolist(), "series": series.tolist()}
+    # flow.json round-trips the times and every polynomial, bit for bit
     _write_json(str(tmp_path / "flow.json"), _flow_json_payload(flow))
     written = (tmp_path / "flow.json").read_text()
-    assert written == json.dumps(lists, sort_keys=True, indent=2) + "\n"
     assert {"NaN", "Infinity", "-Infinity"} <= set(written.replace(",", "").split())
+    saved = json.loads(written)
+    assert ((saved["schema"], saved["q0"], saved["order"], saved["step"])
+            == (2, flow.q0, flow.order, flow.step))
+    assert np.array(saved["times"]).tobytes() == flow.times.tobytes()
+    assert len(saved["coefficients"]) == len(flow.coefficients)
+    for stack, loaded in zip(flow.coefficients, saved["coefficients"]):
+        loaded = np.array(loaded)
+        if field == "complex":
+            loaded = loaded.view(np.complex128)[..., 0]
+        assert loaded.shape == stack.shape
+        assert loaded.tobytes() == stack.tobytes()
 
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)

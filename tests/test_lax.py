@@ -34,6 +34,8 @@ from qlax.lax import (
     solve_lax,
 )
 from qlax import algebra, timeorder
+from qlax.algebra import unit_payload
+from qlax.series import cauchy_product, right_divide
 from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
 from helpers import (
     E12,
@@ -314,21 +316,31 @@ def test_conjugation_matches_exact_rationals():
     assert errors.max() <= 2e-12, errors
 
 
-def test_only_the_group_keeps_its_polynomials():
+def test_every_sample_keeps_its_polynomials():
     prob = preset_problem("toda-3", order=4, grid=(1e-2, 0.1))
     result = solve_lax(prob)
     group = result.group
-    assert len(group.coefficients) == prob.order + 1
-    assert not any(stack.flags.writeable for stack in group.coefficients)
-    assert result.flow.coefficients is None
-    assert integrate_directly(prob).coefficients is None
+    for sample in (group, result.flow, integrate_directly(prob)):
+        assert len(sample.coefficients) == prob.order + 1
+        assert not any(stack.flags.writeable for stack in sample.coefficients)
+    bare = FlowSample(group.times, group.values, group.descriptor, step=group.step,
+                      order=group.order, q0=group.q0)
     with pytest.raises(DomainError, match="needs the group's polynomial coefficients"):
-        conjugate(result.flow, prob.initial)
+        conjugate(bare, prob.initial)
     doubled = FlowSample(group.times, group.values, group.descriptor, step=group.step,
                          order=group.order, q0=group.q0,
                          coefficients=[2 * stack for stack in group.coefficients])
     with pytest.raises(DomainError, match="grade-0 coefficient must equal the unit"):
         conjugate(doubled, prob.initial)
+
+
+def test_sample_times_are_read_only():
+    # the flow shares the group's times, so a write to either would change both
+    result = solve_lax(preset_problem("toda-3", order=2, grid=(1e-2, 0.1)))
+    for sample in (result.group, result.flow):
+        with pytest.raises(ValueError, match="read-only"):
+            sample.times[1] = 7.0
+    assert result.flow.times[1] == 0.01
 
 
 @st.composite
@@ -367,6 +379,21 @@ def test_coefficient_conjugation_matches_the_node_route_and_the_direct_route(pro
                       integrate_directly(problem).values):
         scale = np.abs(reference).max()
         assert np.abs(result.flow.values - reference).max() <= 1e-13 * scale
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_lax_problems())
+def test_the_exact_group_times_its_inverse_is_the_unit(problem):
+    # g g^(-1) reads 2.1e-15 of g's largest entry at worst over these draws
+    group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
+    descriptor = group.descriptor
+    unit = np.zeros_like(group.values)
+    unit[:, 0] = unit_payload(descriptor)
+    product = cauchy_product(descriptor, group.values,
+                             right_divide(descriptor, unit, group.values))
+    gap = np.abs(product - unit).reshape(len(group), -1).max(axis=1)
+    scale = np.abs(group.values).reshape(len(group), -1).max(axis=1)
+    assert (gap <= 1e-13 * scale).all(), (gap / scale).max()
 
 
 def test_linearity_in_the_initial_value():
