@@ -58,7 +58,7 @@ from qlax.lax import (
     flow_difference,
     integrate_directly,
     lax_residual,
-    oracle_errors,
+    oracle_error,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -105,7 +105,7 @@ __all__ = [
     "time_ordered_exp", "left_log_derivative_residual",
     "LaxProblem", "LaxFlowResult", "solve_lax", "integrate_directly",
     "flow_difference", "lax_residual", "TraceDriftTable", "conserved_trace_tables",
-    "oracle_errors", "oracle_integrate", "preset_problem", "PRESET_NAMES",
+    "oracle_error", "oracle_integrate", "preset_problem", "PRESET_NAMES",
     "ad_operator", "ad_path", "operator_descriptor",
     "identity_operator", "apply_operator", "apply_operator_series",
     "solve_symmetry", "symmetry_residual_full", "check_ad_exp_ad",

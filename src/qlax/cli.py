@@ -59,7 +59,7 @@ from qlax.lax import (
     PRESET_NAMES,
     conserved_trace_tables,
     lax_residual,
-    oracle_errors,
+    oracle_error,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -522,7 +522,7 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> bo
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
 
     points = [solve_lax(dataclasses.replace(problem, q0=q0)) for q0 in sweep_values]
-    rows = _convergence_rows(sweep_values, oracle_errors(points), problem.order + 1)
+    rows = _convergence_rows(sweep_values, list(map(oracle_error, points)), problem.order + 1)
 
     inputs = {**_problem_echo(document, problem, options), "sweep": list(sweep_values)}
     return _write_bundle(out_dir, "sweep", inputs, {

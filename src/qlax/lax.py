@@ -14,9 +14,9 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
 Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
 every integration, which this module re-exports with its defaults.
 
-Diagnostics: a centred-difference residual of the flow equation and a plain RK4
-oracle for the evaluated series, whose error must shrink like ``q0^(order+1)``,
-both with floors set by the step; conserved traces of powers (conjugation invariance).
+Diagnostics: a centred-difference residual of the flow equation, with a floor set by
+the step; an oracle, the evaluated series' gap to the exact series, which must shrink
+like ``q0^(order+1)`` to roundoff; conserved traces of powers (conjugation invariance).
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
 :class:`~qlax.timeorder.FlowSample`; the trace tables and the checks
@@ -27,6 +27,7 @@ whatever the grid length and coefficient size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,7 @@ from qlax.timeorder import (
     LaxProblem,
     OperatorPath,
     _expand_grid,
+    _grade_polynomials,
     _integrate_polynomial,
     _sample_grades,
     time_ordered_exp,
@@ -201,70 +203,70 @@ def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, T
             for k, table in values.items()}
 
 
-def _rk4_evolution(problem: LaxProblem, scalings: tuple[float, ...]) -> np.ndarray:
-    """Plain RK4 for ``y' = [s P(s t), y]`` (no grading), on raw matrices.
+def _reference_problem(problem: LaxProblem) -> LaxProblem | None:
+    """``problem`` at the least order ``M > N`` whose Dyson remainder is below roundoff.
 
-    All scalings ``s`` step together as one stack; returns the
-    ``(nodes, len(scalings), n, n)`` array of the evolved matrices.
+    With ``x = 2 q0 sum_e ||P_e|| q0^e T^(e+1)/(e+1)``, the grades past ``M`` add at most
+    ``||L0|| sum_(i>M) x^i/i!`` (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009): at
+    least ``||L0||`` while ``M + 2 <= x``, at most ``x^(M+1)/(M+1)! / (1 - x/(M+2))``
+    after, and ``M`` is the least order where that bound is at most ``2^-53``.  Each
+    order tried is a :class:`LaxProblem`, so the size cap ends the search; a non-finite
+    ``x`` has no reference (``None``).
     """
-    step, _horizon, steps = _expand_grid(problem.grid)
-    half = 0.5 * step
-    sixth = step / 6.0
-    # the step starts summed one step at a time, as ``t += step`` would
-    starts = np.cumsum(np.concatenate(([0.0], np.full(steps - 1, step))))
-    paths = [problem.path.scaled(s) for s in scalings]
-    start, middle, end = (np.stack([path.sample(times) for path in paths], axis=1)
-                          for times in (starts, starts + half, starts + step))
-
-    def bracket(a, y):
-        return a @ y - y @ a
-
-    y = np.stack([problem.initial.data] * len(scalings))
-    nodes = np.empty((steps + 1, *y.shape), dtype=y.dtype)
-    nodes[0] = y
-    for k in range(steps):
-        k1 = bracket(start[k], y)
-        k2 = bracket(middle[k], y + half * k1)
-        k3 = bracket(middle[k], y + half * k2)
-        k4 = bracket(end[k], y + step * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nodes[k + 1] = y
-    return nodes
+    powers = np.arange(1, problem.path.degree + 2)
+    norms = element_norms(problem.path.descriptor, np.stack([c.data for c in problem.path.coeffs]))
+    scale = problem.q0 * _expand_grid(problem.grid)[1]
+    x = 2.0 * float(np.sum(norms * scale ** powers / powers))
+    if not math.isfinite(x):
+        return None
+    order = max(problem.order + 1, math.floor(x) - 1)
+    while True:
+        try:
+            reference = replace(problem, order=order)
+        except DomainError as exc:
+            raise DomainError(f"the oracle's order-{order} reference: {exc}") from exc
+        if x == 0.0 or ((order + 1) * math.log(x) - math.lgamma(order + 2)
+                        - math.log1p(-x / (order + 2)) <= -53 * math.log(2.0)):
+            return reference
+        order += 1
 
 
-def oracle_errors(results: list[LaxFlowResult]) -> list[float]:
-    """Each solve's evaluated-series error against plain RK4 at its own scaling.
+def oracle_error(result: LaxFlowResult) -> float:
+    """The largest gap on the nodes between the series evaluated at ``q0`` and the exact
+    flow ``sum_(i<=M) q0^i L_i``, NaN if there is none (:func:`_reference_problem`).
 
-    The solves may differ only in ``q0``; the RK4 reference steps all their
-    scalings as one stack, so every scaling is integrated once.
+    The ``L_i`` come from the bracket recurrence (:func:`integrate_directly`'s, not the
+    conjugation under test); their polynomials are summed into one in ``s = t/T`` and
+    sampled once on the nodes, by Horner's rule.
     """
-    problem = results[0].problem
-    if problem.initial.descriptor.backend != MATRIX:
+    problem = result.problem
+    descriptor = problem.initial.descriptor
+    if descriptor.backend != MATRIX:
         raise CapabilityError("the evaluation oracle needs the matrix backend")
-    for other in results[1:]:
-        if (other.problem.initial != problem.initial or other.problem.path != problem.path
-                or other.problem.order != problem.order or other.problem.grid != problem.grid):
-            raise ShapeMismatchError("oracle solves differ in more than their scaling")
-    reference = _rk4_evolution(problem, tuple(result.problem.q0 for result in results))
-    errors = []
-    for k, result in enumerate(results):
-        flow = result.flow
-        gap = evaluate_values(flow.descriptor, flow.values, flow.q0) - reference[:, k]
-        errors.append(float(element_norms(flow.descriptor, gap).max(initial=0.0)))
-    return errors
+    reference = _reference_problem(problem)
+    if reference is None:
+        return math.nan
+    grades = _grade_polynomials(lambda p, x: stacked_commutator(descriptor, p, x), reference)
+    summed = np.zeros((len(grades[-1]) + reference.order, *descriptor.shape), descriptor.dtype)
+    for i, grade in enumerate(grades):
+        summed[i:i + len(grade)] += problem.q0 ** i * grade
+    s = (result.flow.times / result.flow.times[-1])[:, None, None]
+    exact = summed[-1]
+    for coeff in summed[-2::-1]:
+        exact = coeff + s * exact
+    gap = evaluate_values(descriptor, result.flow.values, problem.q0) - exact
+    return float(element_norms(descriptor, gap).max(initial=0.0))
 
 
 def oracle_integrate(result: LaxFlowResult) -> tuple[float, float]:
-    """The evaluated-series errors ``(error, error_half)`` against plain RK4 at q0 and q0/2.
+    """The oracle errors ``(error, error_half)`` of :func:`oracle_error` at q0 and q0/2.
 
     ``result`` is the solve at the problem's own ``q0``; only the ``q0/2``
     flow is solved here.  The truncation error scales like ``q0^(order+1)``,
     so ``error / error_half`` should be about ``2^(order+1)``.
     """
     problem = result.problem
-    halved = solve_lax(replace(problem, q0=problem.q0 / 2.0))
-    error, error_half = oracle_errors([result, halved])
-    return error, error_half
+    return oracle_error(result), oracle_error(solve_lax(replace(problem, q0=problem.q0 / 2.0)))
 
 
 # -- presets ----------------------------------------------------------------

@@ -101,12 +101,6 @@ class OperatorPath:
             acc = self.coeffs[d].data + factors * acc
         return acc
 
-    def scaled(self, q0: float) -> "OperatorPath":
-        """The path ``t -> q0 * P(q0 t)``: coefficient ``d`` picks up ``q0^(d+1)``."""
-        _check_scaling(q0)
-        factors = [q0 ** (d + 1) for d in range(self.degree + 1)]
-        return OperatorPath(tuple(f * c for f, c in zip(factors, self.coeffs)), q0, self.name)
-
 
 class FlowSample:
     """A series-valued path sampled on a uniform time grid.

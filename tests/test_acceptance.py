@@ -295,14 +295,16 @@ def test_acceptance_09_appendix_suite():
 # moves the last bits of every flow (by at most 1.1e-14 at T = 1) and removes
 # the step-size error.  The four solve bundles' flow.json files were re-pinned
 # again when that file came to hold the flow's polynomial coefficients
-# (schema 2) instead of its sampled nodes.  The other selftest files keep the
-# bytes of commit 2fb1fb6.
+# (schema 2) instead of its sampled nodes.  The oracle values in the four solve
+# bundles' diagnostics.csv and in the sweep's convergence.csv were re-pinned when
+# the oracle's reference became the exact Dyson series in place of RK4.  The
+# other selftest files keep the bytes of commit 2fb1fb6.
 PINNED_SELFTEST_DIGESTS = {
     "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
     "gr1_table.csv": "74af1db0d3dc7932ac4ed2dedb7de1fe84918fd4cfc2436185dd0545d3382064",
     "manifest.json": "cc880c109bdb711a19a8a2b7c9c60306e1fa78899af3c7848106c2b139750a22",
-    "solve/diagnostics.csv": "7e86b41b9f2a009728ea7ba2d8dd948e9c3be238ec100a3802077f035204f88f",
+    "solve/diagnostics.csv": "2e0eafd37724ddec2437a857ed03d11a793d18d130a1a3990c814cbfa35f9f50",
     "solve/flow.csv": "aada3e028ccfca3096084e2cb54a65140182a983ae81a5ca4635fa418ca9e21d",
     "solve/flow.json": "58657ba0ea0849dee588d11428faa1b6b82fec9861a5b630479f53accbe360a5",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
@@ -315,7 +317,7 @@ PINNED_SELFTEST_DIGESTS = {
 TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.001",
                    "--horizon", "0.1"]
 PINNED_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "78e0f491de7dc4cd581b2ce7917d49247838784f71ca64b52ce59096ddc9d35c",
+    "diagnostics.csv": "7e7463e320604a2a85f978a7e3c7947fdc7b8cf6ed4e5f0b18bc59205c98e572",
     "flow.csv": "274764156f638fff2a4da53c2ecdad997b9e0d898f6d84d28606851bee07b513",
     "flow.json": "a2964741c8adf54c6cc755b145a6753d2c2bd1ac60b6bf3f34a195769a383803",
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
@@ -326,7 +328,7 @@ PINNED_TODA_SOLVE_DIGESTS = {
 # 256 KiB node blocks.
 PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
 PINNED_PRESET_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "46eeed24dfb22308edc20ffe2a2217bf88b82efc1483679eb0ab6cb687600fdb",
+    "diagnostics.csv": "29b34fe7a1b6b1bb67632eca4b50d4a85e9ef277c70f8416d78f0c8936b0a5ea",
     "flow.csv": "860fe92e4430fcc09e1c10f069e4e5d29204bb75a46e6d2e04679cc8967895e4",
     "flow.json": "0ff42a69488fbcc77b71454b28fa5a2f5c5f4cdc9f5b775ae55b391ff29add16",
     "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
@@ -336,7 +338,7 @@ PINNED_PRESET_TODA_SOLVE_DIGESTS = {
 SWEEP_ARGS = ["sweep", "--preset", "rotation-2", "--order", "4", "--step", "0.01",
               "--horizon", "0.5"]
 PINNED_SWEEP_DIGESTS = {
-    "convergence.csv": "a088a4718cb53f46857d59b1afa8ee7c2ffd86b69efeb6a8f4503c4f5576b1da",
+    "convergence.csv": "d330c18e7ed367f6b432d44077fe81f1f67620d60a7aa8215bc0a505f08384c0",
     "manifest.json": "39b966623e4f24cddcc72cfb7737aa21923d78b75892b3c842e670b64d6b519c",
     "sweep.csv": "c4cca56c495dea20ca522786aaa4ac4503bdff656a16445b023cac441bbb7507",
 }
@@ -357,7 +359,7 @@ COMPLEX_SOLVE_DOC = {
     "options": {"symmetry_s0": {"kind": "ad-of-initial"}, "sweep": [0.2, 0.1, 0.05]},
 }
 PINNED_COMPLEX_SOLVE_DIGESTS = {
-    "diagnostics.csv": "fff4a6b4ca4bcd304167a9239580e8e89f42dd5920a8a459e25b8b9021a2ec17",
+    "diagnostics.csv": "304c304c9fe216451b8b40210c7408a1bcf3b2ffdb2ace501eef3876446c410a",
     "flow.csv": "65944e315a23b956400d448fdcd9168ec5be3a9ee22bed646d211c481b54a3cc",
     "flow.json": "7af16181bdcb3ddc9faa63e38caae995aa3c456a8d8c1d863e9062c8cedb3e7f",
     "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",

@@ -6,11 +6,12 @@ import dataclasses
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from qlax import algebra, cli, lax, matrix_descriptor
+from qlax import AlgebraElement, algebra, cli, lax, matrix_descriptor, timeorder
 from qlax.algebra import MAX_FLOW_BYTES, DomainError, element_norms
 from qlax.cli import (
     ProblemFormatError,
@@ -32,7 +33,7 @@ from qlax.nonregular import (
 )
 from qlax.series import evaluate_values
 from qlax.symmetry import ad_operator
-from qlax.timeorder import FlowSample
+from qlax.timeorder import FlowSample, OperatorPath
 
 SL2_DOC = {
     "schema": 1,
@@ -512,8 +513,8 @@ FAILING_CHECKS = [
     pytest.param("symmetry", SYMMETRY_DOC, "grade_max_norms", _plus_one, "equivariance_gap",
                  id="symmetry-equivariance_gap"),
     # errors proportional to q0: a measured order of 1 where N + 1 = 4 is expected
-    pytest.param("sweep", SWEEP_DOC, "oracle_errors",
-                 lambda errors: lambda points: [1e-3 * point.problem.q0 for point in points],
+    pytest.param("sweep", SWEEP_DOC, "oracle_error",
+                 lambda error: lambda point: 1e-3 * point.problem.q0,
                  "0.1", id="sweep-pair"),
     pytest.param("appendix", None, "velocity_at_zero",
                  lambda velocity: lambda model: dataclasses.replace(velocity(model),
@@ -567,7 +568,7 @@ BUNDLES = [
     pytest.param(["appendix", "--points", str(MAX_GRID_POINTS + 1)], None, 4,
                  id="appendix-points-cap"),
     pytest.param(["selftest"], None, 0, id="selftest"),
-    pytest.param(["sweep", SWEEP_DOC], "oracle_errors", 2, id="sweep-oracle-error"),
+    pytest.param(["sweep", SWEEP_DOC], "oracle_error", 2, id="sweep-oracle-error"),
     pytest.param(["sweep", DIFFOP_DOC], None, 3, id="sweep-diffop"),
     pytest.param(["solve", "--preset", "toda-3", "--step", "0.3"], None, 2,
                  id="solve-partial-step"),
@@ -708,6 +709,38 @@ def test_solve_solves_once_and_the_oracle_once_more(monkeypatch, tmp_path):
     assert main(["solve", "--preset", "toda-3", "--order", "3", "--step", "0.002",
                  "--horizon", "0.1", "--out", str(tmp_path / "solve")]) == 0
     assert calls == {"cli": [0.5], "lax": [0.5, 0.25]}
+
+
+def test_solve_fails_the_oracle_row_promptly_on_an_infinite_path(monkeypatch, tmp_path):
+    # problem files hold finite numbers only, but the library accepts an infinite
+    # path: its Dyson bound x is infinite, the oracle has no reference and reads NaN
+    problem, options = build_problem(TODA_DOC)
+    generator = problem.path.coeffs[0].data.copy()
+    generator[0, 1] = np.inf
+    infinite = dataclasses.replace(problem, path=OperatorPath.constant(
+        AlgebraElement(problem.path.descriptor, generator)))
+    monkeypatch.setattr(cli, "build_problem", lambda document, overrides: (infinite, options))
+    out = tmp_path / "solve"
+    started = time.perf_counter()
+    with np.errstate(all="ignore"):
+        assert main(["solve", _write(tmp_path, TODA_DOC), "--out", str(out)]) == 1
+    assert time.perf_counter() - started < 10.0
+    rows = [row for row in _read_rows(out / "diagnostics.csv")
+            if row["check"].startswith("oracle")]
+    assert [(row["check"], row["value"], row["passed"]) for row in rows] == [
+        ("oracle_decay", "nan", "false")]
+
+
+def test_solve_refuses_an_oracle_reference_over_the_size_cap(monkeypatch, capsys, tmp_path):
+    # the cap admits the order-3 solve but not the oracle's order-M > 3 reference
+    problem, _ = build_problem(TODA_DOC)
+    steps = round(TODA_DOC["grid"]["T"] / TODA_DOC["grid"]["h"])
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES",
+                        timeorder._solve_bytes(problem.path.descriptor, 0, 3, steps))
+    out = tmp_path / "solve"
+    assert main(["solve", _write(tmp_path, TODA_DOC), "--out", str(out)]) == 2
+    assert "the oracle's order-4 reference" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_symmetry_matrix_s0_matches_ad_of_initial(tmp_path):

@@ -44,20 +44,6 @@ def test_path_construction_and_evaluation():
         OperatorPath.constant(b, q0=1.5)
 
 
-def test_scaling_transform():
-    b = matrix_element(ROT)
-    # constant path: q0 P(q0 t) = q0 B
-    scaled = OperatorPath.constant(b).scaled(0.5)
-    assert np.array_equal(scaled.at(7.0).data, 0.5 * np.array(ROT))
-    # linear path t B: q0 P(q0 t) = q0^2 t B
-    linear = OperatorPath.polynomial([AlgebraElement.zero(b.descriptor), b])
-    scaled_linear = linear.scaled(0.5)
-    assert np.abs(scaled_linear.at(1.0).data - 0.25 * np.array(ROT)).max() <= 1e-15
-    # q0 = 1 is the identity transform
-    same = linear.scaled(1.0)
-    assert np.array_equal(same.at(0.7).data, linear.at(0.7).data)
-
-
 def test_constant_path_matches_exponential_series():
     # grade i of the output is t^i B^i / i!, within 1e-8 at t = 1, h = 1e-3
     b = matrix_element(ROT)
