@@ -497,15 +497,18 @@ def _convergence_rows(sweep_values, errors, expected: int) -> list[tuple]:
     """The ``convergence.csv`` rows: each scaling's oracle error, and the order
     measured from the scaling before it, which is asserted to lie within
     ``ORDER_WINDOW`` of ``expected`` when both scalings are at most
-    ``SWEEP_ASSERT_MAX_Q0``."""
+    ``SWEEP_ASSERT_MAX_Q0``.  A pair with a non-finite error is asserted and
+    fails, whatever its scalings."""
     points = list(zip(sweep_values, errors))
     rows = [(*points[0], "", "", expected, False, "")]
     for (prev_q0, prev_error), (q0, error) in zip(points, points[1:]):
         estimate = deviation = passed = ""
         asserted = False
+        if not (math.isfinite(error) and math.isfinite(prev_error)):
+            asserted, passed = True, False
         # near-exact truncations (nilpotent problems) leave only roundoff,
         # where order estimates are meaningless noise: skip those pairs
-        if error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR and prev_q0 != q0:
+        elif error > ORDER_NOISE_FLOOR and prev_error > ORDER_NOISE_FLOOR and prev_q0 != q0:
             estimate = float(np.log(prev_error / error) / np.log(prev_q0 / q0))
             deviation = abs(estimate - expected)
             asserted = max(prev_q0, q0) <= SWEEP_ASSERT_MAX_Q0

@@ -14,15 +14,17 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
 Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
 every integration, which this module re-exports with its defaults.
 
-Diagnostics: a centred-difference residual of the flow equation, with a floor set by
-the step; an oracle, the evaluated series' gap to the exact series, which must shrink
-like ``q0^(order+1)`` to roundoff; conserved traces of powers (conjugation invariance).
+Diagnostics: the residual of the flow equation, taken on the flow's polynomials, so
+its floor is roundoff; an oracle, the evaluated series' gap to the exact series, which
+must shrink like ``q0^(order+1)`` to roundoff; conserved traces of powers
+(conjugation invariance).
 
 Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
-:class:`~qlax.timeorder.FlowSample`; the trace tables and the checks
-(``series.grade_max_norms``, ``series.centred_residual``) run in blocks of
-about ``algebra.BLOCK_BYTES`` of series, so their temporaries stay small
-whatever the grid length and coefficient size.
+:class:`~qlax.timeorder.FlowSample`; the trace tables and the node-by-node checks
+(``series.grade_max_norms``) run in blocks of about ``algebra.BLOCK_BYTES`` of
+series, so their temporaries stay small whatever the grid length and coefficient
+size.  The residual makes no product per node: one product call per grade on the
+polynomials' coefficients, then one sample of each grade's residual.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from qlax.algebra import (
 from qlax.series import (
     GradedSeries,  # bench/test_bench.py reaches it as lax.GradedSeries
     cauchy_product,
-    centred_residual,
     evaluate_values,
     grade_max_norms,
 )
@@ -60,6 +61,7 @@ from qlax.timeorder import (
     LaxProblem,
     OperatorPath,
     _expand_grid,
+    _flow_residual,
     _grade_polynomials,
     _integrate_polynomial,
     _sample_grades,
@@ -150,16 +152,13 @@ def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
 
 
 def lax_residual(result: LaxFlowResult) -> np.ndarray:
-    """Per-grade residual of ``d/dt L = [q P(q0 t), L]`` by centred differences."""
+    """Per-grade max norm on the nodes of the residual ``L_i' - [P(q0 t), L_(i-1)]`` of
+    ``d/dt L = [q P(q0 t), L]``, from the flow's polynomials: the derivative is exact,
+    so the floor is roundoff (:func:`~qlax.timeorder._flow_residual`)."""
     flow = result.flow
     problem = result.problem
-
-    def residual(inner, derivative):
-        p = problem.path.sample(problem.q0 * flow.times[inner])[:, None]
-        derivative[:, 1:] -= stacked_commutator(flow.descriptor, p, flow.values[inner, :-1])
-        return derivative
-
-    return centred_residual(flow.descriptor, flow.values, flow.step, residual)
+    return _flow_residual(lambda p, x: stacked_commutator(flow.descriptor, p, x), flow,
+                          problem.path, problem.q0)
 
 
 @dataclass(frozen=True, eq=False)

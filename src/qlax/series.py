@@ -141,24 +141,6 @@ def grade_max_norms(descriptor: AlgebraDescriptor, values: np.ndarray, gaps) -> 
     return worst
 
 
-def centred_residual(descriptor: AlgebraDescriptor, values: np.ndarray, step: float,
-                     residual) -> np.ndarray:
-    """:func:`grade_max_norms` of a flow-equation residual on the interior nodes.
-
-    ``residual(inner, derivative)`` maps a slice of interior nodes and the
-    centred differences there, which it may overwrite, to the stack to measure.
-    """
-    if len(values) < 3:
-        raise DomainError("need at least three nodes for centred differences")
-    inv_two_step = 1.0 / (2.0 * step)
-
-    def gaps(block):
-        derivative = (values[block.start + 2:block.stop + 2] - values[block]) * inv_two_step
-        return residual(slice(block.start + 1, block.stop + 1), derivative)
-
-    return grade_max_norms(descriptor, values[1:-1], gaps)
-
-
 class GradedSeries:
     """Immutable truncated series: one read-only ``(N+1, *shape)`` array ``values``
     whose entry ``n`` is the payload of the grade-``n`` coefficient in ``descriptor``.

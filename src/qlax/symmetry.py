@@ -13,8 +13,9 @@ diagnostics (``lax_residual``, ``flow_difference``, ...) apply to it as they
 stand.  Conjugating an element by the group series of ``P`` agrees grade by
 grade with applying the operator exponential of the ``ad`` path
 (``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check.  The
-checks reduce the sampled flows with ``series.grade_max_norms`` and
-``series.centred_residual``, in blocks of about ``algebra.BLOCK_BYTES``.
+node-by-node checks reduce the sampled flows with ``series.grade_max_norms``, in
+blocks of about ``algebra.BLOCK_BYTES``; the residuals are taken on the flows'
+polynomials, with no product per node.
 """
 
 from __future__ import annotations
@@ -30,9 +31,15 @@ from qlax.algebra import (
     matrix_descriptor,
     stacked_commutator,
 )
-from qlax.series import GradedSeries, centred_residual, grade_max_norms, graded_product
+from qlax.series import GradedSeries, grade_max_norms, graded_product
 from qlax.lax import LaxFlowResult, LaxProblem, conjugate, solve_lax
-from qlax.timeorder import FlowSample, OperatorPath
+from qlax.timeorder import (
+    FlowSample,
+    OperatorPath,
+    _checked_polynomials,
+    _residual_norms,
+    _residual_polynomials,
+)
 
 DENSE_OPERATOR_LIMIT = 8
 
@@ -87,21 +94,17 @@ def apply_operator(operator: AlgebraElement, element: AlgebraElement) -> Algebra
     return AlgebraElement(element.descriptor, flat.reshape(n, n))
 
 
-def _apply_stacked(operators: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Graded application on stacks: ``(nodes, N+1, n^2, n^2)`` onto ``(nodes, N+1, n, n)``."""
-    flat = elements.reshape(*elements.shape[:2], -1)
-    applied = graded_product(operators, flat, lambda x, y, _mask: (x @ y[..., None])[..., 0])
-    return applied.reshape(applied.shape[0], *elements.shape[1:])
-
-
 def apply_operator_series(operators: GradedSeries, elements: GradedSeries) -> GradedSeries:
     """Graded application ``(Phi . L)_n = sum_{i+j=n} Phi_i(L_j)``."""
     if operators.order != elements.order:
         raise ShapeMismatchError("series truncation orders differ")
     if operators.descriptor.n != elements.descriptor.n ** 2:
         raise ShapeMismatchError("operator size does not match the element algebra")
-    applied = _apply_stacked(operators.values[None], elements.values[None])
-    return GradedSeries.from_values(elements.descriptor, applied[0])
+    flat = elements.values.reshape(1, len(elements.values), -1)
+    applied = graded_product(operators.values[None], flat,
+                             lambda x, y, _mask: (x @ y[..., None])[..., 0])
+    return GradedSeries.from_values(elements.descriptor,
+                                    applied[0].reshape(elements.values.shape))
 
 
 def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: float,
@@ -116,11 +119,14 @@ def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: flo
 
 
 def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray:
-    """Per-grade residual of ``(d/dt S).L - [ad_{q P(q0 t)}, S].L`` on a flow.
+    """Per-grade max norm on the nodes of ``(d/dt S - [ad_{q P(q0 t)}, S]).L``.
 
-    ``S`` is the sampled operator series, ``L`` the sampled element series;
-    both must share the time grid.  The time derivative uses centred
-    differences with the grid step.
+    ``S`` is the operator flow and ``L`` the element flow, on one time grid; ``P`` is
+    ``lax``'s path.  Both are taken as polynomials in ``s = t/T``: ``S``'s residual
+    polynomials (:func:`~qlax.timeorder._residual_polynomials`) are applied to ``L``'s
+    graded, ``(R.L)_n = sum_(i=1..n) R_i(L_(n-i))``, each a polynomial product in
+    ``s``, and each grade is then sampled on the nodes.  The derivative is exact, so
+    the floor is roundoff.
     """
     s_flow = sym.flow
     l_flow = lax.flow
@@ -135,13 +141,21 @@ def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray
     if lax.problem.q0 != q0:
         raise ShapeMismatchError("operator and element flows use different scalings")
 
-    def residual(inner, derivative):
-        ad_p = ad_matrices(lax.problem.path.sample(q0 * s_flow.times[inner]))[:, None]
-        derivative[:, 1:] -= stacked_commutator(s_flow.descriptor, ad_p,
-                                                s_flow.values[inner, :-1])
-        return _apply_stacked(derivative, l_flow.values[inner])
-
-    return centred_residual(l_flow.descriptor, s_flow.values, s_flow.step, residual)
+    path = ad_path(lax.problem.path)
+    residuals = _residual_polynomials(
+        lambda p, x: stacked_commutator(s_flow.descriptor, p, x), s_flow, path, q0)
+    elements = [grade.reshape(len(grade), -1, 1)
+                for grade in _checked_polynomials(l_flow, path.degree)]
+    applied = [residuals[0]]
+    for n in range(1, len(residuals)):
+        total = np.zeros((n * path.degree + 1, base_n * base_n),
+                         dtype=np.result_type(residuals[n], elements[0]))
+        for i in range(1, n + 1):
+            products = (residuals[i][:, None] @ elements[n - i][None])[..., 0]
+            for a, row in enumerate(products):
+                total[a:a + len(row)] += row
+        applied.append(total.reshape(len(total), base_n, base_n))
+    return _residual_norms(applied, l_flow)
 
 
 def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample) -> np.ndarray:

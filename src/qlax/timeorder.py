@@ -15,8 +15,11 @@ grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A sampled path is kept as one
 ``(nodes, N+1, *shape)`` array (:class:`FlowSample`), which also keeps the
-polynomial coefficients it was sampled from.  Every integration takes a
-:class:`LaxProblem`, whose construction is the one check of its inputs.
+polynomial coefficients it was sampled from.  The residual checks of the flow
+equations work on those coefficients too: the derivative of a polynomial is
+exact, so their floor is roundoff, and they make one product call per grade,
+none per node.  Every integration takes a :class:`LaxProblem`, whose
+construction is the one check of its inputs.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from qlax.algebra import (
     kernel_block_bytes,
     stacked_product,
 )
-from qlax.series import GradedSeries, centred_residual, right_divide
+from qlax.series import GradedSeries, grade_max_norms
 
 MAX_PATH_DEGREE = 8
 DEFAULT_ORDER = 8
@@ -112,9 +115,10 @@ class FlowSample:
     polynomials it was sampled from: ``coefficients[i]`` is the read-only
     ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of ``s^i .. s^(i
     (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T`` the last time.
-    :func:`~qlax.lax.conjugate` reads a group's, and ``qlax solve`` writes a
-    flow's.  A sample built from values alone has ``None`` there.  ``times`` is
-    made read-only too, since samples of one solve share it.
+    :func:`~qlax.lax.conjugate` reads a group's, the residual checks read any
+    sample's, and ``qlax solve`` writes a flow's.  A sample built from values
+    alone has ``None`` there.  ``times`` is made read-only too, since samples
+    of one solve share it.
     """
 
     __slots__ = ("times", "values", "descriptor", "step", "order", "q0", "coefficients")
@@ -240,6 +244,23 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
             + kernel_block_bytes(descriptor))
 
 
+def _scaled_generators(path: OperatorPath, q0: float, horizon: float) -> np.ndarray:
+    """The coefficients of ``P(q0 t)`` in ``s = t/T``: ``(q0 T)^e P_e``, as a column stack."""
+    return np.stack([(q0 * horizon) ** e * c.data for e, c in enumerate(path.coeffs)])[:, None]
+
+
+def _driven(produce, generators: np.ndarray, grade: np.ndarray,
+            descriptor: AlgebraDescriptor) -> np.ndarray:
+    """The coefficients of ``produce(P(q0 t), X)`` in ``s``, with ``X``'s stack ``grade``:
+    entry ``m`` is ``sum_(e + j = m) produce(generators[e], grade[j])``, from one call."""
+    products = produce(generators, grade[None])
+    coeffs = np.zeros((len(grade) + len(generators) - 1, *descriptor.shape),
+                      dtype=descriptor.dtype)
+    for e, product in enumerate(products):
+        coeffs[e:e + len(product)] += product
+    return coeffs
+
+
 def _grade_polynomials(produce, problem: LaxProblem) -> list[np.ndarray]:
     """The exact solution of ``X_i' = produce(P(q0 t), X_{i-1})`` as polynomials in ``s = t/T``.
 
@@ -253,21 +274,80 @@ def _grade_polynomials(produce, problem: LaxProblem) -> list[np.ndarray]:
     one ``produce`` call per grade over every pair ``(P_e, D[i-1, j])``.  Entry
     ``i`` of the result is the stack ``D[i, i..i (d + 1)]``.
     """
-    path = problem.path
     horizon = _expand_grid(problem.grid)[1]
-    descriptor = path.descriptor
-    generators = np.stack([(problem.q0 * horizon) ** e * c.data
-                           for e, c in enumerate(path.coeffs)])[:, None]
+    descriptor = problem.path.descriptor
+    generators = _scaled_generators(problem.path, problem.q0, horizon)
     grades = [problem.initial.data[None]]
     for i in range(1, problem.order + 1):
-        products = produce(generators, grades[-1][None])
-        coeffs = np.zeros((len(grades[-1]) + path.degree, *descriptor.shape),
-                          dtype=descriptor.dtype)
-        for e, product in enumerate(products):
-            coeffs[e:e + len(product)] += product
+        coeffs = _driven(produce, generators, grades[-1], descriptor)
         coeffs *= (horizon / np.arange(i, i + len(coeffs)))[:, None, None]
         grades.append(coeffs)
     return grades
+
+
+def _checked_polynomials(sample: "FlowSample", degree: int) -> tuple[np.ndarray, ...]:
+    """``sample.coefficients``, checked to hold grade ``i`` of a degree-``degree`` path's
+    flow in ``i degree + 1`` coefficients."""
+    if sample.coefficients is None:
+        raise DomainError("the residual needs the sample's polynomial coefficients")
+    for i, grade in enumerate(sample.coefficients):
+        if len(grade) != i * degree + 1:
+            raise ShapeMismatchError(f"grade {i} holds {len(grade)} coefficients, not the "
+                                     f"{i * degree + 1} of a degree-{degree} path")
+    return sample.coefficients
+
+
+def _residual_polynomials(produce, sample: "FlowSample", path: OperatorPath,
+                          q0: float) -> list[np.ndarray]:
+    """The residuals ``R_i = X_i' - produce(P(q0 t), X_{i-1})`` of a sample's polynomials.
+
+    In ``s = t/T``, ``T = times[-1]``, with ``D`` the sample's coefficients (see
+    :func:`_grade_polynomials`), ``R_i`` has the coefficient
+
+        (k/T) D[i, k] - sum_(e + j = k - 1) produce((q0 T)^e P_e, D[i-1, j])
+
+    at ``s^(k - 1)``: one ``produce`` call per grade, none per node.  Entry ``i >= 1``
+    is the stack of the coefficients of ``s^(i - 1) .. s^(i (d + 1) - 1)``; entry 0,
+    the derivative of a constant, holds none.
+    """
+    grades = _checked_polynomials(sample, path.degree)
+    horizon = sample.times[-1]
+    generators = _scaled_generators(path, q0, horizon)
+    residuals = [grades[0][:0]]
+    for i in range(1, len(grades)):
+        derivative = grades[i] * (np.arange(i, i + len(grades[i])) / horizon)[:, None, None]
+        residuals.append(derivative - _driven(produce, generators, grades[i - 1],
+                                              sample.descriptor))
+    return residuals
+
+
+def _residual_norms(residuals, sample: "FlowSample") -> np.ndarray:
+    """Per-grade max norm on ``sample``'s nodes of residual polynomials laid out as
+    :func:`_residual_polynomials` returns them, in ``sample``'s algebra; grade 0 reads 0.
+
+    Sampled as :func:`_sample_grades` does, with one table of the powers of ``s``
+    and ``np.einsum`` on the real view, here on every node, in the node blocks of
+    :func:`~qlax.series.grade_max_norms`, so one block of samples is held at a time.
+    """
+    times = sample.times
+    powers = (times / times[-1])[:, None] ** np.arange(len(residuals[-1]) + len(residuals) - 2)
+
+    def sampled(block):
+        nodes = powers[block]
+        values = np.zeros((len(nodes), *sample.values.shape[1:]), dtype=sample.values.dtype)
+        real = values.view(np.float64).reshape(len(nodes), len(residuals), -1)
+        for i in range(1, len(residuals)):
+            stack = residuals[i].view(np.float64).reshape(len(residuals[i]), -1)
+            np.einsum("nk,kf->nf", nodes[:, i - 1:i - 1 + len(stack)], stack, out=real[:, i])
+        return values
+
+    return grade_max_norms(sample.descriptor, sample.values, sampled)
+
+
+def _flow_residual(produce, sample: "FlowSample", path: OperatorPath, q0: float) -> np.ndarray:
+    """Per-grade max norm on the nodes of the residual of ``X' = produce(q P(q0 t), X)``,
+    computed on the sample's polynomials (:func:`_residual_polynomials`)."""
+    return _residual_norms(_residual_polynomials(produce, sample, path, q0), sample)
 
 
 def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> np.ndarray:
@@ -316,14 +396,12 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
                                  q0: float) -> np.ndarray:
-    """Per-grade residual of ``(d/dt g) g^(-1) = q P(q0 t)`` on interior nodes.
+    """Per-grade max norm on the nodes of the residual ``g_i' - P(q0 t) g_(i-1)`` of
+    ``d/dt g = q P(q0 t) g``, from the group's polynomials (:func:`_flow_residual`).
 
-    ``(d/dt g) g^(-1)`` is ``series.right_divide``; ``d/dt`` is a centred difference
-    with the grid step, so the profile adds an O(step^2) floor to the integration error.
+    A unit-headed ``g`` is invertible, so the residual vanishes exactly when ``(d/dt
+    g) g^(-1) = q P(q0 t)``.  The derivative is exact, so the floor is roundoff.  A
+    sample with no polynomial coefficients is a :class:`DomainError`.
     """
-    def residual(inner, derivative):
-        gap = right_divide(group.descriptor, derivative, group.values[inner])
-        gap[:, 1] -= path.sample(q0 * group.times[inner])
-        return gap
-
-    return centred_residual(group.descriptor, group.values, group.step, residual)
+    descriptor = group.descriptor
+    return _flow_residual(lambda p, x: stacked_product(descriptor, p, x), group, path, q0)

@@ -408,6 +408,37 @@ def test_sweep_with_q0_one_emits_rows_without_assertion(tmp_path):
     assert all(row["asserted"] == "false" for row in conv_rows)
 
 
+def test_sweep_fails_pairs_with_non_finite_errors(tmp_path):
+    # P = +-1e200 overflows the flow, so every oracle error is NaN; no order can be
+    # measured from them, and a pair that holds one is asserted and fails
+    doc = {
+        "schema": 1,
+        "backend": {"kind": "matrix", "n": 2, "field": "real"},
+        "L0": [[1.0, 0.0], [0.0, -1.0]],
+        "P": {"kind": "constant", "value": [[0.0, 1e200], [-1e200, 0.0]]},
+        "N": 2,
+        "grid": {"h": 0.1, "T": 1.0},
+    }
+    out = str(tmp_path / "nan")
+    with np.errstate(all="ignore"):
+        assert main(["sweep", _write(tmp_path, doc), "--out", out]) == 1
+    assert _read_json(os.path.join(out, "manifest.json"))["all_passed"] is False
+    rows = _read_rows(os.path.join(out, "convergence.csv"))
+    assert [(row["oracle_error"], row["asserted"], row["passed"]) for row in rows] == [
+        ("nan", "false", ""), ("nan", "true", "false"), ("nan", "true", "false")]
+
+
+def test_solve_residual_floor_is_roundoff_at_a_coarse_step(tmp_path):
+    # the residual's derivative is exact, so a coarse grid adds no step error; an
+    # h^2 error of a difference quotient would read 3.2e-6 here, over RESIDUAL_TOL
+    out = tmp_path / "coarse"
+    assert main(["solve", "--preset", "toda-3", "--step", "0.01", "--out", str(out)]) == 0
+    rows = [row for row in _read_rows(out / "diagnostics.csv")
+            if row["check"] == "lax_residual"]
+    assert len(rows) == 9
+    assert all(float(row["value"]) <= 1e-13 for row in rows)
+
+
 def test_appendix_command(tmp_path):
     out = str(tmp_path / "appendix")
     assert main(["appendix", "--out", out]) == 0

@@ -129,11 +129,13 @@ def test_lax_residual_below_threshold_for_presets():
 def test_corrupted_flow_is_detected():
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=4, grid=(1e-3, 1.0))
     result = solve_lax(prob)
-    doubled = result.flow.values.copy()
+    flow = result.flow
+    doubled = flow.values.copy()
     doubled[:, 1] *= 2.0
-    corrupted_flow = FlowSample(result.flow.times, doubled, result.flow.descriptor,
-                                step=result.flow.step, order=result.flow.order,
-                                q0=result.flow.q0)
+    coefficients = [2.0 * stack if i == 1 else stack
+                    for i, stack in enumerate(flow.coefficients)]
+    corrupted_flow = FlowSample(flow.times, doubled, flow.descriptor, step=flow.step,
+                                order=flow.order, q0=flow.q0, coefficients=coefficients)
     corrupted = LaxFlowResult(problem=result.problem, group=result.group,
                               flow=corrupted_flow)
     profile = lax_residual(corrupted)
@@ -146,8 +148,11 @@ def test_non_finite_flow_fails_the_residual():
     result = solve_lax(prob)
     broken_values = result.flow.values.copy()
     broken_values[4, 1] = [[np.nan, 0.0], [0.0, 0.0]]
+    coefficients = [stack.copy() for stack in result.flow.coefficients]
+    coefficients[1][0, 0, 0] = np.nan
     broken = FlowSample(result.flow.times, broken_values, result.flow.descriptor,
-                        step=result.flow.step, order=result.flow.order, q0=result.flow.q0)
+                        step=result.flow.step, order=result.flow.order, q0=result.flow.q0,
+                        coefficients=coefficients)
     profile = lax_residual(LaxFlowResult(problem=result.problem, group=result.group,
                                          flow=broken))
     assert np.isnan(profile[1])
@@ -350,6 +355,10 @@ def test_every_sample_keeps_its_polynomials():
                       order=group.order, q0=group.q0)
     with pytest.raises(DomainError, match="needs the group's polynomial coefficients"):
         conjugate(bare, prob.initial)
+    with pytest.raises(DomainError, match="needs the sample's polynomial coefficients"):
+        lax_residual(LaxFlowResult(problem=prob, group=group, flow=bare))
+    with pytest.raises(DomainError, match="needs the sample's polynomial coefficients"):
+        timeorder.left_log_derivative_residual(bare, prob.path, prob.q0)
     doubled = FlowSample(group.times, group.values, group.descriptor, step=group.step,
                          order=group.order, q0=group.q0,
                          coefficients=[2 * stack for stack in group.coefficients])
@@ -419,6 +428,20 @@ def test_the_exact_group_times_its_inverse_is_the_unit(problem):
     assert (gap <= 1e-13 * scale).all(), (gap / scale).max()
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_lax_problems())
+def test_the_residuals_are_roundoff(problem):
+    # both residuals are taken on exact polynomials, so they read roundoff of the
+    # sample's largest coefficient: at worst over these draws 2.5e-16 of it for the
+    # group, and 2.7e-14 for a diffop flow, whose products scale modes by up to N + 1
+    result = solve_lax(problem)
+    for sample, residual in ((result.flow, lax_residual(result)),
+                             (result.group, timeorder.left_log_derivative_residual(
+                                 result.group, problem.path, problem.q0))):
+        scale = max(np.abs(stack).max() for stack in sample.coefficients)
+        assert residual.max() <= 1e-13 * scale, residual.max() / scale
+
+
 def test_linearity_in_the_initial_value():
     rng = np.random.default_rng(31)
     desc = matrix_descriptor(3)
@@ -477,8 +500,10 @@ def test_diffop_product_count(monkeypatch):
     # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and grade
     # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call over the (n - i + 1)(i + 1)
     # pairs of each i: 2, 4 + 3 = 7 and 6 + 6 + 4 = 16, as none of the coefficients
-    # is zero.  The kernel takes a stack of pairs per call, so the product count is
-    # the pairs it receives, and it does not depend on the number of nodes.
+    # is zero.  The residuals take grade i's products on grade i - 1's polynomials:
+    # 2 + 4 + 6 pairs, in one call per grade for g' = q P g and in a bracket's two
+    # for the flow.  The kernel takes a stack of pairs per call, so the product count
+    # is the pairs it receives, and it does not depend on the number of nodes.
     calls = []
     original = algebra._diffop_products
 
@@ -494,10 +519,13 @@ def test_diffop_product_count(monkeypatch):
     for horizon in (0.05, 0.59):  # 6 and 60 nodes
         calls.clear()
         prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, horizon))
-        solve_lax(prob)
+        result = solve_lax(prob)
         assert calls == [2, 4, 6, 10, 2, 7, 16]
         integrate_directly(prob)
         assert calls[7:] == [2, 2, 4, 4, 6, 6]
+        lax_residual(result)
+        timeorder.left_log_derivative_residual(result.group, path, 0.5)
+        assert calls[13:] == [2, 2, 4, 4, 6, 6, 2, 4, 6]
 
 
 def test_flow_size_cap():

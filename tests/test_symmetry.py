@@ -184,8 +184,11 @@ def test_constant_operator_counterexample_detected():
     s0 = ad_operator(prob.initial)
     frozen_values = np.zeros_like(sym.flow.values)
     frozen_values[:, 0] = s0.data
+    frozen_coefficients = [np.zeros_like(stack) for stack in sym.flow.coefficients]
+    frozen_coefficients[0][0] = s0.data
     frozen_flow = FlowSample(sym.flow.times, frozen_values, s0.descriptor,
-                             step=sym.flow.step, order=sym.flow.order, q0=sym.flow.q0)
+                             step=sym.flow.step, order=sym.flow.order, q0=sym.flow.q0,
+                             coefficients=frozen_coefficients)
     frozen_result = LaxFlowResult(problem=sym.problem, group=sym.group, flow=frozen_flow)
     assert lax_residual(frozen_result)[1] >= 1e-2
 

@@ -202,8 +202,11 @@ def test_corrupted_group_path_is_detected():
     group = time_ordered_exp(path, q0=0.5, order=4, grid=(1e-3, 1.0))
     corrupted_values = group.values.copy()
     corrupted_values[:, 2] = 0.0
+    coefficients = [np.zeros_like(stack) if i == 2 else stack
+                    for i, stack in enumerate(group.coefficients)]
     corrupted = FlowSample(group.times, corrupted_values, group.descriptor,
-                           step=group.step, order=group.order, q0=group.q0)
+                           step=group.step, order=group.order, q0=group.q0,
+                           coefficients=coefficients)
     profile = left_log_derivative_residual(corrupted, path, 0.5)
     assert profile[2] >= 1e-2
 
