@@ -319,7 +319,7 @@ def _self_dot(flat: np.ndarray) -> np.ndarray:
 def element_norms(descriptor: AlgebraDescriptor, values: np.ndarray) -> np.ndarray:
     """:meth:`AlgebraElement.norm` of every element of a stack, bit for bit."""
     if descriptor.backend == MATRIX:
-        flat = values.reshape(*values.shape[:-2], -1)
+        flat = values.reshape(*values.shape[:-2], values.shape[-2] * values.shape[-1])
         if np.iscomplexobj(flat):
             return np.sqrt(_self_dot(flat.real) + _self_dot(flat.imag))
         return np.sqrt(_self_dot(flat))

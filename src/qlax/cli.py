@@ -73,11 +73,11 @@ from qlax.nonregular import (
     velocity_at_zero,
     verify_diffeo_bounds,
 )
-from qlax.series import evaluate_values, grade_max_norms
+from qlax.series import evaluate_values
 from qlax.symmetry import (
-    ad_matrices,
     ad_operator,
     check_ad_exp_ad,
+    equivariance_gap,
     identity_operator,
     operator_descriptor,
     solve_symmetry,
@@ -453,10 +453,7 @@ def run_symmetry(document: dict, out_dir: str, overrides: dict | None = None) ->
         ("ad_exp_gap", check_ad_exp_ad(lax_result.group, sym.group), AD_EXP_TOL),
     ]
     if s0_spec is not None and s0_spec["kind"] == "ad-of-initial":
-        gap = grade_max_norms(
-            sym.flow.descriptor, sym.flow.values,
-            lambda block: sym.flow.values[block] - ad_matrices(lax_result.flow.values[block]))
-        checks.append(("equivariance_gap", gap, EQUIVARIANCE_TOL))
+        checks.append(("equivariance_gap", equivariance_gap(sym, lax_result), EQUIVARIANCE_TOL))
     rows = _diagnostic_rows(checks)
 
     return _write_bundle(out_dir, "symmetry", _problem_echo(document, problem, options), {
@@ -498,9 +495,10 @@ def _convergence_rows(sweep_values, errors, expected: int) -> list[tuple]:
     measured from the scaling before it, which is asserted to lie within
     ``ORDER_WINDOW`` of ``expected`` when both scalings are at most
     ``SWEEP_ASSERT_MAX_Q0``.  A pair with a non-finite error is asserted and
-    fails, whatever its scalings."""
+    fails, whatever its scalings, and so is a lone scaling's non-finite error."""
     points = list(zip(sweep_values, errors))
-    rows = [(*points[0], "", "", expected, False, "")]
+    lone_failure = len(points) == 1 and not math.isfinite(points[0][1])
+    rows = [(*points[0], "", "", expected, lone_failure, False if lone_failure else "")]
     for (prev_q0, prev_error), (q0, error) in zip(points, points[1:]):
         estimate = deviation = passed = ""
         asserted = False

@@ -14,17 +14,13 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
 Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
 every integration, which this module re-exports with its defaults.
 
-Diagnostics: the residual of the flow equation, taken on the flow's polynomials, so
-its floor is roundoff; an oracle, the evaluated series' gap to the exact series, which
-must shrink like ``q0^(order+1)`` to roundoff; conserved traces of powers
-(conjugation invariance).
-
-Flows and diagnostics work on the stacked ``(nodes, N+1, *shape)`` arrays of
-:class:`~qlax.timeorder.FlowSample`; the trace tables and the node-by-node checks
-(``series.grade_max_norms``) run in blocks of about ``algebra.BLOCK_BYTES`` of
-series, so their temporaries stay small whatever the grid length and coefficient
-size.  The residual makes no product per node: one product call per grade on the
-polynomials' coefficients, then one sample of each grade's residual.
+Diagnostics: the residual of the flow equation and the conserved traces of powers
+(conjugation invariance), both taken on the flow's polynomials in ``s = t/T`` with no
+node, so their floor is roundoff and each grade's value, the sum of the norms of its
+gap's coefficients, bounds the gap on all of ``[0, T]``; and an oracle, the evaluated
+series' gap on the nodes to the exact series, which must shrink like
+``q0^(order+1)`` to roundoff.  Only :func:`flow_difference` still compares two flows
+node by node (``series.grade_max_norms``).
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
-    blocks,
     element_norms,
     matrix_element,
     stacked_commutator,
@@ -49,7 +44,6 @@ from qlax.algebra import (
 )
 from qlax.series import (
     GradedSeries,  # bench/test_bench.py reaches it as lax.GradedSeries
-    cauchy_product,
     evaluate_values,
     grade_max_norms,
 )
@@ -60,11 +54,13 @@ from qlax.timeorder import (
     FlowSample,
     LaxProblem,
     OperatorPath,
+    _checked_polynomials,
     _expand_grid,
-    _flow_residual,
     _grade_polynomials,
     _integrate_polynomial,
+    _residual_polynomials,
     _sample_grades,
+    coefficient_bounds,
     time_ordered_exp,
 )
 
@@ -85,17 +81,25 @@ def solve_lax(problem: LaxProblem) -> LaxFlowResult:
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
-    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``, from the group's polynomials.
+    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`_conjugated_polynomials`
+    sampled on the group's nodes."""
+    grades = _conjugated_polynomials(group, initial)
+    return FlowSample(group.times, _sample_grades(grades, group.descriptor, group.times),
+                      group.descriptor, step=group.step, order=group.order, q0=group.q0,
+                      coefficients=grades)
+
+
+def _conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[np.ndarray]:
+    """The polynomials in ``s = t/T`` of ``g(t) L0 g(t)^(-1)``, laid out as a
+    :class:`~qlax.timeorder.FlowSample`'s ``coefficients``.
 
     ``L g = g L0`` grade by grade is the forward substitution ``L_n = (g L0)_n -
-    sum_{i=1..n} L_{n-i} * g_i``, where ``*`` multiplies two polynomials in ``s =
-    t/T`` (``group.coefficients``).  ``g L0`` is one product call over all of
-    ``g``'s coefficients, and grade ``n`` one call over every pair ``(i, a, b)`` of
-    a nonzero coefficient ``a`` of ``L_{n-i}`` and a nonzero coefficient ``b`` of
-    ``g_i``.  Each power of ``s`` sums its terms with ``i``, then ``a``, ascending,
-    from ``-0.0`` as :func:`~qlax.series.graded_product` does, and the sum is
-    subtracted from ``(g L0)_n``; a power no pair reaches keeps ``(g L0)_n``.  The
-    flow is then sampled on the group's nodes, and keeps its polynomials.
+    sum_{i=1..n} L_{n-i} * g_i``, where ``*`` multiplies two polynomials in ``s``
+    (``group.coefficients``).  ``g L0`` is one product call over all of ``g``'s
+    coefficients, and grade ``n`` one call over every pair ``(i, a, b)`` of a nonzero
+    coefficient ``a`` of ``L_{n-i}`` and a nonzero coefficient ``b`` of ``g_i``, summed
+    per power of ``s`` with ``i``, then ``a``, ascending (:func:`_summed`) and subtracted
+    from ``(g L0)_n``; a power no pair reaches keeps ``(g L0)_n``.
     """
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
@@ -110,7 +114,6 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     flow = stacked_product(descriptor, g, initial.data[None])  # g L0, then L grade by grade
     nonzero_g = g.reshape(len(g), -1).any(axis=1)
     nonzero = flow.reshape(len(flow), -1).any(axis=1)
-    size = g[0].size
     for n in range(1, len(grades)):
         pairs = []
         for i in range(1, n + 1):
@@ -119,21 +122,24 @@ def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
             pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
                           np.add.outer(a, b).ravel()))
         left, right, power = (np.concatenate(column) for column in zip(*pairs))
-        # every sum starts at -0.0, the exact additive identity, and takes one flat
-        # index per entry of each term, so that add.at adds them in order on its fast path
-        total = np.negative(np.zeros((starts[n + 1] - starts[n], *descriptor.shape),
-                                     dtype=flow.dtype))
-        entries = np.add.outer(power * size, np.arange(size)).ravel()
-        np.add.at(total.reshape(-1), entries,
-                  stacked_product(descriptor, flow[left], g[right]).reshape(-1))
+        total = _summed(stacked_product(descriptor, flow[left], g[right]), power,
+                        starts[n + 1] - starts[n])
         reached = np.flatnonzero(np.bincount(power, minlength=len(total)))
         flow[starts[n] + reached] -= total[reached]
         nonzero[starts[n]:starts[n + 1]] = flow[starts[n]:starts[n + 1]].reshape(
             len(total), -1).any(axis=1)
-    polynomials = np.split(flow, starts[1:-1])
-    values = _sample_grades(polynomials, descriptor, group.times)
-    return FlowSample(times=group.times, values=values, descriptor=descriptor,
-                      step=group.step, order=group.order, q0=group.q0, coefficients=polynomials)
+    return np.split(flow, starts[1:-1])
+
+
+def _summed(products: np.ndarray, power: np.ndarray, length: int) -> np.ndarray:
+    """``length`` sums, sum ``k`` of the ``products`` whose ``power`` is ``k``, in their
+    order; every sum starts at ``-0.0``, the exact additive identity."""
+    size = math.prod(products.shape[1:])
+    total = np.negative(np.zeros((length, *products.shape[1:]), products.dtype))
+    # one flat index per entry of each term, so that add.at adds them in order on its fast path
+    np.add.at(total.reshape(-1), np.add.outer(power * size, np.arange(size)).ravel(),
+              products.reshape(-1))
+    return total
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:
@@ -152,54 +158,68 @@ def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
 
 
 def lax_residual(result: LaxFlowResult) -> np.ndarray:
-    """Per-grade max norm on the nodes of the residual ``L_i' - [P(q0 t), L_(i-1)]`` of
-    ``d/dt L = [q P(q0 t), L]``, from the flow's polynomials: the derivative is exact,
-    so the floor is roundoff (:func:`~qlax.timeorder._flow_residual`)."""
-    flow = result.flow
-    problem = result.problem
-    return _flow_residual(lambda p, x: stacked_commutator(flow.descriptor, p, x), flow,
-                          problem.path, problem.q0)
+    """Per-grade bound on ``[0, T]`` of the residual ``L_i' - [P(q0 t), L_(i-1)]`` of ``d/dt
+    L = [q P(q0 t), L]``, from the flow's polynomials: the derivative is exact, so the
+    floor is roundoff (:func:`~qlax.timeorder.coefficient_bounds`)."""
+    flow, problem = result.flow, result.problem
+    return coefficient_bounds(flow.descriptor, _residual_polynomials(
+        lambda p, x: stacked_commutator(flow.descriptor, p, x), flow, problem.path, problem.q0))
 
 
 @dataclass(frozen=True, eq=False)
 class TraceDriftTable:
-    """Per-node grade coefficients of ``trace(L^k)`` and their drift from t=0; ``k`` is
-    the table's key and the nodes are the flow's ``times``."""
+    """The coefficients of ``trace(L^k)`` (``k`` the table's key) by grade and power of ``s =
+    t/T``.  ``drift[n] = sum_(j>=1) |coefficients[n, j]|`` bounds grade ``n``'s drift from
+    ``t = 0`` on all of ``[0, T]``; ``trace(L^k)`` is conserved, so it should vanish."""
 
-    values: np.ndarray  # shape (nodes, order + 1)
-    drift: np.ndarray   # shape (order + 1,)
+    coefficients: np.ndarray  # shape (order + 1, order (d + 1) + 1), d the path's degree
+    drift: np.ndarray         # shape (order + 1,)
+
+
+def _dense(grades) -> np.ndarray:
+    """Stacks laid out as a :class:`~qlax.timeorder.FlowSample`'s ``coefficients``, as one
+    ``(grade, power of s, ...)`` array."""
+    dense = np.zeros((len(grades), len(grades[-1]) + len(grades) - 1, *grades[0].shape[1:]),
+                     dtype=grades[-1].dtype)
+    for i, grade in enumerate(grades):
+        dense[i, i:i + len(grade)] = grade
+    return dense
+
+
+def _graded_product(x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
+    """The product of two :func:`_dense` layouts, truncated at ``x``'s top grade: ``(n, p)``
+    sums ``multiply(x[i, a], y[j, b])`` over the nonzero factors with ``i + j = n`` and ``a
+    + b = p`` in ``(i, a, j, b)`` order (:func:`_summed`), from one call per grade."""
+    order, width = x.shape[:2]
+    x, y = x.reshape(order * width, *x.shape[2:]), y.reshape(order * width, *y.shape[2:])
+    left, right = (index.ravel() for index in np.meshgrid(
+        *(np.flatnonzero(z.reshape(len(z), -1).any(axis=1)) for z in (x, y)), indexing="ij"))
+    grade, power = left // width + right // width, left % width + right % width
+    return np.stack([_summed(multiply(x[left[pairs]], y[right[pairs]]), power[pairs], width)
+                     for pairs in (np.flatnonzero(grade == n) for n in range(order))])
 
 
 def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, TraceDriftTable]:
-    """Trace-of-power tables for every ``k <= max_power`` in one pass."""
-    if result.flow.descriptor.backend != MATRIX:
+    """Trace-of-power tables for every ``k <= max_power``, from the flow's polynomials:
+    ``L^2`` and ``L^3`` are :func:`_graded_product` s of their :func:`_dense` layout, and
+    ``trace(L^4)`` keeps only ``sum trace(L^3_(i, a) L_(j, b))``.  No node is touched."""
+    flow, descriptor = result.flow, result.flow.descriptor
+    if descriptor.backend != MATRIX:
         raise CapabilityError("trace diagnostics need the matrix backend")
     if not 1 <= max_power <= 4:
         raise DomainError("trace powers are supported for 1 <= k <= 4")
-    flow = result.flow
-    descriptor = flow.descriptor
-    values = {k: np.empty((len(flow), flow.order + 1), dtype=descriptor.dtype)
-              for k in range(1, max_power + 1)}
-    for block in blocks(len(flow), flow.values[0].nbytes):
-        node = flow.values[block]
-        power = node
-        for k in range(1, min(max_power, 3) + 1):
-            if k > 1:
-                power = cauchy_product(descriptor, power, node)
-            # summed over a contiguous axis, as ndarray.trace sums one matrix
-            diagonal = np.ascontiguousarray(np.diagonal(power, axis1=-2, axis2=-1))
-            values[k][block] = diagonal.sum(axis=-1)
-        if max_power == 4:
-            # only the trace of L^4 is kept: grade n is sum_i trace(L^3_i L_(n-i)),
-            # added with i ascending; trace(A B) sums A * B^T over one contiguous axis,
-            # whose order, unlike einsum's, does not depend on the block's length
-            table = values[4][block]
-            table[:] = 0.0
-            for i in range(flow.order + 1):
-                terms = power[:, i, None] * np.swapaxes(node[:, :flow.order + 1 - i], -1, -2)
-                table[:, i:] += terms.reshape(*terms.shape[:2], -1).sum(axis=-1)
-    return {k: TraceDriftTable(values=table, drift=np.abs(table - table[0]).max(axis=0))
-            for k, table in values.items()}
+    power = dense = _dense(_checked_polynomials(flow, result.problem.path.degree))
+    traces = {}
+    for k in range(1, min(max_power, 3) + 1):
+        if k > 1:
+            power = _graded_product(power, dense, lambda a, b: stacked_product(descriptor, a, b))
+        # summed over a contiguous axis, as ndarray.trace sums one matrix
+        traces[k] = np.ascontiguousarray(np.diagonal(power, axis1=-2, axis2=-1)).sum(axis=-1)
+    if max_power == 4:  # trace(A B) sums A * B^T over one contiguous axis
+        traces[4] = _graded_product(power, dense, lambda a, b: (
+            a * np.swapaxes(b, -1, -2)).reshape(len(a), descriptor.n ** 2).sum(axis=-1))
+    return {k: TraceDriftTable(coefficients=table, drift=np.abs(table[:, 1:]).sum(axis=1))
+            for k, table in traces.items()}
 
 
 def _reference_problem(problem: LaxProblem) -> LaxProblem | None:

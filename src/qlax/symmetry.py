@@ -12,10 +12,10 @@ It is the element-level flow one level up: :func:`solve_symmetry` returns the
 diagnostics (``lax_residual``, ``flow_difference``, ...) apply to it as they
 stand.  Conjugating an element by the group series of ``P`` agrees grade by
 grade with applying the operator exponential of the ``ad`` path
-(``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check.  The
-node-by-node checks reduce the sampled flows with ``series.grade_max_norms``, in
-blocks of about ``algebra.BLOCK_BYTES``; the residuals are taken on the flows'
-polynomials, with no product per node.
+(``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check, and so is
+``S = ad_L`` for ``S`` started from ``ad_(L0)`` (equivariance).  Every check is taken
+on the flows' polynomial coefficients in ``s = t/T``, with no node: per grade it
+reads the sum of its identity's coefficient norms, a bound on all of ``[0, T]``.
 """
 
 from __future__ import annotations
@@ -31,14 +31,15 @@ from qlax.algebra import (
     matrix_descriptor,
     stacked_commutator,
 )
-from qlax.series import GradedSeries, grade_max_norms, graded_product
-from qlax.lax import LaxFlowResult, LaxProblem, conjugate, solve_lax
+from qlax.series import GradedSeries, graded_product
+from qlax.lax import (LaxFlowResult, LaxProblem, _conjugated_polynomials, _dense,
+                      _graded_product, solve_lax)
 from qlax.timeorder import (
     FlowSample,
     OperatorPath,
     _checked_polynomials,
-    _residual_norms,
     _residual_polynomials,
+    coefficient_bounds,
 )
 
 DENSE_OPERATOR_LIMIT = 8
@@ -118,44 +119,36 @@ def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: flo
                                 q0=q0, order=order, grid=grid))
 
 
-def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray:
-    """Per-grade max norm on the nodes of ``(d/dt S - [ad_{q P(q0 t)}, S]).L``.
-
-    ``S`` is the operator flow and ``L`` the element flow, on one time grid; ``P`` is
-    ``lax``'s path.  Both are taken as polynomials in ``s = t/T``: ``S``'s residual
-    polynomials (:func:`~qlax.timeorder._residual_polynomials`) are applied to ``L``'s
-    graded, ``(R.L)_n = sum_(i=1..n) R_i(L_(n-i))``, each a polynomial product in
-    ``s``, and each grade is then sampled on the nodes.  The derivative is exact, so
-    the floor is roundoff.
-    """
-    s_flow = sym.flow
-    l_flow = lax.flow
+def _check_matched(sym: LaxFlowResult, lax: LaxFlowResult) -> None:
+    """Raise unless operator flow ``sym`` acts on element flow ``lax``'s algebra and grid."""
+    s_flow, l_flow = sym.flow, lax.flow
     if len(s_flow) != len(l_flow) or s_flow.step != l_flow.step:
         raise ShapeMismatchError("operator and element flows use different grids")
     if s_flow.order != l_flow.order:
         raise ShapeMismatchError("operator and element flows use different orders")
-    base_n = l_flow.descriptor.n
-    if s_flow.descriptor.n != base_n * base_n:
+    if s_flow.descriptor.n != l_flow.descriptor.n ** 2:
         raise ShapeMismatchError("operator flow does not match the element algebra")
-    q0 = sym.problem.q0
-    if lax.problem.q0 != q0:
+    if lax.problem.q0 != sym.problem.q0:
         raise ShapeMismatchError("operator and element flows use different scalings")
 
-    path = ad_path(lax.problem.path)
-    residuals = _residual_polynomials(
-        lambda p, x: stacked_commutator(s_flow.descriptor, p, x), s_flow, path, q0)
-    elements = [grade.reshape(len(grade), -1, 1)
-                for grade in _checked_polynomials(l_flow, path.degree)]
-    applied = [residuals[0]]
-    for n in range(1, len(residuals)):
-        total = np.zeros((n * path.degree + 1, base_n * base_n),
-                         dtype=np.result_type(residuals[n], elements[0]))
-        for i in range(1, n + 1):
-            products = (residuals[i][:, None] @ elements[n - i][None])[..., 0]
-            for a, row in enumerate(products):
-                total[a:a + len(row)] += row
-        applied.append(total.reshape(len(total), base_n, base_n))
-    return _residual_norms(applied, l_flow)
+
+def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray:
+    """Per-grade bound on ``[0, T]`` of ``(d/dt S - [ad_{q P(q0 t)}, S]).L``.
+
+    ``S`` is the operator flow and ``L`` the element flow, on one time grid; ``P`` is
+    ``lax``'s path.  ``S``'s residual polynomials in ``s = t/T``
+    (:func:`~qlax.timeorder._residual_polynomials`) are applied to ``L``'s graded,
+    ``(R.L)_n = sum_(i=1..n) R_i(L_(n-i))`` (:func:`~qlax.lax._graded_product`), and
+    bounded by :func:`~qlax.timeorder.coefficient_bounds`: the floor is roundoff.
+    """
+    _check_matched(sym, lax)
+    path, descriptor = ad_path(lax.problem.path), sym.flow.descriptor
+    residuals = _residual_polynomials(lambda p, x: stacked_commutator(descriptor, p, x),
+                                      sym.flow, path, sym.problem.q0)
+    elements = _dense(_checked_polynomials(lax.flow, path.degree))
+    return coefficient_bounds(lax.flow.descriptor, _graded_product(
+        _dense(residuals), elements,
+        lambda r, x: (r @ x.reshape(len(x), r.shape[-1], 1)).reshape(x.shape)))
 
 
 def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample) -> np.ndarray:
@@ -165,7 +158,8 @@ def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample) -> np.ndarray
     ``operator_group`` that of its ``ad`` path, on the same time grid, order
     and scaling (the groups of :func:`~qlax.lax.solve_lax` and
     :func:`solve_symmetry`).  A pseudo-random probe element is conjugated by
-    ``group``, then compared against applying ``operator_group`` to it.
+    ``group`` and ``operator_group`` is applied to it, both on their coefficients in
+    ``s = t/T``, bounded on ``[0, T]`` by :func:`~qlax.timeorder.coefficient_bounds`.
     """
     descriptor = group.descriptor
     if descriptor.backend != MATRIX:
@@ -178,12 +172,18 @@ def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample) -> np.ndarray
     probe_data = rng.standard_normal((descriptor.n, descriptor.n))
     if descriptor.field == "complex":
         probe_data = probe_data + 1j * rng.standard_normal((descriptor.n, descriptor.n))
-    probe = AlgebraElement(descriptor, probe_data)
+    conjugated = _conjugated_polynomials(group, AlgebraElement(descriptor, probe_data))
+    operators = _checked_polynomials(operator_group, (len(conjugated[-1]) - 1) // group.order)
+    return coefficient_bounds(descriptor, [
+        stack - (operator @ probe_data.reshape(-1)).reshape(stack.shape)
+        for stack, operator in zip(conjugated, operators)])
 
-    conjugated = conjugate(group, probe).values
 
-    def gaps(block):
-        applied = operator_group.values[block] @ probe.data.reshape(-1)
-        return conjugated[block] - applied.reshape(conjugated[block].shape)
-
-    return grade_max_norms(descriptor, operator_group.values, gaps)
+def equivariance_gap(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray:
+    """Per-grade bound on ``[0, T]`` of ``S - ad_L``, ``S`` the operator flow from ``ad_(L0)``:
+    ``ad`` is linear, so it is taken on the flows' coefficients in ``s = t/T``."""
+    _check_matched(sym, lax)
+    degree = lax.problem.path.degree
+    return coefficient_bounds(sym.flow.descriptor, [
+        stack - ad_matrices(grade) for stack, grade in
+        zip(_checked_polynomials(sym.flow, degree), _checked_polynomials(lax.flow, degree))])

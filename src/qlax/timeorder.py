@@ -16,10 +16,11 @@ only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A sampled path is kept as one
 ``(nodes, N+1, *shape)`` array (:class:`FlowSample`), which also keeps the
 polynomial coefficients it was sampled from.  The residual checks of the flow
-equations work on those coefficients too: the derivative of a polynomial is
-exact, so their floor is roundoff, and they make one product call per grade,
-none per node.  Every integration takes a :class:`LaxProblem`, whose
-construction is the one check of its inputs.
+equations work on those coefficients too, with one product call per grade and
+none per node: the derivative of a polynomial is exact, so their floor is
+roundoff, and the sum of a grade's coefficient norms (:func:`coefficient_bounds`)
+bounds it on all of ``[0, T]``.  Every integration takes a :class:`LaxProblem`,
+whose construction is the one check of its inputs.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
+    element_norms,
     kernel_block_bytes,
     stacked_product,
 )
-from qlax.series import GradedSeries, grade_max_norms
+from qlax.series import GradedSeries
 
 MAX_PATH_DEGREE = 8
 DEFAULT_ORDER = 8
@@ -55,7 +57,7 @@ class OperatorPath:
     exact polynomials in ``t``.  ``q0`` is carried but unused: every integration
     routine takes the scaling parameter explicitly, and
     :func:`~qlax.symmetry.ad_path` only forwards it.  Its removal waits on
-    ROADMAP.md open item 3, since the frozen benchmark passes ``q0``
+    ROADMAP.md open item 6, since the frozen benchmark passes ``q0``
     positionally to :meth:`polynomial`.  Two paths are equal when
     their coefficients are: neither ``q0`` nor the label ``name`` takes part.
     """
@@ -115,9 +117,9 @@ class FlowSample:
     polynomials it was sampled from: ``coefficients[i]`` is the read-only
     ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of ``s^i .. s^(i
     (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T`` the last time.
-    :func:`~qlax.lax.conjugate` reads a group's, the residual checks read any
-    sample's, and ``qlax solve`` writes a flow's.  A sample built from values
-    alone has ``None`` there.  ``times`` is made read-only too, since samples
+    :func:`~qlax.lax.conjugate` reads a group's, the checks read any sample's,
+    and ``qlax solve`` writes a flow's.  A sample built from values alone has
+    ``None`` there.  ``times`` is made read-only too, since samples
     of one solve share it.
     """
 
@@ -289,7 +291,7 @@ def _checked_polynomials(sample: "FlowSample", degree: int) -> tuple[np.ndarray,
     """``sample.coefficients``, checked to hold grade ``i`` of a degree-``degree`` path's
     flow in ``i degree + 1`` coefficients."""
     if sample.coefficients is None:
-        raise DomainError("the residual needs the sample's polynomial coefficients")
+        raise DomainError("the check needs the sample's polynomial coefficients")
     for i, grade in enumerate(sample.coefficients):
         if len(grade) != i * degree + 1:
             raise ShapeMismatchError(f"grade {i} holds {len(grade)} coefficients, not the "
@@ -321,33 +323,11 @@ def _residual_polynomials(produce, sample: "FlowSample", path: OperatorPath,
     return residuals
 
 
-def _residual_norms(residuals, sample: "FlowSample") -> np.ndarray:
-    """Per-grade max norm on ``sample``'s nodes of residual polynomials laid out as
-    :func:`_residual_polynomials` returns them, in ``sample``'s algebra; grade 0 reads 0.
-
-    Sampled as :func:`_sample_grades` does, with one table of the powers of ``s``
-    and ``np.einsum`` on the real view, here on every node, in the node blocks of
-    :func:`~qlax.series.grade_max_norms`, so one block of samples is held at a time.
-    """
-    times = sample.times
-    powers = (times / times[-1])[:, None] ** np.arange(len(residuals[-1]) + len(residuals) - 2)
-
-    def sampled(block):
-        nodes = powers[block]
-        values = np.zeros((len(nodes), *sample.values.shape[1:]), dtype=sample.values.dtype)
-        real = values.view(np.float64).reshape(len(nodes), len(residuals), -1)
-        for i in range(1, len(residuals)):
-            stack = residuals[i].view(np.float64).reshape(len(residuals[i]), -1)
-            np.einsum("nk,kf->nf", nodes[:, i - 1:i - 1 + len(stack)], stack, out=real[:, i])
-        return values
-
-    return grade_max_norms(sample.descriptor, sample.values, sampled)
-
-
-def _flow_residual(produce, sample: "FlowSample", path: OperatorPath, q0: float) -> np.ndarray:
-    """Per-grade max norm on the nodes of the residual of ``X' = produce(q P(q0 t), X)``,
-    computed on the sample's polynomials (:func:`_residual_polynomials`)."""
-    return _residual_norms(_residual_polynomials(produce, sample, path, q0), sample)
+def coefficient_bounds(descriptor: AlgebraDescriptor, grades) -> np.ndarray:
+    """Per grade, ``sum_k ||c_k||`` over the coefficients ``c_k`` in ``s = t/T`` of stacks
+    laid out as a :class:`FlowSample`'s ``coefficients`` (a grade with none reads 0).
+    Since ``0 <= s <= 1``, it bounds the grade's norm on all of ``[0, T]``, with no node."""
+    return np.array([element_norms(descriptor, grade).sum() for grade in grades])
 
 
 def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> np.ndarray:
@@ -396,12 +376,13 @@ def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSam
 
 def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
                                  q0: float) -> np.ndarray:
-    """Per-grade max norm on the nodes of the residual ``g_i' - P(q0 t) g_(i-1)`` of
-    ``d/dt g = q P(q0 t) g``, from the group's polynomials (:func:`_flow_residual`).
+    """Per-grade bound on ``[0, T]`` of the residual ``g_i' - P(q0 t) g_(i-1)`` of ``d/dt
+    g = q P(q0 t) g``, from the group's polynomials (:func:`coefficient_bounds`).
 
     A unit-headed ``g`` is invertible, so the residual vanishes exactly when ``(d/dt
     g) g^(-1) = q P(q0 t)``.  The derivative is exact, so the floor is roundoff.  A
     sample with no polynomial coefficients is a :class:`DomainError`.
     """
     descriptor = group.descriptor
-    return _flow_residual(lambda p, x: stacked_product(descriptor, p, x), group, path, q0)
+    return coefficient_bounds(descriptor, _residual_polynomials(
+        lambda p, x: stacked_product(descriptor, p, x), group, path, q0))

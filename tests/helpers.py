@@ -7,10 +7,10 @@ import math
 import numpy as np
 
 from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
-from qlax.algebra import blocks, element_norms
+from qlax.algebra import blocks, element_norms, stacked_commutator
 from qlax.lax import LaxProblem, solve_lax
 from qlax.series import cauchy_product, evaluate_values, right_divide
-from qlax.timeorder import _expand_grid
+from qlax.timeorder import _expand_grid, _residual_polynomials
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
 E21 = [[0.0, 0.0], [1.0, 0.0]]
@@ -186,3 +186,32 @@ def conjugate_on_nodes_reference(group, initial: AlgebraElement) -> np.ndarray:
         g = group.values[block]
         values[block] = right_divide(descriptor, cauchy_product(descriptor, g, head), g)
     return values
+
+
+def trace_drift_on_nodes(flow, max_power: int) -> dict[int, np.ndarray]:
+    """Per grade, the largest ``|trace(L^k)_n(t) - trace(L^k)_n(0)|`` on the nodes, from
+    Cauchy products of the sampled flow: the node route that
+    ``lax.conserved_trace_tables`` bounds on all of ``[0, T]``."""
+    drifts = {}
+    power = flow.values
+    for k in range(1, max_power + 1):
+        if k > 1:
+            power = cauchy_product(flow.descriptor, power, flow.values)
+        traces = np.trace(power, axis1=-2, axis2=-1)
+        drifts[k] = np.abs(traces - traces[0]).max(axis=0)
+    return drifts
+
+
+def lax_residual_on_nodes(result) -> np.ndarray:
+    """Per grade, the largest norm on the nodes of the flow equation's residual
+    polynomials: the node route that ``lax.lax_residual`` bounds on all of ``[0, T]``."""
+    flow = result.flow
+    descriptor = flow.descriptor
+    residuals = _residual_polynomials(lambda p, x: stacked_commutator(descriptor, p, x), flow,
+                                      result.problem.path, result.problem.q0)
+    s = flow.times / flow.times[-1]
+    worst = np.zeros(len(residuals))
+    for i in range(1, len(residuals)):
+        powers = s[:, None] ** np.arange(i - 1, i - 1 + len(residuals[i]))
+        worst[i] = element_norms(descriptor, np.tensordot(powers, residuals[i], axes=1)).max()
+    return worst

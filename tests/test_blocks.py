@@ -62,7 +62,7 @@ def _checks(tmp_path) -> dict:
         out[f"{name} flow_difference"] = flow_difference(result.flow, direct)
     result = results["toda"]
     for power, table in conserved_trace_tables(result, 4).items():
-        out[f"trace table {power}"] = table.values
+        out[f"trace table {power}"] = table.coefficients
     sym = solve_symmetry(ad_operator(toda.initial), toda.path, toda.q0, toda.order, toda.grid)
     out["operator conjugate"] = sym.flow.values
     out["operator lax_residual"] = lax_residual(sym)

@@ -36,14 +36,16 @@ from qlax.lax import (
 from qlax import algebra, lax, timeorder
 from qlax.algebra import unit_payload
 from qlax.series import cauchy_product, evaluate_values, right_divide
-from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
+from qlax.timeorder import FlowSample, OperatorPath, _sample_grades, time_ordered_exp
 from helpers import (
     E12,
     E21,
     SL2_H,
     conjugate_on_nodes_reference,
+    lax_residual_on_nodes,
     oracle_errors_reference,
     rand_matrix,
+    trace_drift_on_nodes,
 )
 
 
@@ -182,17 +184,18 @@ def test_trace_drift_table():
     for k in (1, 2, 3, 4):
         assert tables[k].drift.max() <= 1e-8
     # k = 1: higher grades are traces of nested commutators, identically ~0
-    assert np.abs(tables[1].values[:, 1:]).max() <= 1e-12
+    assert np.abs(tables[1].coefficients[1:]).max() <= 1e-12
 
 
 def test_trace_k2_sl2_literal():
     # L0 = diag(1,-1), constant rotation generator: trace(L^2) has grade-0
-    # value 2 and zero drift in every grade
+    # value 2, no higher grade and zero drift in every grade
     prob = _problem(matrix_element(SL2_H), matrix_element([[0.0, -0.4], [0.4, 0.0]]),
                     grid=(1e-3, 0.5))
     result = solve_lax(prob)
     table = conserved_trace_tables(result, 2)[2]
-    assert table.values[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert table.coefficients[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert np.abs(table.coefficients[1:]).max() <= 1e-12
     assert table.drift.max() <= 1e-10
 
 
@@ -440,6 +443,37 @@ def test_the_residuals_are_roundoff(problem):
                                  result.group, problem.path, problem.q0))):
         scale = max(np.abs(stack).max() for stack in sample.coefficients)
         assert residual.max() <= 1e-13 * scale, residual.max() / scale
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_lax_problems(), st.none() | st.integers(0, 6))
+def test_the_coefficient_checks_bound_the_node_checks(problem, corrupted):
+    # each check sums its identity's coefficient norms in s = t/T, which bounds the
+    # identity's gap on all of [0, T]; on the nodes it may read above that sum only by
+    # roundoff (toda-3's trace_drift_k4 reads 1.53e-16 on the nodes against a 5.55e-17
+    # sum).  A draw with a ``corrupted`` grade scales its flow coefficients by 1 + 1e-8.
+    result = solve_lax(problem)
+    flow = result.flow
+    if corrupted is not None:
+        grade = min(corrupted, problem.order)
+        grades = [stack * (1.0 + 1e-8) if i == grade else stack
+                  for i, stack in enumerate(flow.coefficients)]
+        flow = FlowSample(flow.times, _sample_grades(grades, flow.descriptor, flow.times),
+                          flow.descriptor, step=flow.step, order=flow.order, q0=flow.q0,
+                          coefficients=grades)
+        result = LaxFlowResult(problem=problem, group=result.group, flow=flow)
+    scale = max(np.abs(stack).max() for stack in flow.coefficients)
+    checks = [(lax_residual(result), lax_residual_on_nodes(result), scale)]
+    if flow.descriptor.backend == algebra.MATRIX:
+        nodes = trace_drift_on_nodes(flow, 4)
+        checks += [(table.drift, nodes[k], scale ** k)
+                   for k, table in conserved_trace_tables(result, 4).items()]
+    for bound, on_nodes, check_scale in checks:
+        assert (on_nodes <= bound + 1e-13 * check_scale).all()
+        if corrupted is None:
+            assert bound.max() <= 1e-13 * check_scale
+    if corrupted is not None:  # the residual sees the corruption
+        assert checks[0][0].max() > 1e-13 * scale
 
 
 def test_linearity_in_the_initial_value():
