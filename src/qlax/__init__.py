@@ -66,9 +66,8 @@ from qlax.lax import (
 from qlax.symmetry import (
     ad_operator,
     ad_path,
-    apply_operator,
-    apply_operator_series,
     check_ad_exp_ad,
+    equivariance_gap,
     identity_operator,
     operator_descriptor,
     solve_symmetry,
@@ -107,8 +106,8 @@ __all__ = [
     "flow_difference", "lax_residual", "TraceDriftTable", "conserved_trace_tables",
     "oracle_error", "oracle_integrate", "preset_problem", "PRESET_NAMES",
     "ad_operator", "ad_path", "operator_descriptor",
-    "identity_operator", "apply_operator", "apply_operator_series",
-    "solve_symmetry", "symmetry_residual_full", "check_ad_exp_ad",
+    "identity_operator", "solve_symmetry", "symmetry_residual_full", "check_ad_exp_ad",
+    "equivariance_gap",
     "AppendixModel", "ModelError", "default_model", "phi", "c_path",
     "BoundsReport", "verify_diffeo_bounds", "VelocityReport",
     "velocity_at_zero", "NonregularityReport", "demonstrate_nonregularity",

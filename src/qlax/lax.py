@@ -5,9 +5,10 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
 
 * conjugation: ``L(t) = g(t) L0 g(t)^(-1)`` with ``g`` the time-ordered
   exponential of the scaled path (the default solver).  Every grade of ``g`` is
-  a polynomial in ``t``, so the forward substitution runs once, on those
-  polynomials' coefficients, whatever the number of nodes, and the flow's
-  polynomials are then sampled like the group's; and
+  a polynomial in ``t``, so the forward substitution
+  (:func:`~qlax.series.right_divide`) runs once, on those polynomials'
+  coefficients, whatever the number of nodes, and the flow's polynomials are
+  then sampled like the group's; and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
@@ -15,9 +16,10 @@ Both take one :class:`~qlax.timeorder.LaxProblem`, the checked inputs of
 every integration, which this module re-exports with its defaults.
 
 Diagnostics: the residual of the flow equation and the conserved traces of powers
-(conjugation invariance), both taken on the flow's polynomials in ``s = t/T`` with no
-node, so their floor is roundoff and each grade's value, the sum of the norms of its
-gap's coefficients, bounds the gap on all of ``[0, T]``; and an oracle, the evaluated
+(conjugation invariance; the powers are :func:`~qlax.series.graded_product` s), both
+taken on the flow's polynomials in ``s = t/T`` with no node, so their floor is roundoff
+and each grade's value, the sum of the norms of its gap's coefficients, bounds the gap
+on all of ``[0, T]``; and an oracle, the evaluated
 series' gap on the nodes to the exact series, which must shrink like
 ``q0^(order+1)`` to roundoff.  Only :func:`flow_difference` still compares two flows
 node by node (``series.grade_max_norms``).
@@ -40,12 +42,14 @@ from qlax.algebra import (
     matrix_element,
     stacked_commutator,
     stacked_product,
-    unit_payload,
 )
 from qlax.series import (
     GradedSeries,  # bench/test_bench.py reaches it as lax.GradedSeries
+    dense,
     evaluate_values,
     grade_max_norms,
+    graded_product,
+    right_divide,
 )
 from qlax.timeorder import (
     DEFAULT_GRID,
@@ -81,65 +85,28 @@ def solve_lax(problem: LaxProblem) -> LaxFlowResult:
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
-    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`_conjugated_polynomials`
+    """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`conjugated_polynomials`
     sampled on the group's nodes."""
-    grades = _conjugated_polynomials(group, initial)
+    grades = conjugated_polynomials(group, initial)
     return FlowSample(group.times, _sample_grades(grades, group.descriptor, group.times),
                       group.descriptor, step=group.step, order=group.order, q0=group.q0,
                       coefficients=grades)
 
 
-def _conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[np.ndarray]:
+def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[np.ndarray]:
     """The polynomials in ``s = t/T`` of ``g(t) L0 g(t)^(-1)``, laid out as a
-    :class:`~qlax.timeorder.FlowSample`'s ``coefficients``.
-
-    ``L g = g L0`` grade by grade is the forward substitution ``L_n = (g L0)_n -
-    sum_{i=1..n} L_{n-i} * g_i``, where ``*`` multiplies two polynomials in ``s``
-    (``group.coefficients``).  ``g L0`` is one product call over all of ``g``'s
-    coefficients, and grade ``n`` one call over every pair ``(i, a, b)`` of a nonzero
-    coefficient ``a`` of ``L_{n-i}`` and a nonzero coefficient ``b`` of ``g_i``, summed
-    per power of ``s`` with ``i``, then ``a``, ascending (:func:`_summed`) and subtracted
-    from ``(g L0)_n``; a power no pair reaches keeps ``(g L0)_n``.
-    """
+    :class:`~qlax.timeorder.FlowSample`'s ``coefficients``: ``L g = g L0`` solved by
+    :func:`~qlax.series.right_divide` on the group's coefficients, where ``g L0`` is one
+    product call over all of them."""
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")
     if group.coefficients is None:
         raise DomainError("the conjugation needs the group's polynomial coefficients")
     grades = group.coefficients
-    if not np.array_equal(grades[0][0], unit_payload(descriptor)):
-        raise DomainError("grade-0 coefficient must equal the unit")
-    starts = np.cumsum([0] + [len(grade) for grade in grades])
-    g = np.concatenate(grades)
-    flow = stacked_product(descriptor, g, initial.data[None])  # g L0, then L grade by grade
-    nonzero_g = g.reshape(len(g), -1).any(axis=1)
-    nonzero = flow.reshape(len(flow), -1).any(axis=1)
-    for n in range(1, len(grades)):
-        pairs = []
-        for i in range(1, n + 1):
-            a = np.flatnonzero(nonzero[starts[n - i]:starts[n - i + 1]])
-            b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
-            pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
-                          np.add.outer(a, b).ravel()))
-        left, right, power = (np.concatenate(column) for column in zip(*pairs))
-        total = _summed(stacked_product(descriptor, flow[left], g[right]), power,
-                        starts[n + 1] - starts[n])
-        reached = np.flatnonzero(np.bincount(power, minlength=len(total)))
-        flow[starts[n] + reached] -= total[reached]
-        nonzero[starts[n]:starts[n + 1]] = flow[starts[n]:starts[n + 1]].reshape(
-            len(total), -1).any(axis=1)
-    return np.split(flow, starts[1:-1])
-
-
-def _summed(products: np.ndarray, power: np.ndarray, length: int) -> np.ndarray:
-    """``length`` sums, sum ``k`` of the ``products`` whose ``power`` is ``k``, in their
-    order; every sum starts at ``-0.0``, the exact additive identity."""
-    size = math.prod(products.shape[1:])
-    total = np.negative(np.zeros((length, *products.shape[1:]), products.dtype))
-    # one flat index per entry of each term, so that add.at adds them in order on its fast path
-    np.add.at(total.reshape(-1), np.add.outer(power * size, np.arange(size)).ravel(),
-              products.reshape(-1))
-    return total
+    head = stacked_product(descriptor, np.concatenate(grades), initial.data[None])  # g L0
+    starts = np.cumsum([len(grade) for grade in grades[:-1]])
+    return right_divide(descriptor, np.split(head, starts), grades)
 
 
 def integrate_directly(problem: LaxProblem) -> FlowSample:
@@ -176,47 +143,25 @@ class TraceDriftTable:
     drift: np.ndarray         # shape (order + 1,)
 
 
-def _dense(grades) -> np.ndarray:
-    """Stacks laid out as a :class:`~qlax.timeorder.FlowSample`'s ``coefficients``, as one
-    ``(grade, power of s, ...)`` array."""
-    dense = np.zeros((len(grades), len(grades[-1]) + len(grades) - 1, *grades[0].shape[1:]),
-                     dtype=grades[-1].dtype)
-    for i, grade in enumerate(grades):
-        dense[i, i:i + len(grade)] = grade
-    return dense
-
-
-def _graded_product(x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
-    """The product of two :func:`_dense` layouts, truncated at ``x``'s top grade: ``(n, p)``
-    sums ``multiply(x[i, a], y[j, b])`` over the nonzero factors with ``i + j = n`` and ``a
-    + b = p`` in ``(i, a, j, b)`` order (:func:`_summed`), from one call per grade."""
-    order, width = x.shape[:2]
-    x, y = x.reshape(order * width, *x.shape[2:]), y.reshape(order * width, *y.shape[2:])
-    left, right = (index.ravel() for index in np.meshgrid(
-        *(np.flatnonzero(z.reshape(len(z), -1).any(axis=1)) for z in (x, y)), indexing="ij"))
-    grade, power = left // width + right // width, left % width + right % width
-    return np.stack([_summed(multiply(x[left[pairs]], y[right[pairs]]), power[pairs], width)
-                     for pairs in (np.flatnonzero(grade == n) for n in range(order))])
-
-
 def conserved_trace_tables(result: LaxFlowResult, max_power: int) -> dict[int, TraceDriftTable]:
     """Trace-of-power tables for every ``k <= max_power``, from the flow's polynomials:
-    ``L^2`` and ``L^3`` are :func:`_graded_product` s of their :func:`_dense` layout, and
-    ``trace(L^4)`` keeps only ``sum trace(L^3_(i, a) L_(j, b))``.  No node is touched."""
+    ``L^2`` and ``L^3`` are :func:`~qlax.series.graded_product` s of their
+    :func:`~qlax.series.dense` layout, and ``trace(L^4)`` keeps only ``sum trace(L^3_(i, a)
+    L_(j, b))``.  No node is touched."""
     flow, descriptor = result.flow, result.flow.descriptor
     if descriptor.backend != MATRIX:
         raise CapabilityError("trace diagnostics need the matrix backend")
     if not 1 <= max_power <= 4:
         raise DomainError("trace powers are supported for 1 <= k <= 4")
-    power = dense = _dense(_checked_polynomials(flow, result.problem.path.degree))
+    power = layout = dense(_checked_polynomials(flow, result.problem.path.degree))
     traces = {}
     for k in range(1, min(max_power, 3) + 1):
         if k > 1:
-            power = _graded_product(power, dense, lambda a, b: stacked_product(descriptor, a, b))
+            power = graded_product(power, layout, lambda a, b: stacked_product(descriptor, a, b))
         # summed over a contiguous axis, as ndarray.trace sums one matrix
         traces[k] = np.ascontiguousarray(np.diagonal(power, axis1=-2, axis2=-1)).sum(axis=-1)
     if max_power == 4:  # trace(A B) sums A * B^T over one contiguous axis
-        traces[4] = _graded_product(power, dense, lambda a, b: (
+        traces[4] = graded_product(power, layout, lambda a, b: (
             a * np.swapaxes(b, -1, -2)).reshape(len(a), descriptor.n ** 2).sum(axis=-1))
     return {k: TraceDriftTable(coefficients=table, drift=np.abs(table[:, 1:]).sum(axis=1))
             for k, table in traces.items()}

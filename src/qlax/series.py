@@ -14,11 +14,15 @@ sums here:
 * ``unit_inverse`` extends inversion to any invertible grade-0 coefficient
   on the matrix backend via ``U = a_0 (1 + a_0^(-1) S)``.
 
-The products, the right division and evaluation are kernels on stacked
-series: ``(nodes, N+1, *shape)`` arrays holding one series per node, so a
-sampled flow is multiplied, divided or evaluated in one pass.  A
-:class:`GradedSeries` is one read-only ``(N+1, *shape)`` array, and its
-arithmetic is array operations and the one-node case of the same kernels.
+The graded kernels work on a flow's polynomials in ``s = t/T``.
+:func:`right_divide` takes them as a :class:`~qlax.timeorder.FlowSample`'s
+``coefficients``, one stack per grade; :func:`dense` lays them out as one
+``(grade, power, ...)`` array, and :func:`graded_product` multiplies two such
+layouts, truncated in grade and power.  A :class:`GradedSeries`, one read-only
+``(N+1, *shape)`` array, is the one-power case of both: ``values[:, None]``.
+Both kernels add the terms of each coefficient in one fixed order
+(:func:`summed`).  Evaluation works on ``(nodes, N+1, *shape)`` stacks of
+sampled series.
 """
 
 from __future__ import annotations
@@ -43,81 +47,84 @@ from qlax.algebra import (
 )
 
 
-def _nonzero_grades(values: np.ndarray) -> np.ndarray:
-    return values.reshape(*values.shape[:2], -1).any(axis=-1)
+def _nonzero(stack: np.ndarray) -> np.ndarray:
+    """Flags the nonzero payloads of a stack, over its leading axes."""
+    return stack.any(axis=(-2, -1))
 
 
-def graded_product(a: np.ndarray, b: np.ndarray, multiply) -> np.ndarray:
-    """Truncated Cauchy product ``c_n = sum_{i+j=n} a_i b_j`` of stacked series.
+def summed(products: np.ndarray, power: np.ndarray, length: int) -> np.ndarray:
+    """``length`` sums, sum ``k`` of the ``products`` whose ``power`` is ``k``, in their
+    order; a sum with a term starts at ``-0.0``, the exact additive identity, so its first
+    term keeps its bits, and a sum with none is ``+0.0``."""
+    size = math.prod(products.shape[1:])
+    total = np.zeros((length, *products.shape[1:]), products.dtype)
+    total[power] = np.negative(total[0])
+    # one flat index per entry of each term, so that add.at adds them in order on its fast path
+    np.add.at(total.reshape(-1), np.add.outer(power * size, np.arange(size)).ravel(),
+              products.reshape(-1))
+    return total
 
-    ``a`` and ``b`` are ``(nodes, N+1, ...)`` arrays; either may hold one node,
-    which then pairs with every node of the other.  ``multiply(x, y, mask)``
-    multiplies the stack ``x`` of shape ``(nodes, 1, ...)`` into the grades
-    ``y`` of shape ``(nodes, k, ...)``; ``mask`` flags the pairs whose factors
-    are both nonzero.  The result has ``b``'s coefficient shape.
 
-    Terms are added with ``i`` ascending, and a pair with a zero factor on a
-    node adds nothing (a complex product of zero with a nonzero factor can be
-    ``-0.0``, which would change zero signs); a coefficient that no pair
-    reaches is ``+0.0``.
+def dense(grades) -> np.ndarray:
+    """Stacks laid out as a :class:`~qlax.timeorder.FlowSample`'s ``coefficients``, as one
+    ``(grade, power of s, ...)`` array: grade ``i``'s stack fills the powers from ``i``."""
+    layout = np.zeros((len(grades), len(grades[-1]) + len(grades) - 1, *grades[0].shape[1:]),
+                      dtype=grades[-1].dtype)
+    for i, grade in enumerate(grades):
+        layout[i, i:i + len(grade)] = grade
+    return layout
+
+
+def graded_product(x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
+    """The product of two ``(grade, power, ...)`` layouts of one grade count and width,
+    truncated at both: ``(n, p)`` sums ``multiply(x[i, a], y[n - i, b])`` over the nonzero
+    factors with ``a + b = p``, in ``(i, a, b)`` order (:func:`summed`), from one
+    ``multiply`` call.  A pair with a zero factor is skipped: a complex zero times a
+    nonzero factor can be ``-0.0``, which would change zero signs.
+
+    On :func:`dense` layouts it multiplies polynomials in ``s``; on a
+    :class:`GradedSeries`' ``values[:, None]``, the one-power case, it is the Cauchy product.
     """
-    order = a.shape[1] - 1
-    nodes = max(a.shape[0], b.shape[0])
-    out = np.zeros((nodes, order + 1, *b.shape[2:]), dtype=np.result_type(a, b))
-    nonzero_a = _nonzero_grades(a)
-    nonzero_b = _nonzero_grades(b)
-    used_b = np.flatnonzero(nonzero_b.any(axis=0))
-    if not used_b.size:
-        return out
-    # grades of b outside [low, top) are zero on every node: no pair uses them
-    low, top = int(used_b[0]), int(used_b[-1]) + 1
-    # every sum starts at -0.0 (in both parts of a complex), the exact additive
-    # identity, so its first term keeps its bits
-    np.negative(out, out=out)
-    touched = np.zeros((nodes, order + 1), dtype=bool)
-    for i in range(order + 1 - low):
-        if not nonzero_a[:, i].any():
-            continue
-        width = min(order + 1 - i, top) - low
-        grades = slice(low, low + width)
-        mask = np.broadcast_to(nonzero_a[:, i, None] & nonzero_b[:, grades], (nodes, width))
-        term = multiply(a[:, i, None], b[:, grades], mask)
-        region = out[:, i + low:i + low + width]
-        if mask.all():
-            region += term
-        else:
-            region[mask] += term[mask]
-        touched[:, i + low:i + low + width] |= mask
-    out[~touched] = 0.0
-    return out
+    order, width = x.shape[:2]
+    i, a, j, b = np.nonzero(_nonzero(x)[:, :, None, None] & _nonzero(y)[None, None])
+    kept = (i + j < order) & (a + b < width)
+    i, a, j, b = i[kept], a[kept], j[kept], b[kept]
+    total = summed(multiply(x[i, a], y[j, b]), (i + j) * width + a + b, order * width)
+    return total.reshape(order, width, *total.shape[1:])
 
 
-def cauchy_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`graded_product` of stacked series over one coefficient algebra.
+def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
+    """``y = x g^(-1)`` for ``x`` and ``g`` laid out as a :class:`~qlax.timeorder.FlowSample`'s
+    ``coefficients`` (grade ``i``'s ``k``-th coefficient is that of ``s^(i + k)``), each
+    grade of ``x`` as long as ``g``'s, and ``g``'s grade 0 the unit alone.
 
-    Diffop pairs with a zero factor are never multiplied, exactly as for a
-    single series.
+    ``y g = x`` grade by grade is the forward substitution ``y_n = x_n - sum_(i=1..n)
+    y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``: grade ``n`` is one
+    ``stacked_product`` call over every pair ``(i, a, b)`` of a nonzero coefficient ``a`` of
+    ``y_(n-i)`` and a nonzero coefficient ``b`` of ``g_i``, summed per power with ``i``, then
+    ``a``, ascending (:func:`summed`) and subtracted from ``x_n``.
     """
-    return graded_product(a, b, lambda x, y, mask: stacked_product(descriptor, x, y, mask))
-
-
-def right_divide(descriptor: AlgebraDescriptor, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``y = x g^(-1)`` for a unit-headed ``g`` (``x``'s nodes or one), by forward substitution
-    ``y_n = x_n - sum_{i=1..n} y_{n-i} g_i``: one masked ``stacked_product`` call per grade,
-    terms in ascending ``i``, pairs with a zero factor skipped as in :func:`graded_product`."""
-    if not (g[:, 0] == unit_payload(descriptor)).all():
+    lengths = [len(grade) for grade in g]
+    if [len(grade) for grade in x] != lengths:
+        raise ShapeMismatchError("the dividend's grades differ in length from the divisor's")
+    if lengths[0] != 1 or not np.array_equal(g[0][0], unit_payload(descriptor)):
         raise DomainError("grade-0 coefficient must equal the unit")
-    y = x.astype(np.result_type(x, g))
-    nonzero_g = _nonzero_grades(g)
-    nonzero_y = _nonzero_grades(y)
-    for n in range(1, y.shape[1]):
-        mask = nonzero_y[:, n - 1::-1] & nonzero_g[:, 1:n + 1]
-        term = stacked_product(descriptor, y[:, n - 1::-1], g[:, 1:n + 1], mask)
-        for i in range(n):
-            used = slice(None) if mask[:, i].all() else mask[:, i]
-            y[used, n] -= term[used, i]
-        nonzero_y[:, n] = _nonzero_grades(y[:, n:n + 1])[:, 0]
-    return y
+    starts = np.cumsum([0] + lengths)
+    g = np.concatenate(g)
+    y = np.concatenate(x, dtype=np.result_type(x[0], g))
+    nonzero_g, nonzero = _nonzero(g), _nonzero(y)
+    for n in range(1, len(lengths)):
+        pairs = []
+        for i in range(1, n + 1):
+            a = np.flatnonzero(nonzero[starts[n - i]:starts[n - i + 1]])
+            b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
+            pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
+                          np.add.outer(a, b).ravel()))
+        left, right, power = (np.concatenate(column) for column in zip(*pairs))
+        grade = slice(starts[n], starts[n + 1])
+        y[grade] -= summed(stacked_product(descriptor, y[left], g[right]), power, lengths[n])
+        nonzero[grade] = _nonzero(y[grade])
+    return np.split(y, starts[1:-1])
 
 
 def evaluate_values(descriptor: AlgebraDescriptor, values: np.ndarray, q0) -> np.ndarray:
@@ -213,7 +220,7 @@ class GradedSeries:
 
     def valuation(self):
         """Least grade with a nonzero coefficient; ``math.inf`` for the zero series."""
-        grades = np.flatnonzero(_nonzero_grades(self.values[None])[0])
+        grades = np.flatnonzero(_nonzero(self.values))
         return int(grades[0]) if grades.size else math.inf
 
     def __eq__(self, other):
@@ -256,8 +263,9 @@ class GradedSeries:
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
             self._check_compatible(other)
-            return self._like(cauchy_product(self.descriptor, self.values[None],
-                                             other.values[None])[0])
+            return self._like(graded_product(
+                self.values[:, None], other.values[:, None],
+                lambda a, b: stacked_product(self.descriptor, a, b))[:, 0])
         return self.__rmul__(other)
 
     def __rmul__(self, other):
@@ -292,8 +300,9 @@ class GradedSeries:
 
     def inverse(self) -> "GradedSeries":
         """``U^(-1)`` by forward substitution (:func:`right_divide`); requires unit grade-0."""
-        unit = GradedSeries.unit(self.descriptor, self.order).values[None]
-        return self._like(right_divide(self.descriptor, unit, self.values[None])[0])
+        unit = GradedSeries.unit(self.descriptor, self.order).values[:, None]
+        return self._like(np.concatenate(right_divide(self.descriptor, unit,
+                                                      self.values[:, None])))
 
     def unit_inverse(self) -> "GradedSeries":
         """Inverse for an invertible grade-0 coefficient (matrix backend).

@@ -14,8 +14,11 @@ stand.  Conjugating an element by the group series of ``P`` agrees grade by
 grade with applying the operator exponential of the ``ad`` path
 (``Ad_{exp P} = exp(ad_P)``); that identity is a built-in cross-check, and so is
 ``S = ad_L`` for ``S`` started from ``ad_(L0)`` (equivariance).  Every check is taken
-on the flows' polynomial coefficients in ``s = t/T``, with no node: per grade it
-reads the sum of its identity's coefficient norms, a bound on all of ``[0, T]``.
+on the flows' polynomial coefficients in ``s = t/T``, with no node, through the graded
+kernels of :mod:`qlax.series` (the conjugation's forward substitution and the
+polynomial product): per grade it reads the sum of its identity's coefficient norms,
+a bound on all of ``[0, T]``.  An operator acts on an element as ``operator.data @
+element.data.reshape(-1)``, reshaped back.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from qlax.algebra import (
     matrix_descriptor,
     stacked_commutator,
 )
-from qlax.series import GradedSeries, graded_product
-from qlax.lax import (LaxFlowResult, LaxProblem, _conjugated_polynomials, _dense,
-                      _graded_product, solve_lax)
+from qlax.series import dense, graded_product
+from qlax.lax import LaxFlowResult, LaxProblem, conjugated_polynomials, solve_lax
 from qlax.timeorder import (
     FlowSample,
     OperatorPath,
@@ -86,28 +88,6 @@ def identity_operator(base: AlgebraDescriptor) -> AlgebraElement:
     return AlgebraElement.one(operator_descriptor(base))
 
 
-def apply_operator(operator: AlgebraElement, element: AlgebraElement) -> AlgebraElement:
-    """Apply a dense operator to an element via row-major flattening."""
-    n = element.descriptor.n
-    if operator.descriptor.n != n * n:
-        raise ShapeMismatchError("operator size does not match the element algebra")
-    flat = operator.data @ element.data.reshape(n * n)
-    return AlgebraElement(element.descriptor, flat.reshape(n, n))
-
-
-def apply_operator_series(operators: GradedSeries, elements: GradedSeries) -> GradedSeries:
-    """Graded application ``(Phi . L)_n = sum_{i+j=n} Phi_i(L_j)``."""
-    if operators.order != elements.order:
-        raise ShapeMismatchError("series truncation orders differ")
-    if operators.descriptor.n != elements.descriptor.n ** 2:
-        raise ShapeMismatchError("operator size does not match the element algebra")
-    flat = elements.values.reshape(1, len(elements.values), -1)
-    applied = graded_product(operators.values[None], flat,
-                             lambda x, y, _mask: (x @ y[..., None])[..., 0])
-    return GradedSeries.from_values(elements.descriptor,
-                                    applied[0].reshape(elements.values.shape))
-
-
 def solve_symmetry(initial_operator: AlgebraElement, path: OperatorPath, q0: float,
                    order: int, grid) -> LaxFlowResult:
     """Solve the operator-level flow started from the dense operator ``initial_operator``.
@@ -138,16 +118,16 @@ def symmetry_residual_full(sym: LaxFlowResult, lax: LaxFlowResult) -> np.ndarray
     ``S`` is the operator flow and ``L`` the element flow, on one time grid; ``P`` is
     ``lax``'s path.  ``S``'s residual polynomials in ``s = t/T``
     (:func:`~qlax.timeorder._residual_polynomials`) are applied to ``L``'s graded,
-    ``(R.L)_n = sum_(i=1..n) R_i(L_(n-i))`` (:func:`~qlax.lax._graded_product`), and
+    ``(R.L)_n = sum_(i=1..n) R_i(L_(n-i))`` (:func:`~qlax.series.graded_product`), and
     bounded by :func:`~qlax.timeorder.coefficient_bounds`: the floor is roundoff.
     """
     _check_matched(sym, lax)
     path, descriptor = ad_path(lax.problem.path), sym.flow.descriptor
     residuals = _residual_polynomials(lambda p, x: stacked_commutator(descriptor, p, x),
                                       sym.flow, path, sym.problem.q0)
-    elements = _dense(_checked_polynomials(lax.flow, path.degree))
-    return coefficient_bounds(lax.flow.descriptor, _graded_product(
-        _dense(residuals), elements,
+    elements = dense(_checked_polynomials(lax.flow, path.degree))
+    return coefficient_bounds(lax.flow.descriptor, graded_product(
+        dense(residuals), elements,
         lambda r, x: (r @ x.reshape(len(x), r.shape[-1], 1)).reshape(x.shape)))
 
 
@@ -172,7 +152,7 @@ def check_ad_exp_ad(group: FlowSample, operator_group: FlowSample) -> np.ndarray
     probe_data = rng.standard_normal((descriptor.n, descriptor.n))
     if descriptor.field == "complex":
         probe_data = probe_data + 1j * rng.standard_normal((descriptor.n, descriptor.n))
-    conjugated = _conjugated_polynomials(group, AlgebraElement(descriptor, probe_data))
+    conjugated = conjugated_polynomials(group, AlgebraElement(descriptor, probe_data))
     operators = _checked_polynomials(operator_group, (len(conjugated[-1]) - 1) // group.order)
     return coefficient_bounds(descriptor, [
         stack - (operator @ probe_data.reshape(-1)).reshape(stack.shape)

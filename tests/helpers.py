@@ -7,9 +7,9 @@ import math
 import numpy as np
 
 from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
-from qlax.algebra import blocks, element_norms, stacked_commutator
+from qlax.algebra import element_norms, stacked_commutator, stacked_product
 from qlax.lax import LaxProblem, solve_lax
-from qlax.series import cauchy_product, evaluate_values, right_divide
+from qlax.series import evaluate_values
 from qlax.timeorder import _expand_grid, _residual_polynomials
 
 E12 = [[0.0, 1.0], [0.0, 0.0]]
@@ -175,17 +175,29 @@ def oracle_errors_reference(result) -> tuple[float, float]:
     return error(result.flow, problem.q0), error(halved.flow, half_q0)
 
 
+def cauchy_on_nodes(descriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The truncated Cauchy products of two ``(nodes, N+1, ...)`` stacks, node by node:
+    grade ``n`` is one ``stacked_product`` call over every node's pairs ``(i, n - i)``."""
+    return np.stack([stacked_product(descriptor, a[:, :n + 1], b[:, n::-1]).sum(axis=1)
+                     for n in range(a.shape[1])], axis=1)
+
+
+def right_divide_on_nodes(descriptor, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x g^(-1)`` node by node, for a unit-headed ``g``: the forward substitution ``y_n =
+    x_n - sum_{i=1..n} y_{n-i} g_i``, one ``stacked_product`` call per grade over every
+    node's pairs."""
+    y = x.astype(np.result_type(x, g))
+    for n in range(1, y.shape[1]):
+        y[:, n] -= stacked_product(descriptor, y[:, n - 1::-1], g[:, 1:n + 1]).sum(axis=1)
+    return y
+
+
 def conjugate_on_nodes_reference(group, initial: AlgebraElement) -> np.ndarray:
-    """``g L0 g^(-1)`` node by node: ``right_divide(g L0, g)`` on the sampled group, in
-    blocks of nodes; the reference for ``lax.conjugate``, which works on the group's
-    polynomials instead."""
-    descriptor = group.descriptor
-    head = GradedSeries.single(descriptor, group.order, 0, initial).values[None]
-    values = np.empty(group.values.shape, dtype=descriptor.dtype)
-    for block in blocks(len(group), group.values[0].nbytes):
-        g = group.values[block]
-        values[block] = right_divide(descriptor, cauchy_product(descriptor, g, head), g)
-    return values
+    """``g L0 g^(-1)`` node by node on the sampled group; the reference for
+    ``lax.conjugate``, which works on the group's polynomials instead."""
+    g = group.values
+    return right_divide_on_nodes(group.descriptor,
+                                 stacked_product(group.descriptor, g, initial.data), g)
 
 
 def trace_drift_on_nodes(flow, max_power: int) -> dict[int, np.ndarray]:
@@ -196,7 +208,7 @@ def trace_drift_on_nodes(flow, max_power: int) -> dict[int, np.ndarray]:
     power = flow.values
     for k in range(1, max_power + 1):
         if k > 1:
-            power = cauchy_product(flow.descriptor, power, flow.values)
+            power = cauchy_on_nodes(flow.descriptor, power, flow.values)
         traces = np.trace(power, axis1=-2, axis2=-1)
         drifts[k] = np.abs(traces - traces[0]).max(axis=0)
     return drifts

@@ -35,16 +35,18 @@ from qlax.lax import (
 )
 from qlax import algebra, lax, timeorder
 from qlax.algebra import unit_payload
-from qlax.series import cauchy_product, evaluate_values, right_divide
+from qlax.series import evaluate_values
 from qlax.timeorder import FlowSample, OperatorPath, _sample_grades, time_ordered_exp
 from helpers import (
     E12,
     E21,
     SL2_H,
+    cauchy_on_nodes,
     conjugate_on_nodes_reference,
     lax_residual_on_nodes,
     oracle_errors_reference,
     rand_matrix,
+    right_divide_on_nodes,
     trace_drift_on_nodes,
 )
 
@@ -424,8 +426,8 @@ def test_the_exact_group_times_its_inverse_is_the_unit(problem):
     descriptor = group.descriptor
     unit = np.zeros_like(group.values)
     unit[:, 0] = unit_payload(descriptor)
-    product = cauchy_product(descriptor, group.values,
-                             right_divide(descriptor, unit, group.values))
+    product = cauchy_on_nodes(descriptor, group.values,
+                              right_divide_on_nodes(descriptor, unit, group.values))
     gap = np.abs(product - unit).reshape(len(group), -1).max(axis=1)
     scale = np.abs(group.values).reshape(len(group), -1).max(axis=1)
     assert (gap <= 1e-13 * scale).all(), (gap / scale).max()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlax import (
     algebra,
@@ -16,7 +17,7 @@ from qlax import (
     matrix_descriptor,
     matrix_element,
 )
-from qlax.series import cauchy_product, right_divide
+from qlax.series import dense, graded_product, right_divide
 from helpers import E12, E21, rand_diffop, rand_matrix, rand_series, series_gap, rel_gap
 
 
@@ -135,9 +136,10 @@ def test_inverse_literals_and_property():
         GradedSeries.zero(desc, 4).inverse()
 
 
-def _division_stacks(kind: str, nodes: int = 5, order: int = 4):
-    """Random ``x`` and unit-headed ``g`` stacks; node 0 of ``g`` is the unit series
-    and node 1 of ``x`` has zero grades, so zero pairs are skipped on some nodes only."""
+def _division_stacks(kind: str, order: int = 4):
+    """Random ``x`` and ``g`` laid out as a degree-1 flow's coefficients, ``g``'s grade 0
+    the unit; grade 2 of ``g`` and every other coefficient of ``x`` are zero, so pairs with
+    a zero factor are skipped."""
     rng = np.random.default_rng({"real": 50, "complex": 51, "diffop": 52}[kind])
     if kind == "diffop":
         desc = diffop_descriptor(8, 8)
@@ -149,37 +151,41 @@ def _division_stacks(kind: str, nodes: int = 5, order: int = 4):
 
         def draw():
             return rand_matrix(rng, desc).data
-    x = np.array([[draw() for _ in range(order + 1)] for _ in range(nodes)])
-    g = np.array([[draw() for _ in range(order + 1)] for _ in range(nodes)])
-    g[:, 0] = algebra.unit_payload(desc)
-    g[0, 1:] = 0.0
-    x[1, ::2] = 0.0
+
+    x = [np.array([draw() for _ in range(i + 1)]) for i in range(order + 1)]
+    g = [algebra.unit_payload(desc)[None]] + [np.array([draw() for _ in range(i + 1)])
+                                              for i in range(1, order + 1)]
+    g[2][:] = 0.0
+    for grade in x:
+        grade[::2] = 0.0
     return desc, x, g
+
+
+def _polynomial_product(desc, x, g) -> np.ndarray:
+    return graded_product(dense(x), dense(g), lambda a, b: algebra.stacked_product(desc, a, b))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "diffop"])
 def test_right_divide_recovers_the_dividend(monkeypatch, kind):
     desc, x, g = _division_stacks(kind)
     y = right_divide(desc, x, g)
-    assert np.abs(cauchy_product(desc, y, g) - x).max() <= 1e-11 * np.abs(x).max()
-    # one divisor node pairs with every dividend node
-    assert right_divide(desc, x, g[2:3]).tobytes() == right_divide(
-        desc, x, np.broadcast_to(g[2:3], g.shape)).tobytes()
-    if kind != "diffop":
-        # a matrix node gets the bits of its own call; the diffop kernel sizes
-        # its contraction by the spans of the whole stack of pairs it is given
-        for k in range(len(x)):
-            assert right_divide(desc, x[k:k + 1], g[k:k + 1]).tobytes() == y[k].tobytes()
+    assert [len(grade) for grade in y] == [len(grade) for grade in x]
+    gap = np.abs(_polynomial_product(desc, y, g) - dense(x)).max()
+    assert gap <= 1e-11 * max(np.abs(grade).max() for grade in x)
     monkeypatch.setattr(algebra, "BLOCK_BYTES", 1)
-    assert right_divide(desc, x, g).tobytes() == y.tobytes()
+    assert np.concatenate(right_divide(desc, x, g)).tobytes() == np.concatenate(y).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "diffop"])
 def test_right_divide_rejects_a_non_unit_head(kind):
     desc, x, g = _division_stacks(kind)
-    g[3, 0] *= 2.0
+    unit = algebra.unit_payload(desc)
     with pytest.raises(DomainError):
-        right_divide(desc, x, g)
+        right_divide(desc, x, [2.0 * unit[None]] + g[1:])
+    with pytest.raises(DomainError):  # the unit must be grade 0's only coefficient
+        right_divide(desc, [np.stack([x[0][0]] * 2)] + x[1:], [np.stack([unit] * 2)] + g[1:])
+    with pytest.raises(ShapeMismatchError):
+        right_divide(desc, x[:1] + [x[1][:1]] + x[2:], g)
 
 
 def test_unit_inverse_with_invertible_head():
@@ -315,3 +321,72 @@ def test_series_is_one_array_with_coefficient_arithmetic(kind):
              (b * a, _cauchy_by_coefficient(b, a))]
     for series, expected in cases:
         assert series.values.tobytes() == np.stack([c.data for c in expected]).tobytes()
+
+
+@st.composite
+def _coefficients(draw):
+    """A real or complex 3x3, or a diffop, algebra; an order N in 1..6 and a path degree in
+    0..3; and a draw of one coefficient, zero one time in four.  A diffop coefficient has
+    orders <= 1 and modes |m| <= 1, so the window J = M = N + 1 holds a product of N + 1."""
+    kind = draw(st.sampled_from(("real", "complex", "diffop")))
+    order, degree = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diffop":
+        desc = diffop_descriptor(order + 1, order + 1)
+
+        def element():
+            return rand_diffop(rng, desc, 1, 1)
+    else:
+        desc = matrix_descriptor(3, kind)
+
+        def element():
+            return rand_matrix(rng, desc)
+
+    def coefficient():
+        return element().data if rng.random() >= 0.25 else np.zeros(desc.shape, desc.dtype)
+
+    return desc, order, degree, coefficient
+
+
+def _polynomial_grades(coefficient, order: int, degree: int) -> list[np.ndarray]:
+    """Stacks laid out as the coefficients of a degree-``degree`` path's flow."""
+    return [np.array([coefficient() for _ in range(i * degree + 1)]) for i in range(order + 1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_coefficients())
+def test_graded_product_of_one_power_layouts_is_the_cauchy_product(case):
+    desc, order, _, coefficient = case
+    a, b = (GradedSeries.from_values(desc, [coefficient() for _ in range(order + 1)])
+            for _ in range(2))
+    product = graded_product(a.values[:, None], b.values[:, None],
+                             lambda x, y: algebra.stacked_product(desc, x, y))[:, 0]
+    expected = np.stack([c.data for c in _cauchy_by_coefficient(a, b)])
+    if desc.backend == algebra.MATRIX:
+        assert product.tobytes() == expected.tobytes()
+    else:
+        # the diffop kernel sizes its contraction by the spans of every pair in its call,
+        # so a pair's last bits depend on the others (ROADMAP item 7)
+        assert np.abs(product - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_coefficients())
+def test_right_divide_then_graded_product_recovers_the_dividend(case):
+    desc, order, degree, coefficient = case
+    x, g = (_polynomial_grades(coefficient, order, degree) for _ in range(2))
+    g[0] = algebra.unit_payload(desc)[None]
+    y = right_divide(desc, x, g)
+    scale = max(1.0, *(np.abs(grade).max() for grade in x + y))
+    assert np.abs(_polynomial_product(desc, y, g) - dense(x)).max() <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_coefficients())
+def test_exp_then_log_round_trips(case):
+    desc, order, _, coefficient = case
+    s = GradedSeries.from_values(desc, [np.zeros(desc.shape)]
+                                 + [0.5 * coefficient() for _ in range(order)])
+    u = s.exp()
+    scale = max(1.0, np.abs(u.values).max())
+    assert np.abs(u.log().values - s.values).max() <= 1e-12 * scale
