@@ -270,29 +270,19 @@ def blocks(count: int, item_nbytes: int) -> list[slice]:
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray,
-                    mask: np.ndarray | None = None) -> np.ndarray:
+def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
 
     Matrices multiply as one batched ``matmul``.  Diffop pairs are composed by
-    one call of the exact Leibniz kernel.  When every pair is wanted, the
-    stacks go to it as they are, reshaped to one axis of pairs; otherwise
-    the pairs where ``mask`` (broadcast over the leading axes) is true are
-    gathered, and every other slot stays zero.
+    one call of the exact Leibniz kernel, on the stacks reshaped to one axis of
+    pairs.
     """
     if descriptor.backend == MATRIX:
         return a @ b
     a, b = np.broadcast_arrays(a, b)
-    lead, shape = a.shape[:-2], a.shape[-2:]
-    wanted = None if mask is None else np.broadcast_to(mask, lead)
-    if wanted is None or wanted.all():
-        return _diffop_products(descriptor, a.reshape(-1, *shape),
-                                b.reshape(-1, *shape)).reshape(a.shape)
-    out = np.zeros(a.shape, dtype=np.complex128)
-    index = np.nonzero(wanted)
-    if index[0].size:
-        out[index] = _diffop_products(descriptor, a[index], b[index])
-    return out
+    shape = a.shape[-2:]
+    return _diffop_products(descriptor, a.reshape(-1, *shape),
+                            b.reshape(-1, *shape)).reshape(a.shape)
 
 
 def kernel_block_bytes(descriptor: AlgebraDescriptor) -> int:

@@ -49,6 +49,7 @@ from qlax.algebra import (
     AlgebraElement,
     AlgebraError,
     CapabilityError,
+    blocks,
     element_norms,
 )
 from qlax.lax import (
@@ -320,14 +321,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_flow_csv(path: str, flow) -> None:
-    """``t, grade, coeff_norm`` for every node and grade, formatted a column at a time."""
-    grades = [str(grade) for grade in range(flow.order + 1)]
-    times = [t for t in map(float.__repr__, flow.times.tolist()) for _grade in grades]
-    norms = map(float.__repr__, element_norms(flow.descriptor, flow.values).ravel().tolist())
+    """``t, grade, coeff_norm`` for every node and grade: the bytes ``csv.writer`` writes,
+    since no field needs quoting, at the cost of the floats' reprs.
+
+    Each block of nodes (:func:`~qlax.algebra.blocks`) is one ``str.join`` of
+    ``repr(t) + ",grade," + repr(norm) + "\\r\\n"`` lines, so the text held at once stays
+    about a block's worth.  Reading ``flow.values`` samples a library flow's nodes.
+    """
+    grades = [f",{grade}," for grade in range(flow.order + 1)]
+    values = flow.values
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "grade", "coeff_norm"])
-        writer.writerows(zip(times, grades * len(flow), norms))
+        handle.write("t,grade,coeff_norm\r\n")
+        for block in blocks(len(flow), values.itemsize * math.prod(values.shape[1:])):
+            norms = element_norms(flow.descriptor, values[block]).tolist()
+            handle.write("".join([t + grade + repr(norm) + "\r\n"
+                                  for t, row in zip(map(repr, flow.times[block].tolist()), norms)
+                                  for grade, norm in zip(grades, row)]))
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -7,8 +7,9 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
   exponential of the scaled path (the default solver).  Every grade of ``g`` is
   a polynomial in ``t``, so the forward substitution
   (:func:`~qlax.series.right_divide`) runs once, on those polynomials'
-  coefficients, whatever the number of nodes, and the flow's polynomials are
-  then sampled like the group's; and
+  coefficients, whatever the number of nodes.  The flow's own polynomials,
+  like the group's, are sampled on the nodes only when a caller first reads
+  its values; and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
@@ -22,7 +23,8 @@ and each grade's value, the sum of the norms of its gap's coefficients, bounds t
 on all of ``[0, T]``; and an oracle, the evaluated
 series' gap on the nodes to the exact series, which must shrink like
 ``q0^(order+1)`` to roundoff.  Only :func:`flow_difference` still compares two flows
-node by node (``series.grade_max_norms``).
+node by node (``series.grade_max_norms``).  These two are the only readers of a flow's
+values in this module; no caller reads a group's.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from qlax.timeorder import (
     _grade_polynomials,
     _integrate_polynomial,
     _residual_polynomials,
-    _sample_grades,
     coefficient_bounds,
     time_ordered_exp,
 )
@@ -79,18 +80,18 @@ class LaxFlowResult:
 
 
 def solve_lax(problem: LaxProblem) -> LaxFlowResult:
-    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on every node."""
+    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on the grid's nodes, with neither
+    the group nor the flow sampled until its values are read."""
     group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
     return LaxFlowResult(problem=problem, group=group, flow=conjugate(group, problem.initial))
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`conjugated_polynomials`
-    sampled on the group's nodes."""
-    grades = conjugated_polynomials(group, initial)
-    return FlowSample(group.times, _sample_grades(grades, group.descriptor, group.times),
-                      group.descriptor, step=group.step, order=group.order, q0=group.q0,
-                      coefficients=grades)
+    on the group's nodes, sampled when its values are first read."""
+    return FlowSample(group.times, None, group.descriptor, step=group.step,
+                      order=group.order, q0=group.q0,
+                      coefficients=conjugated_polynomials(group, initial))
 
 
 def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[np.ndarray]:

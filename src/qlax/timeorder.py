@@ -13,9 +13,10 @@ every grade on the grid's nodes, whose spacing is all the grid's step sets:
 one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
 grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
-weight of ``q^i`` in the group series.  A sampled path is kept as one
-``(nodes, N+1, *shape)`` array (:class:`FlowSample`), which also keeps the
-polynomial coefficients it was sampled from.  The residual checks of the flow
+weight of ``q^i`` in the group series.  A path on the grid is a
+:class:`FlowSample`: its polynomial coefficients and its times, sampled into
+one ``(nodes, N+1, *shape)`` array only when something first reads its
+``values``.  The residual checks of the flow
 equations work on those coefficients too, with one product call per grade and
 none per node: the derivative of a polynomial is exact, so their floor is
 roundoff, and the sum of a grade's coefficient norms (:func:`coefficient_bounds`)
@@ -113,33 +114,42 @@ class FlowSample:
     The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
     ``values``, of coefficients in the algebra ``descriptor``; ``series``
     shows its nodes as :class:`GradedSeries`.  Every sample the library
-    produces (a group, a conjugated flow, a direct flow) also keeps the
-    polynomials it was sampled from: ``coefficients[i]`` is the read-only
+    produces (a group, a conjugated flow, a direct flow) is built from the
+    polynomials it samples, with no values: ``coefficients[i]`` is the read-only
     ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of ``s^i .. s^(i
     (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T`` the last time.
-    :func:`~qlax.lax.conjugate` reads a group's, the checks read any sample's,
-    and ``qlax solve`` writes a flow's.  A sample built from values alone has
-    ``None`` there.  ``times`` is made read-only too, since samples
-    of one solve share it.
+    Its ``values`` are sampled from them (:func:`_sample_grades`) on the first
+    read, and every later read returns that same array; ``len()`` reads
+    ``times``, so it samples nothing.  :func:`~qlax.lax.conjugate` reads a
+    group's coefficients, the checks read any sample's, and ``qlax solve`` writes
+    a flow's.  A sample built from values alone has ``None`` there.  ``times``
+    is made read-only too, since samples of one solve share it.
     """
 
-    __slots__ = ("times", "values", "descriptor", "step", "order", "q0", "coefficients")
+    __slots__ = ("times", "_values", "descriptor", "step", "order", "q0", "coefficients")
 
-    def __init__(self, times, values: np.ndarray, descriptor: AlgebraDescriptor, *,
+    def __init__(self, times, values: np.ndarray | None, descriptor: AlgebraDescriptor, *,
                  step: float, order: int, q0: float, coefficients=None):
-        if values.shape[1:] != (order + 1, *descriptor.shape) or len(values) != len(times):
-            raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
-                                     f"{len(times)} nodes of order {order}")
+        if values is None and coefficients is None:
+            raise DomainError("a flow sample needs its values or its coefficients")
+        if values is not None:
+            if (values.shape[1:] != (order + 1, *descriptor.shape)
+                    or len(values) != len(times)):
+                raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
+                                         f"{len(times)} nodes of order {order}")
+            values.setflags(write=False)
         times.setflags(write=False)
-        values.setflags(write=False)
         if coefficients is not None:
             coefficients = tuple(coefficients)
             if len(coefficients) != order + 1:
                 raise ShapeMismatchError(f"{len(coefficients)} coefficient stacks for "
                                          f"order {order}")
             for stack in coefficients:
+                if stack.shape[1:] != descriptor.shape:
+                    raise ShapeMismatchError(f"a coefficient stack of shape {stack.shape} "
+                                             f"is not a stack of {descriptor.shape} payloads")
                 stack.setflags(write=False)
-        for name, value in (("times", times), ("values", values), ("descriptor", descriptor),
+        for name, value in (("times", times), ("_values", values), ("descriptor", descriptor),
                             ("step", step), ("order", order), ("q0", q0),
                             ("coefficients", coefficients)):
             object.__setattr__(self, name, value)
@@ -148,11 +158,19 @@ class FlowSample:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = _sample_grades(self.coefficients, self.descriptor, self.times)
+            values.setflags(write=False)
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    @property
     def series(self) -> "SeriesView":
         return SeriesView(self.descriptor, self.values)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.times)
 
 
 class SeriesView(Sequence):
@@ -354,13 +372,11 @@ def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> 
 
 
 def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:
-    """:func:`_grade_polynomials` sampled on the grid's nodes, with the polynomials."""
+    """:func:`_grade_polynomials` on the grid's nodes, sampled when first read."""
     step, horizon, steps = _expand_grid(problem.grid)
-    times = np.linspace(0.0, horizon, steps + 1)
-    grades = _grade_polynomials(produce, problem)
-    descriptor = problem.path.descriptor
-    return FlowSample(times, _sample_grades(grades, descriptor, times), descriptor, step=step,
-                      order=problem.order, q0=problem.q0, coefficients=grades)
+    return FlowSample(np.linspace(0.0, horizon, steps + 1), None, problem.path.descriptor,
+                      step=step, order=problem.order, q0=problem.q0,
+                      coefficients=_grade_polynomials(produce, problem))
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:

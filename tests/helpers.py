@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import sys
 
 import numpy as np
 
-from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor
+from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor, timeorder
 from qlax.algebra import element_norms, stacked_commutator, stacked_product
 from qlax.lax import LaxProblem, solve_lax
 from qlax.series import evaluate_values
@@ -227,3 +230,32 @@ def lax_residual_on_nodes(result) -> np.ndarray:
         powers = s[:, None] ** np.arange(i - 1, i - 1 + len(residuals[i]))
         worst[i] = element_norms(descriptor, np.tensordot(powers, residuals[i], axes=1)).max()
     return worst
+
+
+def count_samples(monkeypatch) -> list:
+    """Count the node samplings: patch ``timeorder._sample_grades`` wherever a ``qlax``
+    module holds it, and return the list each call then appends its descriptor to."""
+    original = timeorder._sample_grades
+    calls = []
+
+    def counted(grades, descriptor, times):
+        calls.append(descriptor)
+        return original(grades, descriptor, times)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "qlax" or name.startswith("qlax."))
+                and getattr(module, "_sample_grades", None) is original):
+            monkeypatch.setattr(module, "_sample_grades", counted)
+    return calls
+
+
+def flow_csv_reference(times: np.ndarray, norms: np.ndarray) -> str:
+    """``flow.csv`` as ``csv.writer`` writes it: ``t, grade, coeff_norm`` for every node and
+    grade, ``norms`` holding one row of grade norms per node of ``times``."""
+    grades = [str(grade) for grade in range(norms.shape[1])]
+    column = [t for t in map(float.__repr__, times.tolist()) for _grade in grades]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["t", "grade", "coeff_norm"])
+    writer.writerows(zip(column, grades * len(times), map(float.__repr__, norms.ravel().tolist())))
+    return text.getvalue()

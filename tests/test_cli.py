@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import csv
 import dataclasses
-import io
 import json
 import os
 import time
@@ -34,6 +33,8 @@ from qlax.nonregular import (
 from qlax.series import evaluate_values
 from qlax.symmetry import ad_operator
 from qlax.timeorder import FlowSample, OperatorPath
+
+from helpers import count_samples, flow_csv_reference
 
 SL2_DOC = {
     "schema": 1,
@@ -663,7 +664,8 @@ def test_problem_size_caps():
 
 def _special_flow(nodes: int, field: str) -> FlowSample:
     """A seeded 3x3, N=3 flow whose values and polynomials (of a degree-1 path) hold
-    -0.0, a subnormal, huge, tiny and non-finite floats."""
+    -0.0, a subnormal, huge, tiny and non-finite floats.  Node 0's grades have the
+    ``(0, 0)`` entries ``nan``, ``inf``, ``1e-300`` and ``1e16``."""
     rng = np.random.default_rng(nodes)
     descriptor = matrix_descriptor(3, field)
 
@@ -678,6 +680,7 @@ def _special_flow(nodes: int, field: str) -> FlowSample:
     grades = values.reshape(nodes, 4, -1)
     grades[0, 0, :4] = [np.nan, -0.0, 5e-324, 1e-5]
     grades[0, 1, :4] = [np.inf, -np.inf, 1e300, 1e16]
+    grades[0, 2:, 0] = [1e-300, 1e16]
     if field == "complex":
         grades.imag[0, 2, :4] = [-0.0, 5e-324, 1e16, 1e-5]
     times = np.cumsum(rng.uniform(0.0, 1e-2, nodes))
@@ -695,9 +698,12 @@ def _special_flow(nodes: int, field: str) -> FlowSample:
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("block_bytes", [algebra.BLOCK_BYTES, 1])
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("nodes", [1, 2, 1001])
+@pytest.mark.parametrize("nodes", [1, 2, 1001, "block+1"])
 def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_bytes, field,
                                                 nodes):
+    # "block+1": one node more than a flow.csv block holds at the default BLOCK_BYTES
+    if nodes == "block+1":
+        nodes = algebra.BLOCK_BYTES // (4 * 9 * matrix_descriptor(3, field).dtype.itemsize) + 1
     monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     flow = _special_flow(nodes, field)
     # flow.json round-trips the times and every polynomial, bit for bit
@@ -716,18 +722,22 @@ def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_byt
         assert loaded.shape == stack.shape
         assert loaded.tobytes() == stack.tobytes()
 
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected)
-    writer.writerow(["t", "grade", "coeff_norm"])
-    norms = element_norms(flow.descriptor, flow.values).tolist()
-    for t, node_norms in zip(flow.times.tolist(), norms):
-        for grade, norm in enumerate(node_norms):
-            writer.writerow([repr(t), str(grade), repr(norm)])
-    _write_flow_csv(str(tmp_path / "flow.csv"), flow)
-    with open(tmp_path / "flow.csv", newline="") as handle:
-        table = handle.read()
-    assert table == expected.getvalue()
-    assert {"nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(tmp_path / "flow.csv")}
+    # flow.csv holds the bytes csv.writer writes
+    path = str(tmp_path / "flow.csv")
+
+    def writes_the_reference(norms) -> bool:
+        # compared here, not in an assert: pytest's diff of two long tables takes minutes
+        _write_flow_csv(path, flow)
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read() == flow_csv_reference(flow.times, norms)
+
+    assert writes_the_reference(element_norms(flow.descriptor, flow.values))
+    assert {"nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(path)}
+    # norms read off each grade's (0, 0) entry reach reprs that no matrix norm can
+    # (a norm of 1e-300 would square to below the least subnormal)
+    monkeypatch.setattr(cli, "element_norms", lambda descriptor, values: values.real[..., 0, 0])
+    assert writes_the_reference(flow.values.real[..., 0, 0])
+    assert {"1e-300", "1e+16", "nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(path)}
 
 
 def test_sweep_solves_each_scaling_once(monkeypatch, tmp_path):
@@ -760,6 +770,20 @@ def test_solve_solves_once_and_the_oracle_once_more(monkeypatch, tmp_path):
     assert main(["solve", "--preset", "toda-3", "--order", "3", "--step", "0.002",
                  "--horizon", "0.1", "--out", str(tmp_path / "solve")]) == 0
     assert calls == {"cli": [0.5], "lax": [0.5, 0.25]}
+
+
+@pytest.mark.parametrize("command, samples", [("solve", 2), ("symmetry", 1), ("sweep", 3)])
+def test_each_command_samples_only_the_flows_it_reads(monkeypatch, tmp_path, command, samples):
+    # solve reads its flow (flow.csv, the oracle) and the oracle's q0/2 flow, symmetry
+    # only the operator flow (flow.csv), and sweep each point's flow (sweep.csv, the
+    # oracle); no group's nodes and no element flow of symmetry are read
+    sampled = count_samples(monkeypatch)
+    doc = {"schema": 1, "P": {"kind": "preset", "name": "toda-3"},
+           "options": {"symmetry_s0": {"kind": "ad-of-initial"}} if command == "symmetry" else {}}
+    assert main([command, _write(tmp_path, doc), "--out", str(tmp_path / command)]) == 0
+    assert len(sampled) == samples
+    if command == "symmetry":
+        assert sampled[0].n == 9
 
 
 def test_solve_fails_the_oracle_row_promptly_on_an_infinite_path(monkeypatch, tmp_path):

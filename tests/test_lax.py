@@ -43,6 +43,7 @@ from helpers import (
     SL2_H,
     cauchy_on_nodes,
     conjugate_on_nodes_reference,
+    count_samples,
     lax_residual_on_nodes,
     oracle_errors_reference,
     rand_matrix,
@@ -378,6 +379,55 @@ def test_sample_times_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             sample.times[1] = 7.0
     assert result.flow.times[1] == 0.01
+
+
+def _lazy_problem(backend: str) -> LaxProblem:
+    """A degree-1 path on 21 nodes: a real or complex 3x3 at N = 4, or a diffop at N = 2
+    whose window J = 4, M = 3 holds every product."""
+    if backend == "diffop":
+        desc = diffop_descriptor(4, 3)
+        initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
+        coeffs = [diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
+                  diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})]
+        order = 2
+    else:
+        rng = np.random.default_rng(5)
+        desc = matrix_descriptor(3, backend)
+        initial, coeffs = rand_matrix(rng, desc), [rand_matrix(rng, desc) for _ in range(2)]
+        order = 4
+    return LaxProblem(initial, OperatorPath.polynomial(coeffs), 0.5, order, (0.05, 1.0))
+
+
+@pytest.mark.parametrize("backend", ["real", "complex", "diffop"])
+def test_library_samples_are_sampled_once_on_first_read(monkeypatch, backend):
+    problem = _lazy_problem(backend)
+    sampled = count_samples(monkeypatch)
+    result = solve_lax(problem)
+    samples = (result.group, result.flow, integrate_directly(problem))
+    assert [len(sample) for sample in samples] == [21] * 3
+    assert sampled == []  # neither the solve nor len() samples a node
+    for count, sample in enumerate(samples, 1):
+        values = sample.values
+        assert len(sampled) == count
+        assert sample.values is values
+        assert len(sampled) == count
+        eager = _sample_grades(sample.coefficients, sample.descriptor, sample.times)
+        assert (values.dtype, values.shape) == (eager.dtype, eager.shape)
+        assert values.tobytes() == eager.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = values[0, 0]
+    # a sample built from values alone keeps that array and never samples
+    bare = FlowSample(result.flow.times, eager.copy(), result.flow.descriptor,
+                      step=result.flow.step, order=result.flow.order, q0=result.flow.q0)
+    assert bare.values.tobytes() == eager.tobytes() and len(sampled) == 3
+    with pytest.raises(DomainError, match="needs its values or its coefficients"):
+        FlowSample(bare.times, None, bare.descriptor, step=bare.step, order=bare.order,
+                   q0=bare.q0)
+    # with no values to check, a misshapen polynomial fails at construction, not on read
+    with pytest.raises(ShapeMismatchError, match="is not a stack of"):
+        FlowSample(bare.times, None, bare.descriptor, step=bare.step, order=bare.order,
+                   q0=bare.q0,
+                   coefficients=[stack[..., :1] for stack in result.flow.coefficients])
 
 
 @st.composite
