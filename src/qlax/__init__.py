@@ -58,7 +58,7 @@ from qlax.lax import (
     flow_difference,
     integrate_directly,
     lax_residual,
-    oracle_error,
+    oracle_errors,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -104,7 +104,7 @@ __all__ = [
     "time_ordered_exp", "left_log_derivative_residual",
     "LaxProblem", "LaxFlowResult", "solve_lax", "integrate_directly",
     "flow_difference", "lax_residual", "TraceDriftTable", "conserved_trace_tables",
-    "oracle_error", "oracle_integrate", "preset_problem", "PRESET_NAMES",
+    "oracle_errors", "oracle_integrate", "preset_problem", "PRESET_NAMES",
     "ad_operator", "ad_path", "operator_descriptor",
     "identity_operator", "solve_symmetry", "symmetry_residual_full", "check_ad_exp_ad",
     "equivariance_gap",

@@ -60,7 +60,7 @@ from qlax.lax import (
     PRESET_NAMES,
     conserved_trace_tables,
     lax_residual,
-    oracle_error,
+    oracle_errors,
     oracle_integrate,
     preset_problem,
     solve_lax,
@@ -74,7 +74,7 @@ from qlax.nonregular import (
     velocity_at_zero,
     verify_diffeo_bounds,
 )
-from qlax.series import evaluate_values
+from qlax.series import evaluated
 from qlax.symmetry import (
     ad_operator,
     check_ad_exp_ad,
@@ -483,19 +483,21 @@ def _sweep_entry_columns(descriptor) -> list[str]:
     return names
 
 
-def _write_sweep_csv(path: str, sweep_values, flows) -> None:
-    """``q0, t`` and the evaluated entries at every node, formatted a column at a time."""
-    descriptor = flows[0].descriptor
+def _write_sweep_csv(path: str, sweep_values, flow) -> None:
+    """``q0, t`` and the evaluated entries at every node, formatted a column at a time: the
+    series at each ``q0 <= flow.q0`` on ``s = t/T`` is ``flow``'s on ``(q0 / flow.q0) s``."""
+    descriptor = flow.descriptor
+    s = flow.times / flow.times[-1]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["q0", "t", *_sweep_entry_columns(descriptor)])
-        for q0, flow in zip(sweep_values, flows):
-            evaluated = evaluate_values(descriptor, flow.values, q0).reshape(len(flow), -1)
+        for q0 in sweep_values:
+            values = evaluated(flow.coefficients, flow.q0, q0 / flow.q0 * s).reshape(
+                len(flow), -1)
             if descriptor.field == COMPLEX:
-                evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
-                    len(flow), -1)
+                values = np.stack([values.real, values.imag], axis=-1).reshape(len(flow), -1)
             times = map(float.__repr__, flow.times.tolist())
-            entries = (map(float.__repr__, column) for column in evaluated.T.tolist())
+            entries = (map(float.__repr__, column) for column in values.T.tolist())
             writer.writerows(zip([_format_value(q0)] * len(flow), times, *entries))
 
 
@@ -530,14 +532,12 @@ def run_sweep(document: dict, out_dir: str, overrides: dict | None = None) -> bo
     if problem.initial.descriptor.backend != MATRIX:
         raise CapabilityError("sweeps evaluate entrywise and need the matrix backend")
     sweep_values = options.get("sweep", [0.2, 0.1, 0.05])
-
-    points = [solve_lax(dataclasses.replace(problem, q0=q0)) for q0 in sweep_values]
-    rows = _convergence_rows(sweep_values, list(map(oracle_error, points)), problem.order + 1)
+    result = solve_lax(dataclasses.replace(problem, q0=max(sweep_values)))  # serves every q0
+    rows = _convergence_rows(sweep_values, oracle_errors(result, sweep_values), problem.order + 1)
 
     inputs = {**_problem_echo(document, problem, options), "sweep": list(sweep_values)}
     return _write_bundle(out_dir, "sweep", inputs, {
-        "sweep.csv": lambda path: _write_sweep_csv(path, sweep_values,
-                                                   [point.flow for point in points]),
+        "sweep.csv": lambda path: _write_sweep_csv(path, sweep_values, result.flow),
         "convergence.csv": lambda path: _write_csv(
             path, ["q0", "oracle_error", "order_estimate", "order_deviation", "expected_order",
                    "asserted", "passed"], rows),

@@ -22,9 +22,9 @@ taken on the flow's polynomials in ``s = t/T`` with no node, so their floor is r
 and each grade's value, the sum of the norms of its gap's coefficients, bounds the gap
 on all of ``[0, T]``; and an oracle, the evaluated
 series' gap on the nodes to the exact series, which must shrink like
-``q0^(order+1)`` to roundoff.  Only :func:`flow_difference` still compares two flows
-node by node (``series.grade_max_norms``).  These two are the only readers of a flow's
-values in this module; no caller reads a group's.
+``q0^(order+1)`` to roundoff.  :func:`flow_difference` bounds the gap of two flows the
+same way.  No function here reads a sample's node values; of the commands, only the
+``flow.csv`` writer does.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from qlax.algebra import (
 from qlax.series import (
     GradedSeries,  # bench/test_bench.py reaches it as lax.GradedSeries
     dense,
-    evaluate_values,
-    grade_max_norms,
+    evaluated,
     graded_product,
     right_divide,
 )
@@ -117,12 +116,15 @@ def integrate_directly(problem: LaxProblem) -> FlowSample:
 
 
 def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
-    """Per-grade max norm of the difference of two flows; only their ``q0`` may differ."""
-    if (a.descriptor != b.descriptor or a.values.shape != b.values.shape
-            or not np.array_equal(a.times, b.times)):
-        raise ShapeMismatchError("flow samples differ in algebra, times or order")
-    return grade_max_norms(a.descriptor, a.values,
-                           lambda block: a.values[block] - b.values[block])
+    """Per-grade bound on ``[0, T]`` of the difference of two flows' polynomials
+    (:func:`~qlax.timeorder.coefficient_bounds`); only their ``q0`` may differ."""
+    if a.descriptor != b.descriptor or not np.array_equal(a.times, b.times):
+        raise ShapeMismatchError("flow samples differ in algebra or times")
+    if a.coefficients is None or b.coefficients is None:
+        raise DomainError("the difference needs both samples' polynomial coefficients")
+    if list(map(len, a.coefficients)) != list(map(len, b.coefficients)):
+        raise ShapeMismatchError("flow samples differ in order or path degree")
+    return coefficient_bounds(a.descriptor, list(map(np.subtract, a.coefficients, b.coefficients)))
 
 
 def lax_residual(result: LaxFlowResult) -> np.ndarray:
@@ -196,42 +198,40 @@ def _reference_problem(problem: LaxProblem) -> LaxProblem | None:
         order += 1
 
 
-def oracle_error(result: LaxFlowResult) -> float:
-    """The largest gap on the nodes between the series evaluated at ``q0`` and the exact
-    flow ``sum_(i<=M) q0^i L_i``, NaN if there is none (:func:`_reference_problem`).
+def oracle_errors(result: LaxFlowResult, scalings) -> list[float]:
+    """For each ``q`` in ``scalings``, the largest gap on the nodes between the series
+    solved and evaluated at ``q`` and the exact flow ``sum_(i<=M) q^i L_i``; NaN if there
+    is no reference (:func:`_reference_problem`).
 
-    The ``L_i`` come from the bracket recurrence (:func:`integrate_directly`'s, not the
-    conjugation under test); their polynomials are summed into one in ``s = t/T`` and
-    sampled once on the nodes, by Horner's rule.
+    ``q`` enters grade ``i``'s coefficient of ``s^(i + j)`` only as ``q^j``, so that
+    series on ``s = t/T`` is the solve's, at its ``q0``, on ``(q/q0) s``: the gap to one
+    reference, the bracket recurrence (not the conjugation under test) at ``q0``, is
+    evaluated there (:func:`~qlax.series.evaluated`).  A ``q`` outside ``(0, q0]`` is a
+    :class:`DomainError`.
     """
     problem = result.problem
     descriptor = problem.initial.descriptor
     if descriptor.backend != MATRIX:
         raise CapabilityError("the evaluation oracle needs the matrix backend")
+    if not all(0.0 < q <= problem.q0 for q in scalings):
+        raise DomainError(f"oracle scalings must lie in (0, {problem.q0}], the solve's q0")
     reference = _reference_problem(problem)
     if reference is None:
-        return math.nan
-    grades = _grade_polynomials(lambda p, x: stacked_commutator(descriptor, p, x), reference)
-    summed = np.zeros((len(grades[-1]) + reference.order, *descriptor.shape), descriptor.dtype)
-    for i, grade in enumerate(grades):
-        summed[i:i + len(grade)] += problem.q0 ** i * grade
-    s = (result.flow.times / result.flow.times[-1])[:, None, None]
-    exact = summed[-1]
-    for coeff in summed[-2::-1]:
-        exact = coeff + s * exact
-    gap = evaluate_values(descriptor, result.flow.values, problem.q0) - exact
-    return float(element_norms(descriptor, gap).max(initial=0.0))
+        return [math.nan] * len(scalings)
+    flow = _checked_polynomials(result.flow, problem.path.degree)
+    exact = _grade_polynomials(lambda p, x: stacked_commutator(descriptor, p, x), reference)
+    gap = [flow[i] - grade if i < len(flow) else -grade for i, grade in enumerate(exact)]
+    s = result.flow.times / result.flow.times[-1]
+    return [float(element_norms(descriptor, evaluated(gap, problem.q0, q / problem.q0 * s))
+                  .max(initial=0.0)) for q in scalings]
 
 
 def oracle_integrate(result: LaxFlowResult) -> tuple[float, float]:
-    """The oracle errors ``(error, error_half)`` of :func:`oracle_error` at q0 and q0/2.
-
-    ``result`` is the solve at the problem's own ``q0``; only the ``q0/2``
-    flow is solved here.  The truncation error scales like ``q0^(order+1)``,
-    so ``error / error_half`` should be about ``2^(order+1)``.
-    """
-    problem = result.problem
-    return oracle_error(result), oracle_error(solve_lax(replace(problem, q0=problem.q0 / 2.0)))
+    """The oracle errors ``(error, error_half)`` of :func:`oracle_errors` at q0 and q0/2,
+    both from the one solve ``result``.  The truncation error scales like
+    ``q0^(order+1)``, so ``error / error_half`` should be about ``2^(order+1)``."""
+    q0 = result.problem.q0
+    return tuple(oracle_errors(result, (q0, q0 / 2.0)))
 
 
 # -- presets ----------------------------------------------------------------

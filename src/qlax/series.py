@@ -21,8 +21,8 @@ The graded kernels work on a flow's polynomials in ``s = t/T``.
 layouts, truncated in grade and power.  A :class:`GradedSeries`, one read-only
 ``(N+1, *shape)`` array, is the one-power case of both: ``values[:, None]``.
 Both kernels add the terms of each coefficient in one fixed order
-(:func:`summed`).  Evaluation works on ``(nodes, N+1, *shape)`` stacks of
-sampled series.
+(:func:`summed`).  :func:`evaluated` sums those polynomials at a number for the grade
+marker and evaluates the sum at points in ``s``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
-    blocks,
     coerce_scalar,
-    element_norms,
     stacked_product,
     unit_payload,
 )
@@ -127,25 +125,19 @@ def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
     return np.split(y, starts[1:-1])
 
 
-def evaluate_values(descriptor: AlgebraDescriptor, values: np.ndarray, q0) -> np.ndarray:
-    """Substitute ``q0`` for the grade marker on every node (Horner form)."""
-    q0 = coerce_scalar(descriptor, q0)
-    acc = values[:, -1]
-    for n in range(values.shape[1] - 2, -1, -1):
-        acc = values[:, n] + q0 * acc
-    return acc
-
-
-def grade_max_norms(descriptor: AlgebraDescriptor, values: np.ndarray, gaps) -> np.ndarray:
-    """Per-grade max norm of ``gaps(block)`` over the node blocks of a stacked series.
-
-    ``gaps`` maps a slice of the nodes of ``values`` to the stack to measure,
-    so one block of it is held at a time.
-    """
-    worst = np.zeros(values.shape[1])
-    for block in blocks(len(values), values[0].nbytes):
-        worst = np.maximum(worst, element_norms(descriptor, gaps(block)).max(axis=0))
-    return worst
+def evaluated(grades, q0, points) -> np.ndarray:
+    """``sum_i q0^i X_i(s)`` at each ``s`` in ``points``, one payload per point, for stacks
+    ``X_i`` laid out as a :class:`~qlax.timeorder.FlowSample`'s ``coefficients``: the
+    grades are summed into one polynomial in ``s``, then evaluated by Horner's rule."""
+    summed = np.zeros((len(grades[-1]) + len(grades) - 1, *grades[0].shape[1:]),
+                      dtype=grades[-1].dtype)
+    for i, grade in enumerate(grades):
+        summed[i:i + len(grade)] += q0 ** i * grade
+    s = np.asarray(points)[:, None, None]
+    value = summed[-1]
+    for coeff in summed[-2::-1]:
+        value = coeff + s * value
+    return value
 
 
 class GradedSeries:
@@ -324,5 +316,8 @@ class GradedSeries:
 
     def evaluate(self, q0: float) -> AlgebraElement:
         """Substitute the number ``q0`` for the grade marker (Horner form)."""
-        return AlgebraElement(self.descriptor,
-                              evaluate_values(self.descriptor, self.values[None], q0)[0])
+        q0 = coerce_scalar(self.descriptor, q0)
+        value = self.values[-1]
+        for coeff in self.values[-2::-1]:
+            value = coeff + q0 * value
+        return AlgebraElement(self.descriptor, value)

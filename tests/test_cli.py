@@ -30,7 +30,7 @@ from qlax.nonregular import (
     velocity_at_zero,
     verify_diffeo_bounds,
 )
-from qlax.series import evaluate_values
+from qlax.series import evaluated
 from qlax.symmetry import ad_operator
 from qlax.timeorder import FlowSample, OperatorPath
 
@@ -565,8 +565,8 @@ FAILING_CHECKS = [
     pytest.param("symmetry", SYMMETRY_DOC, "equivariance_gap", _plus_one, "equivariance_gap",
                  id="symmetry-equivariance_gap"),
     # errors proportional to q0: a measured order of 1 where N + 1 = 4 is expected
-    pytest.param("sweep", SWEEP_DOC, "oracle_error",
-                 lambda error: lambda point: 1e-3 * point.problem.q0,
+    pytest.param("sweep", SWEEP_DOC, "oracle_errors",
+                 lambda errors: lambda result, scalings: [1e-3 * q0 for q0 in scalings],
                  "0.1", id="sweep-pair"),
     pytest.param("appendix", None, "velocity_at_zero",
                  lambda velocity: lambda model: dataclasses.replace(velocity(model),
@@ -620,7 +620,7 @@ BUNDLES = [
     pytest.param(["appendix", "--points", str(MAX_GRID_POINTS + 1)], None, 4,
                  id="appendix-points-cap"),
     pytest.param(["selftest"], None, 0, id="selftest"),
-    pytest.param(["sweep", SWEEP_DOC], "oracle_error", 2, id="sweep-oracle-error"),
+    pytest.param(["sweep", SWEEP_DOC], "oracle_errors", 2, id="sweep-oracle-error"),
     pytest.param(["sweep", DIFFOP_DOC], None, 3, id="sweep-diffop"),
     pytest.param(["solve", "--preset", "toda-3", "--step", "0.3"], None, 2,
                  id="solve-partial-step"),
@@ -740,24 +740,11 @@ def test_flow_writers_match_nested_list_writers(monkeypatch, tmp_path, block_byt
     assert {"1e-300", "1e+16", "nan", "inf"} <= {row["coeff_norm"] for row in _read_rows(path)}
 
 
-def test_sweep_solves_each_scaling_once(monkeypatch, tmp_path):
-    solved = []
-    original = lax.solve_lax
-
-    def counted(problem):
-        solved.append(problem.q0)
-        return original(problem)
-
-    monkeypatch.setattr(lax, "solve_lax", counted)
-    monkeypatch.setattr(cli, "solve_lax", counted)
-    assert main(["sweep", "--preset", "toda-3", "--out", str(tmp_path / "sweep")]) == 0
-    assert solved == [0.2, 0.1, 0.05]
-
-
-def test_solve_solves_once_and_the_oracle_once_more(monkeypatch, tmp_path):
-    # the oracle's q0/2 solve stays in lax; the command solves its problem once.
-    # The cli counter calls the lax one, so "lax" counts every solve.
+def _count_solves(monkeypatch) -> dict[str, list]:
+    """The ``q0`` of each ``solve_lax`` call that ``cli`` makes, and that ``lax`` makes of
+    its own (the oracle's, say)."""
     calls = {"cli": [], "lax": []}
+    original = lax.solve_lax
 
     def counter(name, solve):
         def counted(problem):
@@ -765,18 +752,32 @@ def test_solve_solves_once_and_the_oracle_once_more(monkeypatch, tmp_path):
             return solve(problem)
         return counted
 
-    monkeypatch.setattr(lax, "solve_lax", counter("lax", lax.solve_lax))
-    monkeypatch.setattr(cli, "solve_lax", counter("cli", lax.solve_lax))
+    monkeypatch.setattr(lax, "solve_lax", counter("lax", original))
+    monkeypatch.setattr(cli, "solve_lax", counter("cli", original))
+    return calls
+
+
+def test_sweep_solves_once_at_its_largest_scaling(monkeypatch, tmp_path):
+    # every smaller scaling is the same series at a shorter time
+    calls = _count_solves(monkeypatch)
+    doc = {"schema": 1, "P": {"kind": "preset", "name": "toda-3"},
+           "options": {"sweep": [0.1, 0.2, 0.05]}}
+    assert main(["sweep", _write(tmp_path, doc), "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == {"cli": [0.2], "lax": []}
+
+
+def test_solve_solves_once_and_the_oracle_never(monkeypatch, tmp_path):
+    # the oracle reads its q0/2 errors off the command's one solve
+    calls = _count_solves(monkeypatch)
     assert main(["solve", "--preset", "toda-3", "--order", "3", "--step", "0.002",
                  "--horizon", "0.1", "--out", str(tmp_path / "solve")]) == 0
-    assert calls == {"cli": [0.5], "lax": [0.5, 0.25]}
+    assert calls == {"cli": [0.5], "lax": []}
 
 
-@pytest.mark.parametrize("command, samples", [("solve", 2), ("symmetry", 1), ("sweep", 3)])
+@pytest.mark.parametrize("command, samples", [("solve", 1), ("symmetry", 1), ("sweep", 0)])
 def test_each_command_samples_only_the_flows_it_reads(monkeypatch, tmp_path, command, samples):
-    # solve reads its flow (flow.csv, the oracle) and the oracle's q0/2 flow, symmetry
-    # only the operator flow (flow.csv), and sweep each point's flow (sweep.csv, the
-    # oracle); no group's nodes and no element flow of symmetry are read
+    # solve and symmetry read only the flow they write to flow.csv; the oracle and
+    # sweep.csv evaluate polynomials, and no group's nodes are read
     sampled = count_samples(monkeypatch)
     doc = {"schema": 1, "P": {"kind": "preset", "name": "toda-3"},
            "options": {"symmetry_s0": {"kind": "ad-of-initial"}} if command == "symmetry" else {}}
@@ -838,19 +839,21 @@ def test_symmetry_matrix_s0_matches_ad_of_initial(tmp_path):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_sweep_writer_matches_cell_by_cell_rows(tmp_path, field):
-    flows = [_special_flow(nodes, field) for nodes in (1, 2, 1001)]
     sweep_values = [1, 0.25, 0.5]  # an integer q0 is written as given
-    rows = []
-    for q0, flow in zip(sweep_values, flows):
-        evaluated = evaluate_values(flow.descriptor, flow.values, q0).reshape(len(flow), -1)
-        if field == "complex":
-            evaluated = np.stack([evaluated.real, evaluated.imag], axis=-1).reshape(
+    for nodes in (1, 2, 1001):
+        flow = _special_flow(nodes, field)
+        s = flow.times / flow.times[-1]
+        rows = []
+        for q0 in sweep_values:
+            values = evaluated(flow.coefficients, flow.q0, q0 / flow.q0 * s).reshape(
                 len(flow), -1)
-        rows.extend((q0, t, *entries)
-                    for t, entries in zip(flow.times.tolist(), evaluated.tolist()))
-    header = ["q0", "t", *_sweep_entry_columns(flows[0].descriptor)]
-    _write_csv(str(tmp_path / "expected.csv"), header, rows)
-    _write_sweep_csv(str(tmp_path / "sweep.csv"), sweep_values, flows)
-    written = (tmp_path / "sweep.csv").read_text()
-    assert written == (tmp_path / "expected.csv").read_text()
+            if field == "complex":
+                values = np.stack([values.real, values.imag], axis=-1).reshape(len(flow), -1)
+            rows.extend((q0, t, *entries)
+                        for t, entries in zip(flow.times.tolist(), values.tolist()))
+        header = ["q0", "t", *_sweep_entry_columns(flow.descriptor)]
+        _write_csv(str(tmp_path / "expected.csv"), header, rows)
+        _write_sweep_csv(str(tmp_path / "sweep.csv"), sweep_values, flow)
+        written = (tmp_path / "sweep.csv").read_text()
+        assert written == (tmp_path / "expected.csv").read_text()
     assert "1" in {row["q0"] for row in _read_rows(tmp_path / "sweep.csv")}

@@ -28,14 +28,14 @@ from qlax.lax import (
     flow_difference,
     integrate_directly,
     lax_residual,
-    oracle_error,
+    oracle_errors,
     oracle_integrate,
     preset_problem,
     solve_lax,
 )
 from qlax import algebra, lax, timeorder
 from qlax.algebra import unit_payload
-from qlax.series import evaluate_values
+from qlax.series import evaluated
 from qlax.timeorder import FlowSample, OperatorPath, _sample_grades, time_ordered_exp
 from helpers import (
     E12,
@@ -44,6 +44,7 @@ from helpers import (
     cauchy_on_nodes,
     conjugate_on_nodes_reference,
     count_samples,
+    evaluate_on_nodes,
     lax_residual_on_nodes,
     oracle_errors_reference,
     rand_matrix,
@@ -175,6 +176,11 @@ def test_flow_difference_rejects_flows_on_another_grid_or_algebra():
                             q0=fine.q0)
     with pytest.raises(ShapeMismatchError):
         flow_difference(fine, as_complex)
+    # the gap is taken on the polynomials, so a sample of values alone has none to compare
+    values_only = FlowSample(fine.times, fine.values, fine.descriptor, step=fine.step,
+                             order=fine.order, q0=fine.q0)
+    with pytest.raises(DomainError, match="polynomial coefficients"):
+        flow_difference(fine, values_only)
     # another q0 on the same grid compares; a constant path's grades ignore q0
     other_q0 = solve_lax(preset_problem("toda-3", q0=0.25, order=3, grid=(1e-3, 0.5))).flow
     assert not flow_difference(fine, other_q0).any()
@@ -288,9 +294,18 @@ def test_oracle_matches_the_closed_form_rotation():
     angle = 0.8 * prob.q0 * flow.times
     cos, sin = np.cos(angle), np.sin(angle)
     exact = np.stack([np.stack([cos, sin], axis=-1), np.stack([sin, -cos], axis=-1)], axis=-2)
-    evaluated = evaluate_values(flow.descriptor, flow.values, prob.q0)
-    closed = np.sqrt(((evaluated - exact) ** 2).sum(axis=(1, 2))).max()
-    assert abs(oracle_error(result) - closed) <= 1e-15
+    closed = np.sqrt(((evaluate_on_nodes(flow.values, prob.q0) - exact) ** 2).sum(
+        axis=(1, 2))).max()
+    assert abs(oracle_errors(result, [prob.q0])[0] - closed) <= 1e-15
+
+
+def test_oracle_errors_rejects_scalings_outside_the_solve():
+    # one solve serves every scaling up to its own q0, and no other
+    result = solve_lax(preset_problem("toda-3", q0=0.5, order=3, grid=(1e-2, 0.1)))
+    for scalings in ([0.0], [0.25, -0.25], [0.5, 0.75], [math.nan]):
+        with pytest.raises(DomainError, match="oracle scalings"):
+            oracle_errors(result, scalings)
+    assert oracle_errors(result, [0.25, 0.5])[1] == oracle_integrate(result)[0]
 
 
 def test_oracle_reference_order_drops_the_remainder_below_roundoff():
@@ -466,6 +481,20 @@ def test_coefficient_conjugation_matches_the_node_route_and_the_direct_route(pro
                       integrate_directly(problem).values):
         scale = np.abs(reference).max()
         assert np.abs(result.flow.values - reference).max() <= 1e-13 * scale
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_lax_problems(), st.floats(0.01, 1.0))
+def test_a_smaller_scaling_is_the_same_series_at_a_shorter_time(problem, ratio):
+    # q enters grade i's coefficient of s^(i + j) only as q^j, so the solve at q = r q0,
+    # evaluated at q on its nodes s, is the solve at q0 evaluated at q0 on r s
+    coefficients = solve_lax(problem).flow.coefficients
+    q = ratio * problem.q0
+    fresh = solve_lax(replace(problem, q0=q)).flow
+    s = fresh.times / fresh.times[-1]
+    gap = evaluated(coefficients, problem.q0, ratio * s) - evaluate_on_nodes(fresh.values, q)
+    scale = max(np.abs(stack).max() for stack in coefficients)
+    assert np.abs(gap).max() <= 1e-13 * scale, np.abs(gap).max() / scale
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
