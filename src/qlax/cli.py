@@ -484,21 +484,27 @@ def _sweep_entry_columns(descriptor) -> list[str]:
 
 
 def _write_sweep_csv(path: str, sweep_values, flow) -> None:
-    """``q0, t`` and the evaluated entries at every node, formatted a column at a time: the
-    series at each ``q0 <= flow.q0`` on ``s = t/T`` is ``flow``'s on ``(q0 / flow.q0) s``."""
+    """``q0, t`` and the evaluated entries at every node: the series at each ``q0 <=
+    flow.q0`` on ``s = t/T`` is ``flow``'s on ``(q0 / flow.q0) s``.
+
+    The bytes are those ``csv.writer`` writes, since no field needs quoting: each block of
+    nodes (:func:`~qlax.algebra.blocks`) is one ``str.join`` of ``",".join`` of the fields'
+    reprs and ``"\\r\\n"`` line ends, so the text held at once stays about a block's worth.
+    """
     descriptor = flow.descriptor
     s = flow.times / flow.times[-1]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["q0", "t", *_sweep_entry_columns(descriptor)])
+        handle.write(",".join(["q0", "t", *_sweep_entry_columns(descriptor)]) + "\r\n")
         for q0 in sweep_values:
             values = evaluated(flow.coefficients, flow.q0, q0 / flow.q0 * s).reshape(
                 len(flow), -1)
             if descriptor.field == COMPLEX:
                 values = np.stack([values.real, values.imag], axis=-1).reshape(len(flow), -1)
-            times = map(float.__repr__, flow.times.tolist())
-            entries = (map(float.__repr__, column) for column in values.T.tolist())
-            writer.writerows(zip([_format_value(q0)] * len(flow), times, *entries))
+            head = _format_value(q0) + ","
+            for block in blocks(len(flow), values.itemsize * values.shape[1]):
+                handle.write("".join([head + t + "," + ",".join(map(repr, row)) + "\r\n"
+                                      for t, row in zip(map(repr, flow.times[block].tolist()),
+                                                        values[block].tolist())]))
 
 
 def _convergence_rows(sweep_values, errors, expected: int) -> list[tuple]:

@@ -97,7 +97,8 @@ def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[n
     """The polynomials in ``s = t/T`` of ``g(t) L0 g(t)^(-1)``, laid out as a
     :class:`~qlax.timeorder.FlowSample`'s ``coefficients``: ``L g = g L0`` solved by
     :func:`~qlax.series.right_divide` on the group's coefficients, where ``g L0`` is one
-    product call over all of them."""
+    product call over all of them and grade ``n`` of ``L`` one call per factor grade of
+    ``g``."""
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")

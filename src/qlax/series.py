@@ -97,10 +97,12 @@ def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
     grade of ``x`` as long as ``g``'s, and ``g``'s grade 0 the unit alone.
 
     ``y g = x`` grade by grade is the forward substitution ``y_n = x_n - sum_(i=1..n)
-    y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``: grade ``n`` is one
-    ``stacked_product`` call over every pair ``(i, a, b)`` of a nonzero coefficient ``a`` of
-    ``y_(n-i)`` and a nonzero coefficient ``b`` of ``g_i``, summed per power with ``i``, then
-    ``a``, ascending (:func:`summed`) and subtracted from ``x_n``.
+    y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``.  Grade ``n`` makes one
+    ``stacked_product`` call per factor grade ``i``, over every pair ``(a, b)`` of a nonzero
+    coefficient ``a`` of ``y_(n-i)`` and a nonzero coefficient ``b`` of ``g_i``, so that the
+    diffop kernel sizes each call by ``y_(n-i)``'s and ``g_i``'s own spans, not by those of
+    the grade's largest factors.  The products are summed per power with ``i``, then ``a``,
+    ascending (:func:`summed`) and subtracted from ``x_n``.
     """
     lengths = [len(grade) for grade in g]
     if [len(grade) for grade in x] != lengths:
@@ -118,9 +120,11 @@ def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
             b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
             pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
                           np.add.outer(a, b).ravel()))
-        left, right, power = (np.concatenate(column) for column in zip(*pairs))
+        products = np.concatenate([stacked_product(descriptor, y[left], g[right])
+                                   for left, right, _ in pairs])
+        power = np.concatenate([power for _, _, power in pairs])
         grade = slice(starts[n], starts[n + 1])
-        y[grade] -= summed(stacked_product(descriptor, y[left], g[right]), power, lengths[n])
+        y[grade] -= summed(products, power, lengths[n])
         nonzero[grade] = _nonzero(y[grade])
     return np.split(y, starts[1:-1])
 

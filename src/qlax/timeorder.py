@@ -254,7 +254,8 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     polynomials = 2 * (n + 1 + d * n * (n + 1) // 2)
     # sum_(i=1..n) ((n - i) d + 1)(i d + 1) pairs of an L_(n-i) and a g_i coefficient,
     # each with both factors, the product, its flat indices and a temporary of them,
-    # and eight indices of its own
+    # and eight indices of its own (one call per factor grade gathers its own factors, so
+    # the calls' products and their join take no more than both factors did)
     conjugation = (d * d * (n ** 3 - n) // 6 + n * (n * d + 1)) * (3 * payload + 16 * size + 64)
     # (d + 1)((n - 1) d + 1) pairs in a commutator's two products and their difference,
     # and the kernel's copies of both broadcast factors on diffops

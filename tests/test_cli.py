@@ -838,7 +838,7 @@ def test_symmetry_matrix_s0_matches_ad_of_initial(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_sweep_writer_matches_cell_by_cell_rows(tmp_path, field):
+def test_sweep_writer_matches_cell_by_cell_rows(monkeypatch, tmp_path, field):
     sweep_values = [1, 0.25, 0.5]  # an integer q0 is written as given
     for nodes in (1, 2, 1001):
         flow = _special_flow(nodes, field)
@@ -853,7 +853,9 @@ def test_sweep_writer_matches_cell_by_cell_rows(tmp_path, field):
                         for t, entries in zip(flow.times.tolist(), values.tolist()))
         header = ["q0", "t", *_sweep_entry_columns(flow.descriptor)]
         _write_csv(str(tmp_path / "expected.csv"), header, rows)
-        _write_sweep_csv(str(tmp_path / "sweep.csv"), sweep_values, flow)
-        written = (tmp_path / "sweep.csv").read_text()
-        assert written == (tmp_path / "expected.csv").read_text()
+        for block_bytes in (algebra.BLOCK_BYTES, 1):  # one block of nodes, one node a block
+            monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
+            _write_sweep_csv(str(tmp_path / "sweep.csv"), sweep_values, flow)
+            written = (tmp_path / "sweep.csv").read_bytes()
+            assert written == (tmp_path / "expected.csv").read_bytes()
     assert "1" in {row["q0"] for row in _read_rows(tmp_path / "sweep.csv")}

@@ -613,12 +613,13 @@ def test_diffop_product_count(monkeypatch):
     # = 12 products in 3 calls, one per grade.  The direct route takes two products
     # per bracket, 24 in 6 calls.  The conjugation works on the coefficients, not on
     # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and grade
-    # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call over the (n - i + 1)(i + 1)
-    # pairs of each i: 2, 4 + 3 = 7 and 6 + 6 + 4 = 16, as none of the coefficients
-    # is zero.  The residuals take grade i's products on grade i - 1's polynomials:
-    # 2 + 4 + 6 pairs, in one call per grade for g' = q P g and in a bracket's two
-    # for the flow.  The kernel takes a stack of pairs per call, so the product count
-    # is the pairs it receives, and it does not depend on the number of nodes.
+    # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call per i over its (n - i + 1)(i + 1)
+    # pairs, so that each call is sized by its own factors' spans: [2], [4, 3] and
+    # [6, 6, 4], as none of the coefficients is zero.  The residuals take grade i's
+    # products on grade i - 1's polynomials: 2 + 4 + 6 pairs, in one call per grade
+    # for g' = q P g and in a bracket's two for the flow.  The kernel takes a stack of
+    # pairs per call, so the product count is the pairs it receives, and it does not
+    # depend on the number of nodes.
     calls = []
     original = algebra._diffop_products
 
@@ -635,12 +636,12 @@ def test_diffop_product_count(monkeypatch):
         calls.clear()
         prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, horizon))
         result = solve_lax(prob)
-        assert calls == [2, 4, 6, 10, 2, 7, 16]
+        assert calls == [2, 4, 6, 10, 2, 4, 3, 6, 6, 4]
         integrate_directly(prob)
-        assert calls[7:] == [2, 2, 4, 4, 6, 6]
+        assert calls[10:] == [2, 2, 4, 4, 6, 6]
         lax_residual(result)
         timeorder.left_log_derivative_residual(result.group, path, 0.5)
-        assert calls[13:] == [2, 2, 4, 4, 6, 6, 2, 4, 6]
+        assert calls[16:] == [2, 2, 4, 4, 6, 6, 2, 4, 6]
 
 
 def test_flow_size_cap():
