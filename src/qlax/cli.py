@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -324,16 +325,16 @@ def _write_flow_csv(path: str, flow) -> None:
     """``t, grade, coeff_norm`` for every node and grade: the bytes ``csv.writer`` writes,
     since no field needs quoting, at the cost of the floats' reprs.
 
-    Each block of nodes (:func:`~qlax.algebra.blocks`) is one ``str.join`` of
-    ``repr(t) + ",grade," + repr(norm) + "\\r\\n"`` lines, so the text held at once stays
-    about a block's worth.  Reading ``flow.values`` samples a library flow's nodes.
+    Each block of nodes (:meth:`~qlax.timeorder.FlowSample.node_blocks`) is sampled on its
+    own (:meth:`~qlax.timeorder.FlowSample.nodes`) and written as one ``str.join`` of
+    ``repr(t) + ",grade," + repr(norm) + "\\r\\n"`` lines, so the nodes and the text held
+    at once stay about a block's worth, and a library flow's whole sample is never formed.
     """
     grades = [f",{grade}," for grade in range(flow.order + 1)]
-    values = flow.values
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("t,grade,coeff_norm\r\n")
-        for block in blocks(len(flow), values.itemsize * math.prod(values.shape[1:])):
-            norms = element_norms(flow.descriptor, values[block]).tolist()
+        for block in flow.node_blocks():
+            norms = element_norms(flow.descriptor, flow.nodes(block)).tolist()
             handle.write("".join([t + grade + repr(norm) + "\r\n"
                                   for t, row in zip(map(repr, flow.times[block].tolist()), norms)
                                   for grade, norm in zip(grades, row)]))
@@ -687,8 +688,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if args.command == "appendix":

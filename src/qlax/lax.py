@@ -8,8 +8,7 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
   a polynomial in ``t``, so the forward substitution
   (:func:`~qlax.series.right_divide`) runs once, on those polynomials'
   coefficients, whatever the number of nodes.  The flow's own polynomials,
-  like the group's, are sampled on the nodes only when a caller first reads
-  its values; and
+  like the group's, are sampled only on the nodes a caller reads; and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
 
@@ -24,7 +23,7 @@ on all of ``[0, T]``; and an oracle, the evaluated
 series' gap on the nodes to the exact series, which must shrink like
 ``q0^(order+1)`` to roundoff.  :func:`flow_difference` bounds the gap of two flows the
 same way.  No function here reads a sample's node values; of the commands, only the
-``flow.csv`` writer does.
+``flow.csv`` writer does, a block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -79,15 +78,15 @@ class LaxFlowResult:
 
 
 def solve_lax(problem: LaxProblem) -> LaxFlowResult:
-    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on the grid's nodes, with neither
-    the group nor the flow sampled until its values are read."""
+    """Conjugation solver: ``L(t) = g(t) L0 g(t)^(-1)`` on the grid's nodes, with no node
+    of the group or the flow sampled until it is read."""
     group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
     return LaxFlowResult(problem=problem, group=group, flow=conjugate(group, problem.initial))
 
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`conjugated_polynomials`
-    on the group's nodes, sampled when its values are first read."""
+    on the group's nodes, each sampled when it is read."""
     return FlowSample(group.times, None, group.descriptor, step=group.step,
                       order=group.order, q0=group.q0,
                       coefficients=conjugated_polynomials(group, initial))

@@ -9,14 +9,13 @@ Those coefficients solve the triangular linear system
 
 whose grades are polynomials in ``t``.  This module computes their
 coefficients exactly, by one product call per grade, and one sampler evaluates
-every grade on the grid's nodes, whose spacing is all the grid's step sets:
-one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
+every grade on the nodes it is asked for, whose spacing is all the grid's step
+sets: one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
 grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A path on the grid is a
-:class:`FlowSample`: its polynomial coefficients and its times, sampled into
-one ``(nodes, N+1, *shape)`` array only when something first reads its
-``values``.  The residual checks of the flow
+:class:`FlowSample`: its polynomial coefficients and its times, whose nodes are
+sampled when they are read, and only those.  The residual checks of the flow
 equations work on those coefficients too, with one product call per grade and
 none per node: the derivative of a polynomial is exact, so their floor is
 roundoff, and the sum of a grade's coefficient norms (:func:`coefficient_bounds`)
@@ -38,6 +37,7 @@ from qlax.algebra import (
     AlgebraElement,
     DomainError,
     ShapeMismatchError,
+    blocks,
     element_norms,
     kernel_block_bytes,
     stacked_product,
@@ -58,7 +58,7 @@ class OperatorPath:
     exact polynomials in ``t``.  ``q0`` is carried but unused: every integration
     routine takes the scaling parameter explicitly, and
     :func:`~qlax.symmetry.ad_path` only forwards it.  Its removal waits on
-    ROADMAP.md open item 6, since the frozen benchmark passes ``q0``
+    ROADMAP.md open item 5, since the frozen benchmark passes ``q0``
     positionally to :meth:`polynomial`.  Two paths are equal when
     their coefficients are: neither ``q0`` nor the label ``name`` takes part.
     """
@@ -111,19 +111,21 @@ class OperatorPath:
 class FlowSample:
     """A series-valued path sampled on a uniform time grid.
 
-    The whole sample is one read-only ``(nodes, order + 1, *shape)`` array,
-    ``values``, of coefficients in the algebra ``descriptor``; ``series``
-    shows its nodes as :class:`GradedSeries`.  Every sample the library
-    produces (a group, a conjugated flow, a direct flow) is built from the
-    polynomials it samples, with no values: ``coefficients[i]`` is the read-only
-    ``(i d + 1, *shape)`` stack of grade ``i``'s coefficients of ``s^i .. s^(i
-    (d + 1))`` in ``s = t/T``, ``d`` the path's degree and ``T`` the last time.
-    Its ``values`` are sampled from them (:func:`_sample_grades`) on the first
-    read, and every later read returns that same array; ``len()`` reads
-    ``times``, so it samples nothing.  :func:`~qlax.lax.conjugate` reads a
-    group's coefficients, the checks read any sample's, and ``qlax solve`` writes
-    a flow's.  A sample built from values alone has ``None`` there.  ``times``
-    is made read-only too, since samples of one solve share it.
+    Its nodes are ``(order + 1, *shape)`` stacks of coefficients in the algebra
+    ``descriptor``, one per time of ``times``.  Every sample the library produces (a
+    group, a conjugated flow, a direct flow) is built from the polynomials it samples,
+    with no values: ``coefficients[i]`` is the read-only ``(i d + 1, *shape)`` stack of
+    grade ``i``'s coefficients of ``s^i .. s^(i (d + 1))`` in ``s = t/T``, ``d`` the
+    path's degree and ``T`` the last time.  :meth:`nodes` samples the nodes it is asked
+    for from them (:func:`_sample_grades`) and keeps nothing, so a reader that walks
+    :meth:`node_blocks` holds about one block of nodes at a time; ``series`` shows
+    nodes as :class:`GradedSeries` the same way, and ``len()`` reads ``times``.
+    ``values`` is the whole read-only ``(nodes, order + 1, *shape)`` sample, sampled on
+    its first read and cached, for callers that want every node at once; once it is
+    held, :meth:`nodes` slices it.  :func:`~qlax.lax.conjugate` reads a group's
+    coefficients, the checks read any sample's, and ``qlax solve`` writes a flow's.  A
+    sample built from values alone has ``None`` there.  ``times`` is made read-only
+    too, since samples of one solve share it.
     """
 
     __slots__ = ("times", "_values", "descriptor", "step", "order", "q0", "coefficients")
@@ -157,6 +159,19 @@ class FlowSample:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def nodes(self, index) -> np.ndarray:
+        """The nodes at ``times[index]``: ``values[index]``, bit for bit, sampled from
+        ``coefficients`` at those nodes only unless ``values`` is held."""
+        if self._values is not None:
+            return self._values[index]
+        return _sample_grades(self.coefficients, self.descriptor, self.times, index)
+
+    def node_blocks(self) -> list[slice]:
+        """Slices covering the nodes, each about ``BLOCK_BYTES`` of sampled values
+        (:func:`~qlax.algebra.blocks`)."""
+        payload = math.prod(self.descriptor.shape) * self.descriptor.dtype.itemsize
+        return blocks(len(self), (self.order + 1) * payload)
+
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
@@ -167,28 +182,36 @@ class FlowSample:
 
     @property
     def series(self) -> "SeriesView":
-        return SeriesView(self.descriptor, self.values)
+        return SeriesView(self)
 
     def __len__(self) -> int:
         return len(self.times)
 
 
 class SeriesView(Sequence):
-    """The nodes of a stacked sample as :class:`GradedSeries`, built on access."""
+    """The nodes of a sample as :class:`GradedSeries`, each sampled on access
+    (:meth:`FlowSample.nodes`): ``series[k]`` samples node ``k`` alone, a slice its own
+    nodes, and iteration one block of nodes (:meth:`FlowSample.node_blocks`) at a time."""
 
-    __slots__ = ("descriptor", "values")
+    __slots__ = ("flow",)
 
-    def __init__(self, descriptor: AlgebraDescriptor, values: np.ndarray):
-        self.descriptor = descriptor
-        self.values = values
+    def __init__(self, flow: FlowSample):
+        self.flow = flow
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.flow)
+
+    def _series(self, values: np.ndarray) -> GradedSeries:
+        return GradedSeries.from_values(self.flow.descriptor, values)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
-        return GradedSeries.from_values(self.descriptor, self.values[index])
+            return tuple(map(self._series, self.flow.nodes(index)))
+        return self._series(self.flow.nodes(index))
+
+    def __iter__(self):
+        for block in self.flow.node_blocks():
+            yield from map(self._series, self.flow.nodes(block))
 
 
 def _check_scaling(q0: float) -> None:
@@ -349,27 +372,36 @@ def coefficient_bounds(descriptor: AlgebraDescriptor, grades) -> np.ndarray:
     return np.array([element_norms(descriptor, grade).sum() for grade in grades])
 
 
-def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray) -> np.ndarray:
-    """The values on ``times`` of the grade polynomials ``grades`` (see :class:`FlowSample`).
+def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray,
+                   index=slice(None)) -> np.ndarray:
+    """The values at ``times[index]`` of the grade polynomials ``grades`` (see
+    :class:`FlowSample`): one ``(order + 1, *shape)`` node for an integer index, a
+    stack of them for a slice.
 
     Node ``k`` of grade ``i`` is ``sum_j grades[i][j] s_k^(i + j)`` with ``s_k =
-    times[k] / times[-1]``: one table of the powers of ``s`` on the nodes after
-    ``t = 0``, where every grade above 0 is zero, and one matrix product per grade
-    written in place into the sample.  The product is ``np.einsum``'s loop, not
-    BLAS: ``matmul`` here brings in a real-valued BLAS kernel that a diffop solve
-    otherwise never runs, and raised its peak RSS by 0.3-0.4 MiB.  A complex stack
-    is multiplied as pairs of real numbers, so the real table never becomes
-    complex.
+    times[k] / times[-1]``: one table of the powers of ``s`` on the asked nodes, and one
+    matrix product per grade written in place into the sample.  Where ``s = 0`` every
+    grade above 0 is written as ``+0.0``, its exact value, whatever the signs or
+    infinities of its coefficients.  A node's bits do not depend on the nodes sampled
+    with it, so any index gives the bits of the whole sample's slice.  The product is
+    ``np.einsum``'s loop, not BLAS: ``matmul`` here brings in a real-valued BLAS kernel
+    that a diffop solve otherwise never runs, and raised its peak RSS by 0.3-0.4 MiB.
+    A complex stack is multiplied as pairs of real numbers, so the real table never
+    becomes complex.
     """
     order = len(grades) - 1
-    values = np.zeros((len(times), order + 1, *descriptor.shape), dtype=descriptor.dtype)
+    s = times[index] / times[-1]
+    flat = np.reshape(s, -1)
+    values = np.zeros((len(flat), order + 1, *descriptor.shape), dtype=descriptor.dtype)
     values[:, 0] = grades[0][0]
-    powers = (times[1:] / times[-1])[:, None] ** np.arange(len(grades[-1]) + order)
-    real = values.view(np.float64).reshape(len(times), order + 1, -1)
+    powers = flat[:, None] ** np.arange(len(grades[-1]) + order)
+    floats = math.prod(descriptor.shape) * descriptor.dtype.itemsize // 8
+    real = values.view(np.float64).reshape(len(flat), order + 1, floats)
     for i in range(1, order + 1):
         stack = grades[i].view(np.float64).reshape(len(grades[i]), -1)
-        np.einsum("nk,kf->nf", powers[:, i:i + len(stack)], stack, out=real[1:, i])
-    return values
+        np.einsum("nk,kf->nf", powers[:, i:i + len(stack)], stack, out=real[:, i])
+    values[flat == 0.0, 1:] = 0.0
+    return values if np.ndim(s) else values[0]
 
 
 def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:

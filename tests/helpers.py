@@ -237,14 +237,15 @@ def lax_residual_on_nodes(result) -> np.ndarray:
 
 
 def count_samples(monkeypatch) -> list:
-    """Count the node samplings: patch ``timeorder._sample_grades`` wherever a ``qlax``
-    module holds it, and return the list each call then appends its descriptor to."""
+    """Record the node samplings: patch ``timeorder._sample_grades`` wherever a ``qlax``
+    module holds it, and return the list each call then appends its descriptor and the
+    positions of the nodes it samples to."""
     original = timeorder._sample_grades
     calls = []
 
-    def counted(grades, descriptor, times):
-        calls.append(descriptor)
-        return original(grades, descriptor, times)
+    def counted(grades, descriptor, times, index=slice(None)):
+        calls.append((descriptor, np.arange(len(times))[index]))
+        return original(grades, descriptor, times, index)
 
     for name, module in list(sys.modules.items()):
         if ((name == "qlax" or name.startswith("qlax."))

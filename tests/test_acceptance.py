@@ -309,7 +309,9 @@ def test_acceptance_09_appendix_suite():
 # at the largest scaling came to serve every smaller one: each value is then that
 # solve's series summed at its q0 and evaluated at a shorter time, which moves the
 # oracle values by at most 3.6e-17 and sweep.csv's entries by at most 1.4e-17.  The
-# other selftest files keep the bytes of commit 2fb1fb6.
+# selftest's symmetry diagnostics.csv was re-pinned when the ad_exp_gap probe became
+# a closed-form Cauchy matrix in place of a seeded random draw, which moves those rows
+# by at most 1.3e-18.  The other selftest files keep the bytes of commit 2fb1fb6.
 PINNED_SELFTEST_DIGESTS = {
     "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
@@ -319,7 +321,7 @@ PINNED_SELFTEST_DIGESTS = {
     "solve/flow.csv": "aada3e028ccfca3096084e2cb54a65140182a983ae81a5ca4635fa418ca9e21d",
     "solve/flow.json": "58657ba0ea0849dee588d11428faa1b6b82fec9861a5b630479f53accbe360a5",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
-    "symmetry/diagnostics.csv": "ad775f1f64f71933fbaddf1c53260aaab5b36d01e3a59b5b8bf8094106ad26a7",
+    "symmetry/diagnostics.csv": "3eb27d2fd25429d317e1f416eb45f9789b4ba182740d2565a8f05b90e616c708",
     "symmetry/flow.csv": "018b8baced587a8677920dd0988ea93edd1a62deeef6ea1afbb7801bb2d9cabf",
     "symmetry/manifest.json": "4a539ccf09b15f35dcfe1d40a4d115bb462400bfad06e604d5a9ea5fc9a3c581",
 }

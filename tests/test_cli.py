@@ -4,8 +4,12 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from qlax.nonregular import (
     verify_diffeo_bounds,
 )
 from qlax.series import evaluated
-from qlax.symmetry import ad_operator
+from qlax.symmetry import ad_operator, solve_symmetry
 from qlax.timeorder import FlowSample, OperatorPath
 
 from helpers import count_samples, flow_csv_reference
@@ -774,17 +778,90 @@ def test_solve_solves_once_and_the_oracle_never(monkeypatch, tmp_path):
     assert calls == {"cli": [0.5], "lax": []}
 
 
+def _keep_results(monkeypatch) -> list:
+    """The result of each ``solve_lax`` and ``solve_symmetry`` call that ``cli`` makes."""
+    results = []
+
+    def keeping(solve):
+        def kept(*args):
+            results.append(solve(*args))
+            return results[-1]
+        return kept
+
+    monkeypatch.setattr(cli, "solve_lax", keeping(cli.solve_lax))
+    monkeypatch.setattr(cli, "solve_symmetry", keeping(cli.solve_symmetry))
+    return results
+
+
 @pytest.mark.parametrize("command, samples", [("solve", 1), ("symmetry", 1), ("sweep", 0)])
 def test_each_command_samples_only_the_flows_it_reads(monkeypatch, tmp_path, command, samples):
-    # solve and symmetry read only the flow they write to flow.csv; the oracle and
-    # sweep.csv evaluate polynomials, and no group's nodes are read
+    # solve and symmetry sample each node of the flow they write to flow.csv once, a
+    # block of nodes at a time, and hold no whole sample; the oracle and sweep.csv
+    # evaluate polynomials, and no group's nodes are read
     sampled = count_samples(monkeypatch)
+    results = _keep_results(monkeypatch)
     doc = {"schema": 1, "P": {"kind": "preset", "name": "toda-3"},
            "options": {"symmetry_s0": {"kind": "ad-of-initial"}} if command == "symmetry" else {}}
     assert main([command, _write(tmp_path, doc), "--out", str(tmp_path / command)]) == 0
-    assert len(sampled) == samples
+    flow = results[-1].flow
+    assert [node for _, nodes in sampled for node in nodes.tolist()] == (
+        list(range(len(flow))) * samples)
+    assert len(sampled) == len(flow.node_blocks()) * samples and len(flow.node_blocks()) > 1
+    assert {descriptor for descriptor, _ in sampled} == ({flow.descriptor} if samples else set())
     if command == "symmetry":
-        assert sampled[0].n == 9
+        assert flow.descriptor.n == 9
+    assert all(sample._values is None
+               for result in results for sample in (result.group, result.flow))
+
+
+def test_flow_writer_holds_about_a_block_of_nodes(tmp_path):
+    # toda-3's 9x9 ad-of-initial operator flow samples to 1001 x 9 x 81 doubles (5.8 MB);
+    # the writer samples and formats one block of nodes at a time
+    problem, _ = build_problem({"schema": 1, "P": {"kind": "preset", "name": "toda-3"}})
+    flow = solve_symmetry(ad_operator(problem.initial), problem.path, problem.q0,
+                          problem.order, problem.grid).flow
+    sample_bytes = len(flow) * (flow.order + 1) * math.prod(flow.descriptor.shape) * 8
+    assert sample_bytes == 1001 * 9 * 81 * 8
+    path = tmp_path / "flow.csv"
+    tracemalloc.start()
+    try:
+        _write_flow_csv(str(path), flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_text = path.stat().st_size / len(flow.node_blocks())
+    assert peak <= 2 * algebra.BLOCK_BYTES + block_text < sample_bytes / 10
+    assert flow._values is None
+
+
+def test_symmetry_runs_without_importing_numpy_random(tmp_path):
+    # the ad_exp_gap probe is in closed form: a fresh process pays nothing to import
+    # numpy.random, which took 10-15 ms of a 30 ms qlax symmetry
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = ("import sys, qlax.cli\n"
+              "args = ['symmetry', '--preset', 'toda-3', '--out', sys.argv[1]]\n"
+              "assert qlax.cli.main(args) == 0\n"
+              "assert 'numpy.random' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "symmetry")], env=env,
+                   check=True, capture_output=True)
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built, original = [], cli.build_parser
+
+    def build_parser():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    try:
+        assert [main(["solve"]) for _ in range(3)] == [2] * 3  # no problem file
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_solve_fails_the_oracle_row_promptly_on_an_infinite_path(monkeypatch, tmp_path):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,6 +471,53 @@ def _lax_problems(draw):
                            [rand_matrix(rng, desc) * 0.5 for _ in range(degree + 1)])
     grid = (1.0 / steps, 1.0)
     return LaxProblem(initial, OperatorPath.polynomial(coeffs), 0.5, order, grid)
+
+
+_SPECIAL_COEFFICIENTS = (np.inf, -np.inf, np.nan, -0.0, -1.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_lax_problems(), st.data())
+def test_any_nodes_are_sampled_with_the_bits_of_the_whole_sample(problem, data):
+    # FlowSample.nodes samples only the nodes it is asked for, with the bits those nodes
+    # have in the cached whole sample; node 0's grades above 0 are +0.0 even when a
+    # coefficient is infinite, NaN or negative.  Once values are held, nodes slices them.
+    flow = solve_lax(problem).flow
+    grades = [np.array(stack) for stack in flow.coefficients]
+    if data.draw(st.booleans()):
+        grade = data.draw(st.integers(1, flow.order))
+        entry = data.draw(st.integers(0, grades[grade].size - 1))
+        grades[grade].reshape(-1)[entry] = data.draw(st.sampled_from(_SPECIAL_COEFFICIENTS))
+    sample = FlowSample(flow.times, None, flow.descriptor, step=flow.step, order=flow.order,
+                        q0=flow.q0, coefficients=grades)
+    count = len(sample)
+    block_bytes = data.draw(st.sampled_from((1, 5000, 50000, algebra.BLOCK_BYTES)))
+    with mock.patch.object(algebra, "BLOCK_BYTES", block_bytes):
+        blocks = sample.node_blocks()
+    indices = [0, count - 1, -1, -count, data.draw(st.integers(-count, count - 1)),
+               data.draw(st.slices(count)), *blocks]
+    picked = [sample.nodes(index) for index in indices]
+    assert sample._values is None
+    values = sample.values
+    for index, nodes in zip(indices, picked):
+        assert (nodes.dtype, nodes.shape) == (values.dtype, values[index].shape)
+        assert nodes.tobytes() == values[index].tobytes()
+        assert sample.nodes(index).base is values
+    assert not values[0, 1:].view(np.uint8).any()  # +0.0, sign bit clear
+    assert values[0, 0].tobytes() == grades[0][0].tobytes()
+
+
+@pytest.mark.parametrize("backend", ["real", "diffop"])
+def test_series_nodes_sample_only_the_nodes_read(monkeypatch, backend):
+    flow = solve_lax(_lazy_problem(backend)).flow
+    sampled = count_samples(monkeypatch)
+    last, head, every = flow.series[-1], flow.series[:3], list(flow.series)
+    assert [nodes.tolist() for _, nodes in sampled] == [20, [0, 1, 2], list(range(21))]
+    assert flow._values is None
+    values = flow.values
+    assert last.values.tobytes() == values[-1].tobytes()
+    assert [node.values.tobytes() for node in (*head, *every)] == [
+        node.tobytes() for node in (*values[:3], *values)]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
