@@ -22,8 +22,8 @@ and each grade's value, the sum of the norms of its gap's coefficients, bounds t
 on all of ``[0, T]``; and an oracle, the evaluated
 series' gap on the nodes to the exact series, which must shrink like
 ``q0^(order+1)`` to roundoff.  :func:`flow_difference` bounds the gap of two flows the
-same way.  No function here reads a sample's node values; of the commands, only the
-``flow.csv`` writer does, a block of nodes at a time.
+same way.  A sample is its polynomials, and no function here samples a node; of the
+commands, only the ``flow.csv`` writer does, a block of nodes at a time.
 """
 
 from __future__ import annotations
@@ -86,10 +86,9 @@ def solve_lax(problem: LaxProblem) -> LaxFlowResult:
 
 def conjugate(group: FlowSample, initial: AlgebraElement) -> FlowSample:
     """The flow ``g(t) L0 g(t)^(-1)`` of ``L0 = initial``: :func:`conjugated_polynomials`
-    on the group's nodes, each sampled when it is read."""
-    return FlowSample(group.times, None, group.descriptor, step=group.step,
-                      order=group.order, q0=group.q0,
-                      coefficients=conjugated_polynomials(group, initial))
+    on the group's times, each node sampled when it is read."""
+    return FlowSample(group.times, group.descriptor, conjugated_polynomials(group, initial),
+                      step=group.step, q0=group.q0)
 
 
 def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[np.ndarray]:
@@ -101,8 +100,6 @@ def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[n
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")
-    if group.coefficients is None:
-        raise DomainError("the conjugation needs the group's polynomial coefficients")
     grades = group.coefficients
     head = stacked_product(descriptor, np.concatenate(grades), initial.data[None])  # g L0
     starts = np.cumsum([len(grade) for grade in grades[:-1]])
@@ -120,8 +117,6 @@ def flow_difference(a: FlowSample, b: FlowSample) -> np.ndarray:
     (:func:`~qlax.timeorder.coefficient_bounds`); only their ``q0`` may differ."""
     if a.descriptor != b.descriptor or not np.array_equal(a.times, b.times):
         raise ShapeMismatchError("flow samples differ in algebra or times")
-    if a.coefficients is None or b.coefficients is None:
-        raise DomainError("the difference needs both samples' polynomial coefficients")
     if list(map(len, a.coefficients)) != list(map(len, b.coefficients)):
         raise ShapeMismatchError("flow samples differ in order or path degree")
     return coefficient_bounds(a.descriptor, list(map(np.subtract, a.coefficients, b.coefficients)))

@@ -14,10 +14,10 @@ sets: one table of the powers ``(t/T)^k`` and one matrix product per grade.  The
 grade marker stays formal: coefficients carry the numeric parameter ``q0``
 only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A path on the grid is a
-:class:`FlowSample`: its polynomial coefficients and its times, whose nodes are
-sampled when they are read, and only those.  The residual checks of the flow
-equations work on those coefficients too, with one product call per grade and
-none per node: the derivative of a polynomial is exact, so their floor is
+:class:`FlowSample`: its polynomial coefficients and its times, and nothing else;
+its nodes are sampled when they are read, and only those.  The residual checks of
+the flow equations work on those coefficients too, with one product call per grade
+and none per node: the derivative of a polynomial is exact, so their floor is
 roundoff, and the sum of a grade's coefficient norms (:func:`coefficient_bounds`)
 bounds it on all of ``[0, T]``.  Every integration takes a :class:`LaxProblem`,
 whose construction is the one check of its inputs.
@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
 from qlax.algebra import (
+    BLOCK_BYTES,
     MAX_FLOW_BYTES,
     AlgebraDescriptor,
     AlgebraElement,
@@ -108,62 +109,50 @@ class OperatorPath:
         return acc
 
 
+@dataclass(frozen=True, eq=False)
 class FlowSample:
-    """A series-valued path sampled on a uniform time grid.
+    """A series-valued path on a uniform time grid, held as its grade polynomials.
 
-    Its nodes are ``(order + 1, *shape)`` stacks of coefficients in the algebra
-    ``descriptor``, one per time of ``times``.  Every sample the library produces (a
-    group, a conjugated flow, a direct flow) is built from the polynomials it samples,
-    with no values: ``coefficients[i]`` is the read-only ``(i d + 1, *shape)`` stack of
-    grade ``i``'s coefficients of ``s^i .. s^(i (d + 1))`` in ``s = t/T``, ``d`` the
-    path's degree and ``T`` the last time.  :meth:`nodes` samples the nodes it is asked
-    for from them (:func:`_sample_grades`) and keeps nothing, so a reader that walks
+    ``coefficients[i]`` is the read-only ``(i d + 1, *shape)`` stack of grade ``i``'s
+    coefficients of ``s^i .. s^(i (d + 1))`` in ``s = t/T``, in the algebra
+    ``descriptor``, with ``d`` the path's degree and ``T`` the last of ``times``; the
+    sample's ``order`` is its number of grades less one.  Every sample the library
+    produces (a group, a conjugated flow, a direct flow) is built this way, and a node
+    is only a view of them: :meth:`nodes` samples the ``(order + 1, *shape)`` nodes it
+    is asked for (:func:`_sample_grades`) and keeps nothing, so a reader that walks
     :meth:`node_blocks` holds about one block of nodes at a time; ``series`` shows
     nodes as :class:`GradedSeries` the same way, and ``len()`` reads ``times``.
-    ``values`` is the whole read-only ``(nodes, order + 1, *shape)`` sample, sampled on
-    its first read and cached, for callers that want every node at once; once it is
-    held, :meth:`nodes` slices it.  :func:`~qlax.lax.conjugate` reads a group's
-    coefficients, the checks read any sample's, and ``qlax solve`` writes a flow's.  A
-    sample built from values alone has ``None`` there.  ``times`` is made read-only
-    too, since samples of one solve share it.
+    :func:`~qlax.lax.conjugate` reads a group's coefficients, the checks read any
+    sample's, and ``qlax solve`` writes a flow's.  ``times`` is made read-only too,
+    since samples of one solve share it.
     """
 
-    __slots__ = ("times", "_values", "descriptor", "step", "order", "q0", "coefficients")
+    times: np.ndarray
+    descriptor: AlgebraDescriptor
+    coefficients: tuple[np.ndarray, ...]
+    _: KW_ONLY
+    step: float
+    q0: float
 
-    def __init__(self, times, values: np.ndarray | None, descriptor: AlgebraDescriptor, *,
-                 step: float, order: int, q0: float, coefficients=None):
-        if values is None and coefficients is None:
-            raise DomainError("a flow sample needs its values or its coefficients")
-        if values is not None:
-            if (values.shape[1:] != (order + 1, *descriptor.shape)
-                    or len(values) != len(times)):
-                raise ShapeMismatchError(f"flow values of shape {values.shape} do not match "
-                                         f"{len(times)} nodes of order {order}")
-            values.setflags(write=False)
-        times.setflags(write=False)
-        if coefficients is not None:
-            coefficients = tuple(coefficients)
-            if len(coefficients) != order + 1:
-                raise ShapeMismatchError(f"{len(coefficients)} coefficient stacks for "
-                                         f"order {order}")
-            for stack in coefficients:
-                if stack.shape[1:] != descriptor.shape:
-                    raise ShapeMismatchError(f"a coefficient stack of shape {stack.shape} "
-                                             f"is not a stack of {descriptor.shape} payloads")
-                stack.setflags(write=False)
-        for name, value in (("times", times), ("_values", values), ("descriptor", descriptor),
-                            ("step", step), ("order", order), ("q0", q0),
-                            ("coefficients", coefficients)):
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        coefficients = tuple(self.coefficients)
+        if not coefficients:
+            raise DomainError("a flow sample needs at least grade 0's coefficients")
+        for stack in coefficients:
+            if stack.shape[1:] != self.descriptor.shape:
+                raise ShapeMismatchError(f"a coefficient stack of shape {stack.shape} "
+                                         f"is not a stack of {self.descriptor.shape} payloads")
+            stack.setflags(write=False)
+        self.times.setflags(write=False)
+        object.__setattr__(self, "coefficients", coefficients)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
 
     def nodes(self, index) -> np.ndarray:
-        """The nodes at ``times[index]``: ``values[index]``, bit for bit, sampled from
-        ``coefficients`` at those nodes only unless ``values`` is held."""
-        if self._values is not None:
-            return self._values[index]
+        """The nodes at ``times[index]``, sampled from ``coefficients`` at those nodes
+        only (:func:`_sample_grades`)."""
         return _sample_grades(self.coefficients, self.descriptor, self.times, index)
 
     def node_blocks(self) -> list[slice]:
@@ -171,14 +160,6 @@ class FlowSample:
         (:func:`~qlax.algebra.blocks`)."""
         payload = math.prod(self.descriptor.shape) * self.descriptor.dtype.itemsize
         return blocks(len(self), (self.order + 1) * payload)
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            values = _sample_grades(self.coefficients, self.descriptor, self.times)
-            values.setflags(write=False)
-            object.__setattr__(self, "_values", values)
-        return self._values
 
     @property
     def series(self) -> "SeriesView":
@@ -259,22 +240,28 @@ class LaxProblem:
         nbytes = _solve_bytes(self.path.descriptor, self.path.degree, self.order,
                               _expand_grid(self.grid)[2])
         if nbytes > MAX_FLOW_BYTES:
-            raise DomainError(f"the flow's nodes and product stack exceed {MAX_FLOW_BYTES} bytes")
+            raise DomainError(f"the solve's polynomials, product stacks and node stacks "
+                              f"exceed {MAX_FLOW_BYTES} bytes")
 
 
 def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: int) -> int:
     """The most bytes that a solve of order ``order`` on ``steps + 1`` nodes, driven by a
-    path of degree ``degree``, holds at once, counted without allocating anything.
+    path of degree ``degree``, and the checks and writers of its commands hold at once,
+    counted without allocating anything.
 
-    The count adds: the group and the flow, on the nodes and as polynomials; the larger
-    of the top grade's stacks in the conjugation and in the recurrence; the power table
-    of the sampler; and one block of the product kernel.
+    The count adds: the group and the flow as polynomials; the larger of the top grade's
+    stacks in the conjugation and in the recurrence; one block of the product kernel; one
+    block of sampled nodes (:meth:`FlowSample.node_blocks`) with its power table; and, on
+    every node, the times, three ``(nodes, *shape)`` stacks and a few floats, for the
+    series that :func:`~qlax.lax.oracle_errors` and the ``sweep.csv`` writer evaluate on
+    all nodes at once.  No whole sample is counted, since none is formed.  The text and
+    Python objects that a writer builds from one block of nodes are not counted: they are
+    bounded by the block, not by the grid.
     """
     d, n = degree, order
     size = math.prod(descriptor.shape)
     payload = size * descriptor.dtype.itemsize
-    samples = 2 * (steps + 1) * (n + 1)
-    polynomials = 2 * (n + 1 + d * n * (n + 1) // 2)
+    polynomials = 2 * (n + 1 + d * n * (n + 1) // 2) * payload
     # sum_(i=1..n) ((n - i) d + 1)(i d + 1) pairs of an L_(n-i) and a g_i coefficient,
     # each with both factors, the product, its flat indices and a temporary of them,
     # and eight indices of its own (one call per factor grade gathers its own factors, so
@@ -283,9 +270,16 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     # (d + 1)((n - 1) d + 1) pairs in a commutator's two products and their difference,
     # and the kernel's copies of both broadcast factors on diffops
     recurrence = 5 * (d + 1) * ((n - 1) * d + 1) * payload
-    table = 8 * steps * (n * (d + 1) + 1)
-    return ((samples + polynomials) * payload + max(conjugation, recurrence) + table
-            + kernel_block_bytes(descriptor))
+    # a block's n + 1 payloads a node, and its power table, s and zero mask in
+    # n (d + 1) + 2 floats a node
+    node = (n + 1) * payload
+    block = min(steps + 1, max(1, BLOCK_BYTES // node)) * (node + 8 * (n * (d + 1) + 2))
+    # Horner's value, its product by s and their sum; the times, the scaled times and
+    # their rescaling, the norms, and flow.json's list of the times (a float object and
+    # its pointer)
+    evaluation = (steps + 1) * (3 * payload + 64)
+    return (polynomials + max(conjugation, recurrence) + kernel_block_bytes(descriptor)
+            + block + evaluation)
 
 
 def _scaled_generators(path: OperatorPath, q0: float, horizon: float) -> np.ndarray:
@@ -332,8 +326,6 @@ def _grade_polynomials(produce, problem: LaxProblem) -> list[np.ndarray]:
 def _checked_polynomials(sample: "FlowSample", degree: int) -> tuple[np.ndarray, ...]:
     """``sample.coefficients``, checked to hold grade ``i`` of a degree-``degree`` path's
     flow in ``i degree + 1`` coefficients."""
-    if sample.coefficients is None:
-        raise DomainError("the check needs the sample's polynomial coefficients")
     for i, grade in enumerate(sample.coefficients):
         if len(grade) != i * degree + 1:
             raise ShapeMismatchError(f"grade {i} holds {len(grade)} coefficients, not the "
@@ -405,11 +397,10 @@ def _sample_grades(grades, descriptor: AlgebraDescriptor, times: np.ndarray,
 
 
 def _integrate_polynomial(produce, problem: LaxProblem) -> FlowSample:
-    """:func:`_grade_polynomials` on the grid's nodes, sampled when first read."""
+    """:func:`_grade_polynomials` on the grid's times, each node sampled when it is read."""
     step, horizon, steps = _expand_grid(problem.grid)
-    return FlowSample(np.linspace(0.0, horizon, steps + 1), None, problem.path.descriptor,
-                      step=step, order=problem.order, q0=problem.q0,
-                      coefficients=_grade_polynomials(produce, problem))
+    return FlowSample(np.linspace(0.0, horizon, steps + 1), problem.path.descriptor,
+                      _grade_polynomials(produce, problem), step=step, q0=problem.q0)
 
 
 def time_ordered_exp(path: OperatorPath, q0: float, order: int, grid) -> FlowSample:
@@ -429,8 +420,7 @@ def left_log_derivative_residual(group: FlowSample, path: OperatorPath,
     g = q P(q0 t) g``, from the group's polynomials (:func:`coefficient_bounds`).
 
     A unit-headed ``g`` is invertible, so the residual vanishes exactly when ``(d/dt
-    g) g^(-1) = q P(q0 t)``.  The derivative is exact, so the floor is roundoff.  A
-    sample with no polynomial coefficients is a :class:`DomainError`.
+    g) g^(-1) = q P(q0 t)``.  The derivative is exact, so the floor is roundoff.
     """
     descriptor = group.descriptor
     return coefficient_bounds(descriptor, _residual_polynomials(

@@ -173,7 +173,7 @@ def oracle_errors_reference(result) -> tuple[float, float]:
         return np.stack(nodes)
 
     def error(flow, q0):
-        gap = evaluate_on_nodes(flow.values, q0) - rk4(q0)
+        gap = evaluate_on_nodes(flow.nodes(slice(None)), q0) - rk4(q0)
         return float(element_norms(flow.descriptor, gap).max(initial=0.0))
 
     half_q0 = problem.q0 / 2.0
@@ -202,7 +202,7 @@ def right_divide_on_nodes(descriptor, x: np.ndarray, g: np.ndarray) -> np.ndarra
 def conjugate_on_nodes_reference(group, initial: AlgebraElement) -> np.ndarray:
     """``g L0 g^(-1)`` node by node on the sampled group; the reference for
     ``lax.conjugate``, which works on the group's polynomials instead."""
-    g = group.values
+    g = group.nodes(slice(None))
     return right_divide_on_nodes(group.descriptor,
                                  stacked_product(group.descriptor, g, initial.data), g)
 
@@ -212,10 +212,10 @@ def trace_drift_on_nodes(flow, max_power: int) -> dict[int, np.ndarray]:
     Cauchy products of the sampled flow: the node route that
     ``lax.conserved_trace_tables`` bounds on all of ``[0, T]``."""
     drifts = {}
-    power = flow.values
+    power = values = flow.nodes(slice(None))
     for k in range(1, max_power + 1):
         if k > 1:
-            power = cauchy_on_nodes(flow.descriptor, power, flow.values)
+            power = cauchy_on_nodes(flow.descriptor, power, values)
         traces = np.trace(power, axis1=-2, axis2=-1)
         drifts[k] = np.abs(traces - traces[0]).max(axis=0)
     return drifts

@@ -454,4 +454,4 @@ def test_flow_json_samples_back_to_the_solved_flow(tmp_path):
         if flow.descriptor.field != REAL:
             grades = [stack.view(np.complex128)[..., 0] for stack in grades]
         values = _sample_grades(grades, flow.descriptor, np.array(saved["times"]))
-        assert np.array_equal(values, flow.values), name
+        assert np.array_equal(values, flow.nodes(slice(None))), name

@@ -53,9 +53,9 @@ def _checks(tmp_path) -> dict:
     for name, problem in (("diffop", _diffop_problem()), ("toda", toda)):
         result = results[name] = solve_lax(problem)
         direct = integrate_directly(problem)
-        out[f"{name} time_ordered_exp"] = result.group.values
-        out[f"{name} integrate_directly"] = direct.values
-        out[f"{name} conjugate"] = conjugate(result.group, problem.initial).values
+        out[f"{name} time_ordered_exp"] = result.group.nodes(slice(None))
+        out[f"{name} integrate_directly"] = direct.nodes(slice(None))
+        out[f"{name} conjugate"] = conjugate(result.group, problem.initial).nodes(slice(None))
         out[f"{name} lax_residual"] = lax_residual(result)
         out[f"{name} left_log_residual"] = left_log_derivative_residual(
             result.group, problem.path, problem.q0)
@@ -64,7 +64,7 @@ def _checks(tmp_path) -> dict:
     for power, table in conserved_trace_tables(result, 4).items():
         out[f"trace table {power}"] = table.coefficients
     sym = solve_symmetry(ad_operator(toda.initial), toda.path, toda.q0, toda.order, toda.grid)
-    out["operator conjugate"] = sym.flow.values
+    out["operator conjugate"] = sym.flow.nodes(slice(None))
     out["operator lax_residual"] = lax_residual(sym)
     out["symmetry_residual_full"] = symmetry_residual_full(sym, result)
     out["check_ad_exp_ad"] = check_ad_exp_ad(result.group, sym.group)

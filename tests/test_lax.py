@@ -37,7 +37,14 @@ from qlax.lax import (
 from qlax import algebra, lax, timeorder
 from qlax.algebra import unit_payload
 from qlax.series import evaluated
-from qlax.timeorder import FlowSample, OperatorPath, _sample_grades, time_ordered_exp
+from qlax.symmetry import (
+    ad_operator,
+    check_ad_exp_ad,
+    equivariance_gap,
+    solve_symmetry,
+    symmetry_residual_full,
+)
+from qlax.timeorder import FlowSample, OperatorPath, time_ordered_exp
 from helpers import (
     E12,
     E21,
@@ -124,7 +131,7 @@ def test_constant_path_closed_form_on_a_long_horizon():
     assert np.abs(exact[-1]).max() >= 1.0  # the top grade is not small
     for flow in (solve_lax(prob).flow, integrate_directly(prob)):
         assert flow.times[-1] == 10.0
-        assert float(np.abs(flow.values[-1] - np.array(exact)).max()) <= 1e-11
+        assert float(np.abs(flow.nodes(-1) - np.array(exact)).max()) <= 1e-11
 
 
 def test_lax_residual_below_threshold_for_presets():
@@ -137,12 +144,10 @@ def test_corrupted_flow_is_detected():
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=4, grid=(1e-3, 1.0))
     result = solve_lax(prob)
     flow = result.flow
-    doubled = flow.values.copy()
-    doubled[:, 1] *= 2.0
     coefficients = [2.0 * stack if i == 1 else stack
                     for i, stack in enumerate(flow.coefficients)]
-    corrupted_flow = FlowSample(flow.times, doubled, flow.descriptor, step=flow.step,
-                                order=flow.order, q0=flow.q0, coefficients=coefficients)
+    corrupted_flow = FlowSample(flow.times, flow.descriptor, coefficients, step=flow.step,
+                                q0=flow.q0)
     corrupted = LaxFlowResult(problem=result.problem, group=result.group,
                               flow=corrupted_flow)
     profile = lax_residual(corrupted)
@@ -153,13 +158,10 @@ def test_non_finite_flow_fails_the_residual():
     # a NaN coefficient must show in the profile, not be passed over as 0
     prob = preset_problem("sl2-nilpotent", q0=0.5, order=3, grid=(1e-2, 0.1))
     result = solve_lax(prob)
-    broken_values = result.flow.values.copy()
-    broken_values[4, 1] = [[np.nan, 0.0], [0.0, 0.0]]
     coefficients = [stack.copy() for stack in result.flow.coefficients]
     coefficients[1][0, 0, 0] = np.nan
-    broken = FlowSample(result.flow.times, broken_values, result.flow.descriptor,
-                        step=result.flow.step, order=result.flow.order, q0=result.flow.q0,
-                        coefficients=coefficients)
+    broken = FlowSample(result.flow.times, result.flow.descriptor, coefficients,
+                        step=result.flow.step, q0=result.flow.q0)
     profile = lax_residual(LaxFlowResult(problem=result.problem, group=result.group,
                                          flow=broken))
     assert np.isnan(profile[1])
@@ -169,19 +171,14 @@ def test_non_finite_flow_fails_the_residual():
 def test_flow_difference_rejects_flows_on_another_grid_or_algebra():
     fine = solve_lax(preset_problem("toda-3", order=3, grid=(1e-3, 0.5))).flow
     coarse = solve_lax(preset_problem("toda-3", order=3, grid=(2e-3, 1.0))).flow
-    assert fine.values.shape == coarse.values.shape  # 501 nodes each
+    assert fine.nodes(slice(None)).shape == coarse.nodes(slice(None)).shape  # 501 nodes each
     with pytest.raises(ShapeMismatchError):
         flow_difference(fine, coarse)
-    as_complex = FlowSample(fine.times, fine.values.astype(np.complex128),
-                            matrix_descriptor(3, "complex"), step=fine.step, order=fine.order,
-                            q0=fine.q0)
+    as_complex = FlowSample(fine.times, matrix_descriptor(3, "complex"),
+                            [stack.astype(np.complex128) for stack in fine.coefficients],
+                            step=fine.step, q0=fine.q0)
     with pytest.raises(ShapeMismatchError):
         flow_difference(fine, as_complex)
-    # the gap is taken on the polynomials, so a sample of values alone has none to compare
-    values_only = FlowSample(fine.times, fine.values, fine.descriptor, step=fine.step,
-                             order=fine.order, q0=fine.q0)
-    with pytest.raises(DomainError, match="polynomial coefficients"):
-        flow_difference(fine, values_only)
     # another q0 on the same grid compares; a constant path's grades ignore q0
     other_q0 = solve_lax(preset_problem("toda-3", q0=0.25, order=3, grid=(1e-3, 0.5))).flow
     assert not flow_difference(fine, other_q0).any()
@@ -295,7 +292,7 @@ def test_oracle_matches_the_closed_form_rotation():
     angle = 0.8 * prob.q0 * flow.times
     cos, sin = np.cos(angle), np.sin(angle)
     exact = np.stack([np.stack([cos, sin], axis=-1), np.stack([sin, -cos], axis=-1)], axis=-2)
-    closed = np.sqrt(((evaluate_on_nodes(flow.values, prob.q0) - exact) ** 2).sum(
+    closed = np.sqrt(((evaluate_on_nodes(flow.nodes(slice(None)), prob.q0) - exact) ** 2).sum(
         axis=(1, 2))).max()
     assert abs(oracle_errors(result, [prob.q0])[0] - closed) <= 1e-15
 
@@ -361,7 +358,7 @@ def test_conjugation_matches_exact_rationals():
     initial = AlgebraElement(desc, rng.standard_normal((4, 4)))
     flow = conjugate(time_ordered_exp(path, 0.7, 10, (1e-2, 2.0)), initial)
     exact = _exact_flow(path, 0.7, initial, 10, flow.times[-3:])
-    errors = np.abs(flow.values[-3:] - exact).max(axis=(0, 2, 3))
+    errors = np.abs(flow.nodes(slice(-3, None)) - exact).max(axis=(0, 2, 3))
     assert np.abs(exact[:, -1]).max() >= 1.0  # the top grade is not small
     assert errors.max() <= 2e-12, errors
 
@@ -373,17 +370,9 @@ def test_every_sample_keeps_its_polynomials():
     for sample in (group, result.flow, integrate_directly(prob)):
         assert len(sample.coefficients) == prob.order + 1
         assert not any(stack.flags.writeable for stack in sample.coefficients)
-    bare = FlowSample(group.times, group.values, group.descriptor, step=group.step,
-                      order=group.order, q0=group.q0)
-    with pytest.raises(DomainError, match="needs the group's polynomial coefficients"):
-        conjugate(bare, prob.initial)
-    with pytest.raises(DomainError, match="needs the sample's polynomial coefficients"):
-        lax_residual(LaxFlowResult(problem=prob, group=group, flow=bare))
-    with pytest.raises(DomainError, match="needs the sample's polynomial coefficients"):
-        timeorder.left_log_derivative_residual(bare, prob.path, prob.q0)
-    doubled = FlowSample(group.times, group.values, group.descriptor, step=group.step,
-                         order=group.order, q0=group.q0,
-                         coefficients=[2 * stack for stack in group.coefficients])
+    doubled = FlowSample(group.times, group.descriptor,
+                         [2 * stack for stack in group.coefficients], step=group.step,
+                         q0=group.q0)
     with pytest.raises(DomainError, match="grade-0 coefficient must equal the unit"):
         conjugate(doubled, prob.initial)
 
@@ -423,27 +412,43 @@ def test_library_samples_are_sampled_once_on_first_read(monkeypatch, backend):
     assert [len(sample) for sample in samples] == [21] * 3
     assert sampled == []  # neither the solve nor len() samples a node
     for count, sample in enumerate(samples, 1):
-        values = sample.values
+        values = sample.nodes(slice(None))
         assert len(sampled) == count
-        assert sample.values is values
-        assert len(sampled) == count
-        eager = _sample_grades(sample.coefficients, sample.descriptor, sample.times)
-        assert (values.dtype, values.shape) == (eager.dtype, eager.shape)
-        assert values.tobytes() == eager.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            values[0, 0] = values[0, 0]
-    # a sample built from values alone keeps that array and never samples
-    bare = FlowSample(result.flow.times, eager.copy(), result.flow.descriptor,
-                      step=result.flow.step, order=result.flow.order, q0=result.flow.q0)
-    assert bare.values.tobytes() == eager.tobytes() and len(sampled) == 3
-    with pytest.raises(DomainError, match="needs its values or its coefficients"):
-        FlowSample(bare.times, None, bare.descriptor, step=bare.step, order=bare.order,
-                   q0=bare.q0)
-    # with no values to check, a misshapen polynomial fails at construction, not on read
+        assert (values.dtype, values.shape) == (
+            sample.descriptor.dtype, (21, problem.order + 1, *sample.descriptor.shape))
+    # a sample is its polynomials: a misshapen or missing grade 0 fails at construction,
+    # not on read
+    flow = result.flow
     with pytest.raises(ShapeMismatchError, match="is not a stack of"):
-        FlowSample(bare.times, None, bare.descriptor, step=bare.step, order=bare.order,
-                   q0=bare.q0,
-                   coefficients=[stack[..., :1] for stack in result.flow.coefficients])
+        FlowSample(flow.times, flow.descriptor, [stack[..., :1] for stack in flow.coefficients],
+                   step=flow.step, q0=flow.q0)
+    with pytest.raises(DomainError, match="needs at least grade 0's coefficients"):
+        FlowSample(flow.times, flow.descriptor, (), step=flow.step, q0=flow.q0)
+    assert len(sampled) == 3
+
+
+@pytest.mark.parametrize("backend", ["real", "complex", "diffop"])
+def test_no_check_samples_a_node(monkeypatch, backend):
+    # every check is an identity between polynomials in s = t/T, taken on their
+    # coefficients, so none samples a node of a flow or a group; the symmetry checks,
+    # the trace tables and the oracle need the matrix backend
+    problem = _lazy_problem(backend)
+    result, direct = solve_lax(problem), integrate_directly(problem)
+    sampled = count_samples(monkeypatch)
+    lax_residual(result)
+    flow_difference(result.flow, direct)
+    timeorder.left_log_derivative_residual(result.group, problem.path, problem.q0)
+    if backend != "diffop":
+        conserved_trace_tables(result, 4)
+        oracle_errors(result, (problem.q0, problem.q0 / 2))
+        sym = solve_symmetry(ad_operator(problem.initial), problem.path, problem.q0,
+                             problem.order, problem.grid)
+        symmetry_residual_full(sym, result)
+        check_ad_exp_ad(result.group, sym.group)
+        equivariance_gap(sym, result)
+    assert sampled == []
+    result.flow.nodes(-1)  # the count sees a node read
+    assert [nodes.tolist() for _, nodes in sampled] == [20]
 
 
 @st.composite
@@ -480,16 +485,15 @@ _SPECIAL_COEFFICIENTS = (np.inf, -np.inf, np.nan, -0.0, -1.0)
 @given(_lax_problems(), st.data())
 def test_any_nodes_are_sampled_with_the_bits_of_the_whole_sample(problem, data):
     # FlowSample.nodes samples only the nodes it is asked for, with the bits those nodes
-    # have in the cached whole sample; node 0's grades above 0 are +0.0 even when a
-    # coefficient is infinite, NaN or negative.  Once values are held, nodes slices them.
+    # have in the whole sample; node 0's grades above 0 are +0.0 even when a coefficient
+    # is infinite, NaN or negative.
     flow = solve_lax(problem).flow
     grades = [np.array(stack) for stack in flow.coefficients]
     if data.draw(st.booleans()):
         grade = data.draw(st.integers(1, flow.order))
         entry = data.draw(st.integers(0, grades[grade].size - 1))
         grades[grade].reshape(-1)[entry] = data.draw(st.sampled_from(_SPECIAL_COEFFICIENTS))
-    sample = FlowSample(flow.times, None, flow.descriptor, step=flow.step, order=flow.order,
-                        q0=flow.q0, coefficients=grades)
+    sample = FlowSample(flow.times, flow.descriptor, grades, step=flow.step, q0=flow.q0)
     count = len(sample)
     block_bytes = data.draw(st.sampled_from((1, 5000, 50000, algebra.BLOCK_BYTES)))
     with mock.patch.object(algebra, "BLOCK_BYTES", block_bytes):
@@ -497,12 +501,10 @@ def test_any_nodes_are_sampled_with_the_bits_of_the_whole_sample(problem, data):
     indices = [0, count - 1, -1, -count, data.draw(st.integers(-count, count - 1)),
                data.draw(st.slices(count)), *blocks]
     picked = [sample.nodes(index) for index in indices]
-    assert sample._values is None
-    values = sample.values
+    values = sample.nodes(slice(None))
     for index, nodes in zip(indices, picked):
         assert (nodes.dtype, nodes.shape) == (values.dtype, values[index].shape)
         assert nodes.tobytes() == values[index].tobytes()
-        assert sample.nodes(index).base is values
     assert not values[0, 1:].view(np.uint8).any()  # +0.0, sign bit clear
     assert values[0, 0].tobytes() == grades[0][0].tobytes()
 
@@ -513,8 +515,7 @@ def test_series_nodes_sample_only_the_nodes_read(monkeypatch, backend):
     sampled = count_samples(monkeypatch)
     last, head, every = flow.series[-1], flow.series[:3], list(flow.series)
     assert [nodes.tolist() for _, nodes in sampled] == [20, [0, 1, 2], list(range(21))]
-    assert flow._values is None
-    values = flow.values
+    values = flow.nodes(slice(None))
     assert last.values.tobytes() == values[-1].tobytes()
     assert [node.values.tobytes() for node in (*head, *every)] == [
         node.tobytes() for node in (*values[:3], *values)]
@@ -526,9 +527,9 @@ def test_coefficient_conjugation_matches_the_node_route_and_the_direct_route(pro
     # all three routes are exact, so they differ by roundoff only
     result = solve_lax(problem)
     for reference in (conjugate_on_nodes_reference(result.group, problem.initial),
-                      integrate_directly(problem).values):
+                      integrate_directly(problem).nodes(slice(None))):
         scale = np.abs(reference).max()
-        assert np.abs(result.flow.values - reference).max() <= 1e-13 * scale
+        assert np.abs(result.flow.nodes(slice(None)) - reference).max() <= 1e-13 * scale
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -540,7 +541,8 @@ def test_a_smaller_scaling_is_the_same_series_at_a_shorter_time(problem, ratio):
     q = ratio * problem.q0
     fresh = solve_lax(replace(problem, q0=q)).flow
     s = fresh.times / fresh.times[-1]
-    gap = evaluated(coefficients, problem.q0, ratio * s) - evaluate_on_nodes(fresh.values, q)
+    gap = (evaluated(coefficients, problem.q0, ratio * s)
+           - evaluate_on_nodes(fresh.nodes(slice(None)), q))
     scale = max(np.abs(stack).max() for stack in coefficients)
     assert np.abs(gap).max() <= 1e-13 * scale, np.abs(gap).max() / scale
 
@@ -550,13 +552,12 @@ def test_a_smaller_scaling_is_the_same_series_at_a_shorter_time(problem, ratio):
 def test_the_exact_group_times_its_inverse_is_the_unit(problem):
     # g g^(-1) reads 2.1e-15 of g's largest entry at worst over these draws
     group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
-    descriptor = group.descriptor
-    unit = np.zeros_like(group.values)
+    descriptor, values = group.descriptor, group.nodes(slice(None))
+    unit = np.zeros_like(values)
     unit[:, 0] = unit_payload(descriptor)
-    product = cauchy_on_nodes(descriptor, group.values,
-                              right_divide_on_nodes(descriptor, unit, group.values))
+    product = cauchy_on_nodes(descriptor, values, right_divide_on_nodes(descriptor, unit, values))
     gap = np.abs(product - unit).reshape(len(group), -1).max(axis=1)
-    scale = np.abs(group.values).reshape(len(group), -1).max(axis=1)
+    scale = np.abs(values).reshape(len(group), -1).max(axis=1)
     assert (gap <= 1e-13 * scale).all(), (gap / scale).max()
 
 
@@ -587,9 +588,7 @@ def test_the_coefficient_checks_bound_the_node_checks(problem, corrupted):
         grade = min(corrupted, problem.order)
         grades = [stack * (1.0 + 1e-8) if i == grade else stack
                   for i, stack in enumerate(flow.coefficients)]
-        flow = FlowSample(flow.times, _sample_grades(grades, flow.descriptor, flow.times),
-                          flow.descriptor, step=flow.step, order=flow.order, q0=flow.q0,
-                          coefficients=grades)
+        flow = FlowSample(flow.times, flow.descriptor, grades, step=flow.step, q0=flow.q0)
         result = LaxFlowResult(problem=problem, group=result.group, flow=flow)
     scale = max(np.abs(stack).max() for stack in flow.coefficients)
     checks = [(lax_residual(result), lax_residual_on_nodes(result), scale)]
@@ -692,18 +691,22 @@ def test_diffop_product_count(monkeypatch):
         assert calls[16:] == [2, 2, 4, 4, 6, 6, 2, 4, 6]
 
 
+_CAP_MESSAGE = "polynomials, product stacks and node stacks exceed"
+
+
 def test_flow_size_cap():
-    # a 1x1 real solve on one step counts 8-byte payloads: the group and the flow
-    # on 2 nodes, 4 (N + 1), and as polynomials, 2 (N + 1); the conjugation's top
-    # grade, N pairs of 3 * 8 + 16 + 64 bytes; and a power table of N + 1
-    # entries: 160 N + 56 bytes in all
+    # a 1x1 real solve of order N >= 32768 on one step counts 8-byte payloads: the
+    # group's and the flow's polynomials, 2 (N + 1); the conjugation's top grade, N
+    # pairs of 3 * 8 + 16 + 64 bytes; one block, here one node of N + 1 payloads and a
+    # table of N + 2 floats; and 2 nodes of evaluated stacks and floats, 3 * 8 + 64
+    # bytes each: 16 (N + 1) + 104 N + 16 N + 24 + 176 = 136 N + 216 bytes in all
     one = AlgebraElement.one(matrix_descriptor(1))
     path = OperatorPath.constant(one)
-    largest = (algebra.MAX_FLOW_BYTES - 56) // 160
+    largest = (algebra.MAX_FLOW_BYTES - 216) // 136
     assert LaxProblem(one, path, q0=0.5, order=largest, grid=(1.0, 1.0)).order == largest
-    with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+    with pytest.raises(DomainError, match=_CAP_MESSAGE):
         LaxProblem(one, path, q0=0.5, order=largest + 1, grid=(1.0, 1.0))
-    with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+    with pytest.raises(DomainError, match=_CAP_MESSAGE):
         LaxProblem(one, path, q0=0.5, order=4, grid=(1e-9, 1.0))
     # a degree-8 path's conjugation has about 64 N^3 / 6 pairs at its top grade: at
     # this N they would take 9e21 bytes, and the check runs before any of it exists
@@ -712,32 +715,58 @@ def test_flow_size_cap():
     assert 2 * (order + 1) * 8 <= algebra.MAX_FLOW_BYTES // 32
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+        with pytest.raises(DomainError, match=_CAP_MESSAGE):
             LaxProblem(one, octic, q0=0.5, order=order, grid=(1.0, 1.0))
         assert tracemalloc.get_traced_memory()[1] <= 1 << 20
     finally:
         tracemalloc.stop()
 
 
+def _traced_peak(run) -> int:
+    """The ``tracemalloc`` peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
-    # at a cap of 3.5 MiB, a degree-1 diffop path on 101 nodes in the J = 8, M = 7
-    # window counts 3.41 MB at N = 5 and 4.12 MB at N = 6
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 7 << 19)
+    # at a cap of 1.875 MiB (1,966,080 bytes), a degree-1 diffop path on 101 nodes in
+    # the J = 8, M = 7 window (2,160-byte payloads) counts 1,973,200 bytes at N = 6 and
+    # 1,710,128 at N = 5: the polynomials, 2 * 21 payloads (90,720); the conjugation's
+    # top grade, 50 pairs of 8,704 bytes (435,200); a kernel block (262,144); a block
+    # of 20 nodes of 6 payloads and 12 floats (261,120); and 101 nodes of three
+    # evaluated payloads and 64 bytes (660,944)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 15 << 17)
     desc = diffop_descriptor(8, 7)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
                                     diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})])
     problem = LaxProblem(initial, path, 0.5, 5, (1e-2, 1.0))
-    for route in (solve_lax, integrate_directly):
-        tracemalloc.start()
-        try:
-            route(problem)
-            assert tracemalloc.get_traced_memory()[1] <= timeorder.MAX_FLOW_BYTES, route
-        finally:
-            tracemalloc.stop()
+
+    def walk():  # the solve, then every node a block at a time
+        flow = solve_lax(problem).flow
+        for block in flow.node_blocks():
+            flow.nodes(block)
+
+    # toda-3's oracle holds its order-16 reference, the largest problem it builds, and
+    # evaluates on every node.  On K nodes the reference counts its polynomials (2,448
+    # bytes), 16 top-grade pairs (6,784), a block of 214 nodes (292,752) and K nodes of
+    # three 72-byte payloads and 64 bytes: 301,984 + 280 K, and K = 5,943 is the most
+    # nodes the cap admits (1,966,024 bytes)
+    toda = preset_problem("toda-3", grid=(1 / 5942, 1.0))
+    reference = lax._reference_problem(toda)
+    assert reference.order == 16
+    with pytest.raises(DomainError, match=_CAP_MESSAGE):
+        replace(reference, grid=(1 / 5943, 1.0))
+    for run in (lambda: solve_lax(problem), lambda: integrate_directly(problem), walk,
+                lambda: oracle_errors(solve_lax(toda), (toda.q0, toda.q0 / 2))):
+        assert _traced_peak(run) <= timeorder.MAX_FLOW_BYTES, run
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+        with pytest.raises(DomainError, match=_CAP_MESSAGE):
             replace(problem, order=6)
         assert tracemalloc.get_traced_memory()[1] <= 1 << 16
     finally:

@@ -180,13 +180,10 @@ def test_constant_operator_counterexample_detected():
     sym = solve_symmetry(ad_operator(prob.initial), prob.path,
                          prob.q0, prob.order, prob.grid)
     s0 = ad_operator(prob.initial)
-    frozen_values = np.zeros_like(sym.flow.values)
-    frozen_values[:, 0] = s0.data
     frozen_coefficients = [np.zeros_like(stack) for stack in sym.flow.coefficients]
     frozen_coefficients[0][0] = s0.data
-    frozen_flow = FlowSample(sym.flow.times, frozen_values, s0.descriptor,
-                             step=sym.flow.step, order=sym.flow.order, q0=sym.flow.q0,
-                             coefficients=frozen_coefficients)
+    frozen_flow = FlowSample(sym.flow.times, s0.descriptor, frozen_coefficients,
+                             step=sym.flow.step, q0=sym.flow.q0)
     frozen_result = LaxFlowResult(problem=sym.problem, group=sym.group, flow=frozen_flow)
     assert lax_residual(frozen_result)[1] >= 1e-2
 

@@ -100,8 +100,8 @@ def test_grades_independent_of_truncation_order():
     for path in (OperatorPath.constant(matrix_element(ROT)), diffop):
         low = time_ordered_exp(path, q0=0.5, order=3, grid=(5e-3, 0.25))
         high = time_ordered_exp(path, q0=0.5, order=7, grid=(5e-3, 0.25))
-        assert high.values[:, 7].any()
-        assert np.array_equal(low.values, high.values[:, :4])
+        assert high.nodes(slice(None))[:, 7].any()
+        assert np.array_equal(low.nodes(slice(None)), high.nodes(slice(None))[:, :4])
 
 
 def test_constant_path_is_q0_independent():
@@ -149,35 +149,37 @@ def test_chain_matches_step_by_step_reference(monkeypatch, block_bytes):
         return _integrate_polynomial(produce, LaxProblem(base, path, 0.7, 5, (step, 1.0)))
 
     chains = list(_chains())
-    default = [[exact(produce, path, base, step).values for step in (0.04, 0.02)]
+    default = [[exact(produce, path, base, step).nodes(slice(None)) for step in (0.04, 0.02)]
                for _, produce, path, base in chains]
     monkeypatch.setattr(algebra, "BLOCK_BYTES", block_bytes)
     for (name, produce, path, base), pinned in zip(chains, default):
         gaps = []
         for step, values in zip((0.04, 0.02), pinned):
             flow = exact(produce, path, base, step)
-            assert flow.values.tobytes() == values.tobytes(), name
+            sampled = flow.nodes(slice(None))
+            assert sampled.tobytes() == values.tobytes(), name
             reference = integrate_chain_reference(produce, path, 0.7, base, 5, (step, 1.0))
             assert np.array_equal(flow.times, reference[0]), name
-            gaps.append(np.abs(flow.values - reference[1]).max() / np.abs(reference[1]).max())
+            gaps.append(np.abs(sampled - reference[1]).max() / np.abs(reference[1]).max())
             assert gaps[-1] <= step ** 4, name
         assert 15.0 <= gaps[0] / gaps[1] <= 17.0, (name, gaps)
 
 
 def test_horner_writes_each_grade_in_place():
-    # one grade's nodes take 1.3 MB here; everything beside the sample (times, the
-    # table of 2000 x 25 powers, the coefficients and their products) takes 0.62 MB
+    # one grade's nodes take 1.3 MB here; everything the sampler holds beside the
+    # whole sample (the scaled times and the table of 2001 x 25 powers) takes 0.42 MB
     rng = np.random.default_rng(5)
     path = OperatorPath.polynomial([matrix_element(rng.standard_normal((9, 9)) * 0.3)
                                     for _ in range(3)])
-    time_ordered_exp(path, 0.5, 8, (5e-4, 1.0))
+    group = time_ordered_exp(path, 0.5, 8, (5e-4, 1.0))
+    group.nodes(slice(None))
     tracemalloc.start()
     try:
-        group = time_ordered_exp(path, 0.5, 8, (5e-4, 1.0))
+        values = group.nodes(slice(None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - group.values.nbytes <= group.values[:, 0].nbytes // 2
+    assert peak - values.nbytes <= values[:, 0].nbytes // 2
 
 
 def test_left_log_derivative_residual_small():
@@ -200,13 +202,10 @@ def test_corrupted_group_path_is_detected():
     b = matrix_element(ROT)
     path = OperatorPath.constant(b)
     group = time_ordered_exp(path, q0=0.5, order=4, grid=(1e-3, 1.0))
-    corrupted_values = group.values.copy()
-    corrupted_values[:, 2] = 0.0
     coefficients = [np.zeros_like(stack) if i == 2 else stack
                     for i, stack in enumerate(group.coefficients)]
-    corrupted = FlowSample(group.times, corrupted_values, group.descriptor,
-                           step=group.step, order=group.order, q0=group.q0,
-                           coefficients=coefficients)
+    corrupted = FlowSample(group.times, group.descriptor, coefficients, step=group.step,
+                           q0=group.q0)
     profile = left_log_derivative_residual(corrupted, path, 0.5)
     assert profile[2] >= 1e-2
 
@@ -227,12 +226,14 @@ def test_grid_validation():
 
 def test_time_ordered_exp_obeys_the_size_cap(monkeypatch):
     # a real 2x2 problem of order 2 on 11 nodes counts, in 32-byte payloads, the
-    # group and the flow (2 * 11 * 3) and their polynomials (2 * 3); the
-    # conjugation's top grade has 2 pairs of 3 * 32 + 16 * 4 + 64 bytes, and the
-    # power table takes 10 * 3 * 8 bytes: 2304 + 448 + 240 = 2992
+    # group's and the flow's polynomials, 2 * 3 * 32 = 192; the conjugation's top
+    # grade, 2 pairs of 3 * 32 + 16 * 4 + 64 bytes = 448; one block, here all 11
+    # nodes, of 3 * 32 bytes and a table of 2 + 2 floats a node, 11 * 128 = 1408;
+    # and the evaluated stacks and floats, 11 * (3 * 32 + 64) = 1760: 3808 in all
     path = OperatorPath.constant(matrix_element(ROT))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 2991)
-    with pytest.raises(DomainError, match="flow's nodes and product stack exceed"):
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3807)
+    with pytest.raises(DomainError, match="polynomials, product stacks and node stacks exceed"):
         time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 2992)
-    assert time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0)).values.nbytes == 1056
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3808)
+    group = time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
+    assert group.nodes(slice(None)).nbytes == 1056
