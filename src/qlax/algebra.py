@@ -273,26 +273,24 @@ def blocks(count: int, item_nbytes: int) -> list[slice]:
 def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products ``a[k] * b[k]`` over the broadcast leading axes of two stacks.
 
-    Matrices multiply as one batched ``matmul``.  Diffop pairs are composed by
-    one call of the exact Leibniz kernel, on the stacks reshaped to one axis of
-    pairs.
+    Matrices multiply as one batched ``matmul``.  Diffop stacks go to one call of the
+    exact Leibniz kernel as they are, broadcastable and not copied, so that the
+    products of an outer pair of stacks such as ``x[:, None]`` and ``y[None]`` prepare
+    each of ``x`` and ``y`` once, not once per pair.
     """
     if descriptor.backend == MATRIX:
         return a @ b
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    shape = a.shape[-2:]
-    return _diffop_products(descriptor, a.reshape(-1, *shape),
-                            b.reshape(-1, *shape)).reshape(a.shape)
+    return _diffop_products(descriptor, a, b)
 
 
 def kernel_block_bytes(descriptor: AlgebraDescriptor) -> int:
-    """The most bytes one block of :func:`stacked_product`'s kernel holds beside its
-    factors and its output: none for matrices, and for diffops about ``BLOCK_BYTES``,
-    or one pair's temporaries at the full window if they take more."""
+    """The most bytes one tile of :func:`stacked_product`'s kernel holds beside its
+    factors and its output: none for matrices, and for diffops about ``BLOCK_BYTES``, or
+    one ``a``, one ``b`` and their pair's temporaries at the full window if they take
+    more (:func:`_tiles`)."""
     if descriptor.backend == MATRIX:
         return 0
-    return max(BLOCK_BYTES, _leibniz_pair_bytes(descriptor.shape, descriptor.shape))
+    return max(BLOCK_BYTES, sum(_leibniz_bytes(descriptor.shape, descriptor.shape)))
 
 
 def stacked_commutator(descriptor: AlgebraDescriptor, a: np.ndarray,
@@ -354,64 +352,125 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact Leibniz products ``a[p] * b[p]`` of two ``(P, J+1, 2M+1)`` payload stacks.
+    """Exact Leibniz products ``a[k] * b[k]`` of two stacks of ``(J+1, 2M+1)`` payloads
+    over their broadcast leading axes.
 
-    Each block of pairs is composed over every order and mode that the
-    factors' spans reach.  An entry outside the window is a sum of products
-    with an exactly zero factor unless the product really reaches it, so a
-    block whose product has more nonzero entries than its in-window part
-    raises :class:`WindowOverflowError`, naming the cap it overflowed, instead
-    of being truncated.  Only the rows and modes that are nonzero somewhere
-    in the stack take part.
+    Only the rows and modes that are nonzero somewhere in a stack take part.  Each
+    factor is prepared once however many pairs it is in (:func:`_leibniz_block`), and
+    the leading axes are cut into tiles of about ``BLOCK_BYTES`` (:func:`_tiles`).
+    Every tile is composed over every order and mode that the factors' spans reach.
+    An entry outside the window is a sum of products with an exactly zero factor
+    unless the product really reaches it, so a tile whose product has more nonzero
+    entries than its in-window part raises :class:`WindowOverflowError`, naming the
+    cap it overflowed, instead of being truncated.
     """
     max_order = descriptor.max_order
     max_mode = descriptor.max_mode
-    a_rows, a_modes = a.any(axis=0).nonzero()
-    b_rows, b_modes = b.any(axis=0).nonzero()
-    if not a_rows.size or not b_rows.size:
-        return np.zeros(a.shape, dtype=np.complex128)
-    a_modes = slice(int(a_modes.min()), int(a_modes.max()) + 1)
-    b_modes = slice(int(b_modes.min()), int(b_modes.max()) + 1)
-    a = a[:, :int(a_rows[-1]) + 1, a_modes]
-    b = b[:, :int(b_rows[-1]) + 1, b_modes]
-    orders = a.shape[1] + b.shape[1] - 1
-    width = a.shape[2] + b.shape[2] - 1
+    ndim = max(a.ndim, b.ndim)
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    b = b.reshape((1,) * (ndim - b.ndim) + b.shape)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros((*lead, max_order + 1, descriptor.width), dtype=np.complex128)
+    stacked = tuple(range(ndim - 2))
+    a_rows, a_modes = _span(a.any(axis=stacked))
+    b_rows, b_modes = _span(b.any(axis=stacked))
+    if a_rows is None or b_rows is None:
+        return out
+    a = a[..., a_rows, a_modes]
+    b = b[..., b_rows, b_modes]
+    orders = a.shape[-2] + b.shape[-2] - 1
+    width = a.shape[-1] + b.shape[-1] - 1
     # the product's columns of modes -M and M + 1; either may lie outside it
     low = max_mode - a_modes.start - b_modes.start
     high = low + descriptor.width
     inside = slice(max(low, 0), max(low, 0, min(high, width)))
     # spans whose sum fits the window leave no entry outside it to check
     fits = orders <= max_order + 1 and low <= 0 and high >= width
-    out = np.zeros((len(a), max_order + 1, descriptor.width), dtype=np.complex128)
-    for block in blocks(len(a), _leibniz_pair_bytes(a.shape[1:], b.shape[1:])):
-        wide = _leibniz_block(a[block], b[block], b_modes.start - max_mode).transpose(0, 2, 1)
-        kept = wide[:, :max_order + 1, inside]
+    weights = _lift_weights(descriptor, b_modes.start - max_mode, b_modes.stop - 1 - max_mode,
+                            a.shape[-2])
+    for tile in _tiles(a.shape[:-2], b.shape[:-2], lead,
+                       _leibniz_bytes(a.shape[-2:], b.shape[-2:])):
+        wide = _leibniz_block(a[_factor_tile(tile, a)], b[_factor_tile(tile, b)],
+                              weights).swapaxes(-1, -2)
+        kept = wide[..., :max_order + 1, inside]
         if not fits and np.count_nonzero(wide) != np.count_nonzero(kept):
-            cap = (f"order exceeds the cap J={max_order}" if wide[:, max_order + 1:].any()
+            cap = (f"order exceeds the cap J={max_order}" if wide[..., max_order + 1:, :].any()
                    else f"modes exceed the cap M={max_mode}")
             raise WindowOverflowError(f"product {cap}; enlarge the descriptor window")
-        out[block, :orders, inside.start - low:inside.stop - low] = kept
+        out[tile][..., :orders, inside.start - low:inside.stop - low] = kept
     return out
 
 
-# The two tables below depend only on row and mode spans, which take a few
-# dozen values on a given window; caching them keeps their set-up out of the
-# per-call cost.  Both are read-only, since every caller shares them.
+def _span(nonzero: np.ndarray) -> tuple[slice, slice] | tuple[None, None]:
+    """The rows from 0 and the modes that reach every ``True`` of a payload-shaped mask,
+    or ``None`` twice if it has none."""
+    rows, modes = nonzero.nonzero()
+    if not len(rows):
+        return None, None
+    modes = modes.tolist()
+    return slice(0, int(rows[-1]) + 1), slice(min(modes), max(modes) + 1)
+
+
+def _tiles(a_lead: tuple[int, ...], b_lead: tuple[int, ...], lead: tuple[int, ...],
+           nbytes: tuple[int, int, int]) -> list[tuple[slice, ...]]:
+    """Slices of ``lead``, the broadcast of two stacks' leading shapes ``a_lead`` and
+    ``b_lead`` (of its length), that cut it into tiles of about ``BLOCK_BYTES``, where one
+    ``a``, one ``b`` and one pair take the three ``nbytes``.
+
+    A tile is the whole, or a run of the longest axis with the other axes whole, or,
+    where one index of that axis alone takes more, that index with the other axes cut
+    the same way.  A factor that broadcasts along the cut axis is prepared again in
+    each run, and cutting the longest axis keeps those factors the fewest.
+    """
+    whole = (slice(None),) * len(lead)
+    sizes = (prod(a_lead), prod(b_lead))
+    if max(lead, default=1) == 1 or (sizes[0] * nbytes[0] + sizes[1] * nbytes[1]
+                                      + prod(lead) * nbytes[2] <= BLOCK_BYTES):
+        return [whole]
+    axis = lead.index(max(lead))
+    length = lead[axis]
+    # the bytes of each index of the axis, and those that every run of it holds
+    per_index = prod(lead) // length * nbytes[2]
+    shared = 0
+    for size, item, factor in zip(sizes, nbytes, (a_lead, b_lead)):
+        if factor[axis] == 1:
+            shared += size * item
+        else:
+            per_index += size // length * item
+    if shared + per_index > BLOCK_BYTES:
+        def one(shape):
+            return shape[:axis] + (1,) + shape[axis + 1:]
+
+        tails = _tiles(one(a_lead), one(b_lead), one(lead), nbytes)
+        return [tail[:axis] + (slice(i, i + 1),) + tail[axis + 1:] for i in range(length)
+                for tail in tails]
+    run = max(1, (BLOCK_BYTES - shared) // per_index)
+    return [whole[:axis] + (slice(start, start + run),) + whole[axis + 1:]
+            for start in range(0, length, run)]
+
+
+def _factor_tile(tile: tuple[slice, ...], factor: np.ndarray) -> tuple[slice, ...]:
+    """A tile's slices of one factor: the whole of each axis the factor broadcasts along."""
+    return tuple(part if count > 1 else slice(None) for part, count in zip(tile, factor.shape))
+
 
 @functools.lru_cache(maxsize=128)
 def _toeplitz_index(length: int, width: int) -> np.ndarray:
     """``index[n, m] = n - m + width - 1``: gathers ``x[n - m]`` from ``x`` padded
-    with ``width - 1`` zeros on both ends."""
+    with ``width - 1`` zeros on both ends.  Cached, since it depends only on spans, and
+    read-only, since every caller shares it."""
     index = np.subtract.outer(np.arange(length), np.arange(width)) + width - 1
     index.setflags(write=False)
     return index
 
 
-@functools.lru_cache(maxsize=128)
-def _lift_weights(low_mode: int, high_mode: int, shifts: int) -> np.ndarray:
-    """``C(j, d) (i m)^d`` at ``[m, j, j - d]`` for the modes ``low..high`` and
-    ``d <= j < shifts``; zero where ``j - d`` would be negative."""
-    factor = 1j * np.arange(low_mode, high_mode + 1)
+@functools.lru_cache(maxsize=16)
+def _lift_table(max_order: int, max_mode: int) -> np.ndarray:
+    """``C(j, d) (i m)^d`` at ``[m + M, j, j - d]`` for every mode ``|m| <= M`` and ``d
+    <= j <= J``; zero where ``j - d`` would be negative.  One read-only table per window,
+    built on first use."""
+    factor = 1j * np.arange(-max_mode, max_mode + 1)
+    shifts = max_order + 1
     weights = np.zeros((len(factor), shifts, shifts), dtype=np.complex128)
     power = np.ones_like(factor)
     for d in range(shifts):
@@ -422,53 +481,60 @@ def _lift_weights(low_mode: int, high_mode: int, shifts: int) -> np.ndarray:
     return weights
 
 
-def _leibniz_pair_bytes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> int:
-    """Bytes of all the temporaries :func:`_leibniz_block` makes for one pair of
-    ``a_shape`` and ``b_shape`` payloads: ``b`` padded, shifted, lifted and lifted
-    pair-major, ``a`` padded, its Toeplitz stack and the product.  Blocks sized by
+@functools.lru_cache(maxsize=128)
+def _lift_weights(descriptor: AlgebraDescriptor, low_mode: int, high_mode: int,
+                  shifts: int) -> np.ndarray:
+    """``C(j, d) (i m)^d`` at ``[m, j, j - d]`` for the modes ``low..high`` and ``d <= j <
+    shifts``: a read-only contiguous copy out of the window's :func:`_lift_table`."""
+    table = _lift_table(descriptor.max_order, descriptor.max_mode)
+    modes = slice(low_mode + descriptor.max_mode, high_mode + descriptor.max_mode + 1)
+    weights = np.ascontiguousarray(table[modes, :shifts, :shifts])
+    weights.setflags(write=False)
+    return weights
+
+
+def _leibniz_bytes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> tuple[int, int, int]:
+    """Bytes of the temporaries :func:`_leibniz_block` makes for each ``a`` of
+    ``a_shape``, each ``b`` of ``b_shape`` and each of their pairs: ``a`` padded and its
+    Toeplitz stack; ``b`` padded, shifted and lifted; and the product.  Tiles sized by
     all of them, not by the largest alone, keep every temporary small enough to be
     reused from the heap rather than mapped and faulted in afresh."""
     (shifts, a_width), (b_rows, b_width) = a_shape, b_shape
     orders = shifts + b_rows - 1
     conv_width = a_width + b_width - 1
-    return 16 * (b_width * (b_rows + 2 * shifts - 2) + 3 * b_width * shifts * orders
-                 + (a_width + 2 * b_width - 2) * shifts + conv_width * b_width * shifts
-                 + conv_width * orders)
+    return (16 * ((a_width + 2 * b_width - 2) * shifts + conv_width * b_width * shifts),
+            16 * b_width * (b_rows + 2 * shifts - 2 + 2 * shifts * orders),
+            16 * conv_width * orders)
 
 
-def _leibniz_block(a: np.ndarray, b: np.ndarray, low_mode: int) -> np.ndarray:
-    """Unwindowed Leibniz products of ``(P, S, Wa)`` and ``(P, K, Wb)`` payload blocks.
+def _leibniz_block(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Unwindowed Leibniz products of ``(..., S, Wa)`` and ``(..., K, Wb)`` payload stacks
+    over their broadcast leading axes.
 
-    ``low_mode`` is the Fourier mode of ``b``'s first column.  Returns
-    ``(P, Wa + Wb - 1, S + K - 1)``: the product's modes, from the sum of both
-    low modes up, by its orders ``0..S+K-2``.  Grouped by the row ``j`` of
-    ``a``, the Leibniz sum reads
+    ``weights`` is :func:`_lift_weights` on ``b``'s modes.  Returns ``(..., Wa + Wb - 1,
+    S + K - 1)``: the product's modes, from the sum of both low modes up, by its orders
+    ``0..S+K-2``.  Grouped by the row ``j`` of ``a``, the Leibniz sum reads
 
         (a b)_r = sum_j  a_j * lift_(j, r),
         lift_(j, r) = sum_(d <= j)  C(j, d) (d/dx)^d b_(r - j + d),
 
-    so ``b`` is differentiated and shifted into ``lift`` once, and the mode
-    convolution with every row of ``a`` is one batched matmul of ``a``'s
-    Toeplitz matrices against it: a direct sum of products, never an FFT.
-    ``b``'s stack is laid out mode-major, ``(Wb, rows, P)``, so the lift is one
-    ``(S x S) @ (S x orders P)`` matmul per mode; one pair-major copy of it
-    then feeds the Toeplitz matmul.
+    so each ``b`` is differentiated and shifted into its ``lift`` once, by one ``(S x S)
+    @ (S x orders)`` matmul per mode, and each ``a``'s Toeplitz matrices are gathered
+    once; every pair is then one ``(conv, Wb S) @ (Wb S, orders)`` matmul of them, a
+    direct sum of products, never an FFT.  Every matmul's shape depends on the spans
+    only, never on how many factors or pairs the stacks hold.
     """
-    count, shifts, a_width = a.shape
-    b_rows, b_width = b.shape[1:]
+    shifts, a_width = a.shape[-2:]
+    b_rows, b_width = b.shape[-2:]
     orders = shifts + b_rows - 1
     conv_width = a_width + b_width - 1
-    # shifted[m, s, r, p] = b[p, r - s, m], zero off b's rows
-    padded = np.zeros((b_width, b_rows + 2 * (shifts - 1), count), dtype=np.complex128)
-    padded[:, shifts - 1:shifts - 1 + b_rows] = b.transpose(2, 1, 0)
-    shifted = np.take(padded, _toeplitz_index(orders, shifts).T, axis=1)
-    lift = (_lift_weights(low_mode, low_mode + b_width - 1, shifts)
-            @ shifted.reshape(b_width, shifts, orders * count))
-    # lift[p, m * S + j, r], pair-major
-    lift = lift.reshape(b_width, shifts, orders, count).transpose(3, 0, 1, 2).reshape(
-        count, b_width * shifts, orders)
-    # toeplitz[p, n, m, j] = a[p, j, n - m], zero off a's modes
-    padded = np.zeros((count, a_width + 2 * (b_width - 1), shifts), dtype=np.complex128)
-    padded[:, b_width - 1:b_width - 1 + a_width] = a.transpose(0, 2, 1)
-    toeplitz = np.take(padded, _toeplitz_index(conv_width, b_width), axis=1)
-    return toeplitz.reshape(count, conv_width, b_width * shifts) @ lift
+    # shifted[..., m, s, r] = b[..., r - s, m], zero off b's rows
+    padded = np.zeros((*b.shape[:-2], b_width, b_rows + 2 * (shifts - 1)), dtype=np.complex128)
+    padded[..., shifts - 1:shifts - 1 + b_rows] = b.swapaxes(-1, -2)
+    lift = weights @ np.take(padded, _toeplitz_index(orders, shifts).T, axis=-1)
+    # toeplitz[..., n, m, j] = a[..., j, n - m], zero off a's modes
+    padded = np.zeros((*a.shape[:-2], a_width + 2 * (b_width - 1), shifts), dtype=np.complex128)
+    padded[..., b_width - 1:b_width - 1 + a_width, :] = a.swapaxes(-1, -2)
+    toeplitz = np.take(padded, _toeplitz_index(conv_width, b_width), axis=-2)
+    return (toeplitz.reshape(*a.shape[:-2], conv_width, b_width * shifts)
+            @ lift.reshape(*b.shape[:-2], b_width * shifts, orders))

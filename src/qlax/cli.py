@@ -489,23 +489,25 @@ def _write_sweep_csv(path: str, sweep_values, flow) -> None:
     flow.q0`` on ``s = t/T`` is ``flow``'s on ``(q0 / flow.q0) s``.
 
     The bytes are those ``csv.writer`` writes, since no field needs quoting: each block of
-    nodes (:func:`~qlax.algebra.blocks`) is one ``str.join`` of ``",".join`` of the fields'
-    reprs and ``"\\r\\n"`` line ends, so the text held at once stays about a block's worth.
+    nodes (:func:`~qlax.algebra.blocks`) is evaluated on its own and written as one
+    ``str.join`` of ``",".join`` of the fields' reprs and ``"\\r\\n"`` line ends, so the
+    values and the text held at once stay about a block's worth.
     """
     descriptor = flow.descriptor
-    s = flow.times / flow.times[-1]
+    times = flow.times
+    nodes = blocks(len(flow), math.prod(descriptor.shape) * descriptor.dtype.itemsize)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(["q0", "t", *_sweep_entry_columns(descriptor)]) + "\r\n")
         for q0 in sweep_values:
-            values = evaluated(flow.coefficients, flow.q0, q0 / flow.q0 * s).reshape(
-                len(flow), -1)
-            if descriptor.field == COMPLEX:
-                values = np.stack([values.real, values.imag], axis=-1).reshape(len(flow), -1)
             head = _format_value(q0) + ","
-            for block in blocks(len(flow), values.itemsize * values.shape[1]):
+            for block in nodes:
+                values = evaluated(flow.coefficients, flow.q0,
+                                   q0 / flow.q0 * (times[block] / times[-1]))
+                if descriptor.field == COMPLEX:
+                    values = np.stack([values.real, values.imag], axis=-1)
                 handle.write("".join([head + t + "," + ",".join(map(repr, row)) + "\r\n"
-                                      for t, row in zip(map(repr, flow.times[block].tolist()),
-                                                        values[block].tolist())]))
+                                      for t, row in zip(map(repr, times[block].tolist()),
+                                                        values.reshape(len(values), -1).tolist())]))
 
 
 def _convergence_rows(sweep_values, errors, expected: int) -> list[tuple]:

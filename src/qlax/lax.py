@@ -39,6 +39,7 @@ from qlax.algebra import (
     CapabilityError,
     DomainError,
     ShapeMismatchError,
+    blocks,
     element_norms,
     matrix_element,
     stacked_commutator,
@@ -201,7 +202,8 @@ def oracle_errors(result: LaxFlowResult, scalings) -> list[float]:
     ``q`` enters grade ``i``'s coefficient of ``s^(i + j)`` only as ``q^j``, so that
     series on ``s = t/T`` is the solve's, at its ``q0``, on ``(q/q0) s``: the gap to one
     reference, the bracket recurrence (not the conjugation under test) at ``q0``, is
-    evaluated there (:func:`~qlax.series.evaluated`).  A ``q`` outside ``(0, q0]`` is a
+    evaluated there (:func:`~qlax.series.evaluated`), one block of nodes
+    (:func:`~qlax.algebra.blocks`) at a time.  A ``q`` outside ``(0, q0]`` is a
     :class:`DomainError`.
     """
     problem = result.problem
@@ -216,9 +218,11 @@ def oracle_errors(result: LaxFlowResult, scalings) -> list[float]:
     flow = _checked_polynomials(result.flow, problem.path.degree)
     exact = _grade_polynomials(lambda p, x: stacked_commutator(descriptor, p, x), reference)
     gap = [flow[i] - grade if i < len(flow) else -grade for i, grade in enumerate(exact)]
-    s = result.flow.times / result.flow.times[-1]
-    return [float(element_norms(descriptor, evaluated(gap, problem.q0, q / problem.q0 * s))
-                  .max(initial=0.0)) for q in scalings]
+    times = result.flow.times
+    nodes = blocks(len(times), math.prod(descriptor.shape) * descriptor.dtype.itemsize)
+    return [max(float(element_norms(descriptor, evaluated(
+        gap, problem.q0, q / problem.q0 * (times[block] / times[-1]))).max(initial=0.0))
+        for block in nodes) for q in scalings]
 
 
 def oracle_integrate(result: LaxFlowResult) -> tuple[float, float]:

@@ -98,11 +98,12 @@ def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
 
     ``y g = x`` grade by grade is the forward substitution ``y_n = x_n - sum_(i=1..n)
     y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``.  Grade ``n`` makes one
-    ``stacked_product`` call per factor grade ``i``, over every pair ``(a, b)`` of a nonzero
-    coefficient ``a`` of ``y_(n-i)`` and a nonzero coefficient ``b`` of ``g_i``, so that the
-    diffop kernel sizes each call by ``y_(n-i)``'s and ``g_i``'s own spans, not by those of
-    the grade's largest factors.  The products are summed per power with ``i``, then ``a``,
-    ascending (:func:`summed`) and subtracted from ``x_n``.
+    ``stacked_product`` call per factor grade ``i``, on the outer pair of stacks ``y_(n-i)[a,
+    None]`` and ``g_i[None, b]`` of their nonzero coefficients ``a`` and ``b``: each factor is
+    passed once, not once per pair, and the diffop kernel sizes each call by ``y_(n-i)``'s
+    and ``g_i``'s own spans, not by those of the grade's largest factors.  The products are
+    summed per power with ``i``, then ``a``, then ``b`` ascending (:func:`summed`) and
+    subtracted from ``x_n``.
     """
     lengths = [len(grade) for grade in g]
     if [len(grade) for grade in x] != lengths:
@@ -114,15 +115,14 @@ def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
     y = np.concatenate(x, dtype=np.result_type(x[0], g))
     nonzero_g, nonzero = _nonzero(g), _nonzero(y)
     for n in range(1, len(lengths)):
-        pairs = []
+        products, power = [], []
         for i in range(1, n + 1):
             a = np.flatnonzero(nonzero[starts[n - i]:starts[n - i + 1]])
             b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
-            pairs.append((np.repeat(starts[n - i] + a, len(b)), np.tile(starts[i] + b, len(a)),
-                          np.add.outer(a, b).ravel()))
-        products = np.concatenate([stacked_product(descriptor, y[left], g[right])
-                                   for left, right, _ in pairs])
-        power = np.concatenate([power for _, _, power in pairs])
+            products.append(stacked_product(descriptor, y[starts[n - i] + a][:, None],
+                                            g[starts[i] + b][None]).reshape(-1, *g.shape[1:]))
+            power.append(np.add.outer(a, b).ravel())
+        products, power = np.concatenate(products), np.concatenate(power)
         grade = slice(starts[n], starts[n + 1])
         y[grade] -= summed(products, power, lengths[n])
         nonzero[grade] = _nonzero(y[grade])

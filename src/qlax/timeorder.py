@@ -16,8 +16,8 @@ only inside the integrand ``P(q0 s)``, and each grade-``i`` coefficient is the
 weight of ``q^i`` in the group series.  A path on the grid is a
 :class:`FlowSample`: its polynomial coefficients and its times, and nothing else;
 its nodes are sampled when they are read, and only those.  The residual checks of
-the flow equations work on those coefficients too, with one product call per grade
-and none per node: the derivative of a polynomial is exact, so their floor is
+the flow equations work on those coefficients too, with one product call for all
+grades and none per node: the derivative of a polynomial is exact, so their floor is
 roundoff, and the sum of a grade's coefficient norms (:func:`coefficient_bounds`)
 bounds it on all of ``[0, T]``.  Every integration takes a :class:`LaxProblem`,
 whose construction is the one check of its inputs.
@@ -250,36 +250,39 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     counted without allocating anything.
 
     The count adds: the group and the flow as polynomials; the larger of the top grade's
-    stacks in the conjugation and in the recurrence; one block of the product kernel; one
-    block of sampled nodes (:meth:`FlowSample.node_blocks`) with its power table; and, on
-    every node, the times, three ``(nodes, *shape)`` stacks and a few floats, for the
-    series that :func:`~qlax.lax.oracle_errors` and the ``sweep.csv`` writer evaluate on
-    all nodes at once.  No whole sample is counted, since none is formed.  The text and
-    Python objects that a writer builds from one block of nodes are not counted: they are
-    bounded by the block, not by the grid.
+    stacks in the conjugation and a residual check's stacks; one tile of the product
+    kernel; one block of sampled nodes (:meth:`FlowSample.node_blocks`) with its power
+    table; one block of the nodes that :func:`~qlax.lax.oracle_errors` and the
+    ``sweep.csv`` writer evaluate (:func:`~qlax.series.evaluated`); and, on every node,
+    the times and ``flow.json``'s list of them.  No whole sample is counted, since none is
+    formed.  The text and Python objects that a writer builds from one block of nodes are
+    not counted: they are bounded by the block, not by the grid.
     """
     d, n = degree, order
     size = math.prod(descriptor.shape)
     payload = size * descriptor.dtype.itemsize
     polynomials = 2 * (n + 1 + d * n * (n + 1) // 2) * payload
     # sum_(i=1..n) ((n - i) d + 1)(i d + 1) pairs of an L_(n-i) and a g_i coefficient,
-    # each with both factors, the product, its flat indices and a temporary of them,
-    # and eight indices of its own (one call per factor grade gathers its own factors, so
-    # the calls' products and their join take no more than both factors did)
+    # each with its product, the products' join, their flat indices and a temporary of
+    # them, and eight indices of its own; a third payload a pair bounds the factors that
+    # one call per factor grade gathers, one copy of each coefficient taking part
     conjugation = (d * d * (n ** 3 - n) // 6 + n * (n * d + 1)) * (3 * payload + 16 * size + 64)
-    # (d + 1)((n - 1) d + 1) pairs in a commutator's two products and their difference,
-    # and the kernel's copies of both broadcast factors on diffops
-    recurrence = 5 * (d + 1) * ((n - 1) * d + 1) * payload
+    # a residual check's one call over the d + 1 generators and the n + d n (n - 1) / 2
+    # coefficients of grades 0..n-1: a commutator's two products and their difference,
+    # and the residuals, as many payloads as one flow's polynomials (the grade
+    # recurrence's call, on grade n - 1 alone, holds fewer)
+    residual = (3 * (d + 1) * (n + d * n * (n - 1) // 2) + n + 1 + d * n * (n + 1) // 2) * payload
     # a block's n + 1 payloads a node, and its power table, s and zero mask in
     # n (d + 1) + 2 floats a node
     node = (n + 1) * payload
     block = min(steps + 1, max(1, BLOCK_BYTES // node)) * (node + 8 * (n * (d + 1) + 2))
-    # Horner's value, its product by s and their sum; the times, the scaled times and
-    # their rescaling, the norms, and flow.json's list of the times (a float object and
-    # its pointer)
-    evaluation = (steps + 1) * (3 * payload + 64)
-    return (polynomials + max(conjugation, recurrence) + kernel_block_bytes(descriptor)
-            + block + evaluation)
+    # Horner's value, its product by s and their sum, and the block's s, scaled s and
+    # norms: three payloads and three floats a node
+    evaluation = min(steps + 1, max(1, BLOCK_BYTES // payload)) * (3 * payload + 24)
+    # the times (a float) and flow.json's list of them (a float object and its pointer)
+    per_node = (steps + 1) * 40
+    return (polynomials + max(conjugation, residual) + kernel_block_bytes(descriptor)
+            + block + evaluation + per_node)
 
 
 def _scaled_generators(path: OperatorPath, q0: float, horizon: float) -> np.ndarray:
@@ -287,12 +290,11 @@ def _scaled_generators(path: OperatorPath, q0: float, horizon: float) -> np.ndar
     return np.stack([(q0 * horizon) ** e * c.data for e, c in enumerate(path.coeffs)])[:, None]
 
 
-def _driven(produce, generators: np.ndarray, grade: np.ndarray,
-            descriptor: AlgebraDescriptor) -> np.ndarray:
-    """The coefficients of ``produce(P(q0 t), X)`` in ``s``, with ``X``'s stack ``grade``:
-    entry ``m`` is ``sum_(e + j = m) produce(generators[e], grade[j])``, from one call."""
-    products = produce(generators, grade[None])
-    coeffs = np.zeros((len(grade) + len(generators) - 1, *descriptor.shape),
+def _driven(products: np.ndarray, descriptor: AlgebraDescriptor) -> np.ndarray:
+    """The coefficients in ``s`` of ``produce(P(q0 t), X)`` from ``products[e, j] =
+    produce(generators[e], X_j)``: entry ``m`` is ``sum_(e + j = m) products[e, j]``,
+    added with ``e`` ascending."""
+    coeffs = np.zeros((products.shape[0] + products.shape[1] - 1, *descriptor.shape),
                       dtype=descriptor.dtype)
     for e, product in enumerate(products):
         coeffs[e:e + len(product)] += product
@@ -317,7 +319,7 @@ def _grade_polynomials(produce, problem: LaxProblem) -> list[np.ndarray]:
     generators = _scaled_generators(problem.path, problem.q0, horizon)
     grades = [problem.initial.data[None]]
     for i in range(1, problem.order + 1):
-        coeffs = _driven(produce, generators, grades[-1], descriptor)
+        coeffs = _driven(produce(generators, grades[-1][None]), descriptor)
         coeffs *= (horizon / np.arange(i, i + len(coeffs)))[:, None, None]
         grades.append(coeffs)
     return grades
@@ -342,18 +344,22 @@ def _residual_polynomials(produce, sample: "FlowSample", path: OperatorPath,
 
         (k/T) D[i, k] - sum_(e + j = k - 1) produce((q0 T)^e P_e, D[i-1, j])
 
-    at ``s^(k - 1)``: one ``produce`` call per grade, none per node.  Entry ``i >= 1``
-    is the stack of the coefficients of ``s^(i - 1) .. s^(i (d + 1) - 1)``; entry 0,
-    the derivative of a constant, holds none.
+    at ``s^(k - 1)``.  One ``produce`` call serves every grade, on the outer pair of
+    stacks of the generators and of all the coefficients of grades ``0..N-1``, and none
+    serves a node; its products are then summed grade by grade as :func:`_driven` sums
+    them.  Entry ``i >= 1`` is the stack of the coefficients of ``s^(i - 1) .. s^(i (d +
+    1) - 1)``; entry 0, the derivative of a constant, holds none.
     """
     grades = _checked_polynomials(sample, path.degree)
     horizon = sample.times[-1]
     generators = _scaled_generators(path, q0, horizon)
+    starts = np.cumsum([len(grade) for grade in grades[:-1]])
+    products = np.split(produce(generators, np.concatenate(grades[:-1])[None]), starts[:-1],
+                        axis=1)
     residuals = [grades[0][:0]]
     for i in range(1, len(grades)):
         derivative = grades[i] * (np.arange(i, i + len(grades[i])) / horizon)[:, None, None]
-        residuals.append(derivative - _driven(produce, generators, grades[i - 1],
-                                              sample.descriptor))
+        residuals.append(derivative - _driven(products[i - 1], sample.descriptor))
     return residuals
 
 

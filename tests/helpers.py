@@ -6,10 +6,12 @@ import csv
 import io
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from qlax import AlgebraElement, GradedSeries, diffop_element, matrix_descriptor, timeorder
+from qlax import (AlgebraElement, GradedSeries, algebra, diffop_element, matrix_descriptor,
+                  timeorder)
 from qlax.algebra import element_norms, stacked_commutator, stacked_product
 from qlax.lax import LaxProblem, solve_lax
 from qlax.timeorder import _expand_grid, _residual_polynomials
@@ -251,6 +253,41 @@ def count_samples(monkeypatch) -> list:
         if ((name == "qlax" or name.startswith("qlax."))
                 and getattr(module, "_sample_grades", None) is original):
             monkeypatch.setattr(module, "_sample_grades", counted)
+    return calls
+
+
+class KernelCall(NamedTuple):
+    """One call of the diffop kernel: its descriptor, two factor stacks and products."""
+
+    descriptor: object
+    a: np.ndarray
+    b: np.ndarray
+    products: np.ndarray
+
+    @property
+    def pairs(self) -> int:
+        """The pairs the call multiplies: the size of its factors' broadcast leading axes."""
+        return math.prod(np.broadcast_shapes(self.a.shape, self.b.shape)[:-2])
+
+    def pair_products(self, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each pair, in the order of the broadcast leading axes, its product in this
+        call and its product from a ``kernel`` call on that pair alone."""
+        a, b = (x.reshape(-1, *x.shape[-2:]) for x in np.broadcast_arrays(self.a, self.b))
+        return [(product, kernel(self.descriptor, x[None], y[None])[0]) for product, x, y
+                in zip(self.products.reshape(-1, *self.products.shape[-2:]), a, b)]
+
+
+def record_kernel_calls(monkeypatch) -> list[KernelCall]:
+    """Record the diffop kernel's calls: patch ``algebra._diffop_products`` and return the
+    list each call then appends its :class:`KernelCall` to."""
+    original = algebra._diffop_products
+    calls = []
+
+    def recorded(descriptor, a, b):
+        calls.append(KernelCall(descriptor, a, b, original(descriptor, a, b)))
+        return calls[-1].products
+
+    monkeypatch.setattr(algebra, "_diffop_products", recorded)
     return calls
 
 

@@ -338,6 +338,91 @@ def test_diffop_kernel_matches_the_reference_at_the_window_edges(case):
         assert np.abs(products - inside).max() <= 1e-12 * np.abs(inside).max()
 
 
+@st.composite
+def _factor_stacks(draw):
+    """A window and two diffop factor stacks, pair-aligned ``(P,)`` and ``(P,)`` or outer
+    ``(A, 1)`` and ``(1, B)``.  Each stack has one support, rows ``0..top`` and a run of
+    modes, within half the window, so that every product fits.  Each factor fills that
+    support with random entries, and so shares its stack's spans, or fills a smaller
+    support inside it, or is zero."""
+    desc = diffop_descriptor(draw(st.integers(0, 4)), draw(st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outer = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    stacks = []
+    for length in (count, draw(st.integers(1, 4)) if outer else count):
+        top = draw(st.integers(0, desc.max_order // 2))
+        low = draw(st.integers(-(desc.max_mode // 2), desc.max_mode // 2))
+        high = draw(st.integers(low, desc.max_mode // 2))
+        stack = np.zeros((length, *desc.shape), dtype=np.complex128)
+        for factor in stack:
+            kind = draw(st.sampled_from(("whole", "whole", "whole", "part", "zero")))
+            if kind == "zero":
+                continue
+            rows, first, last = top, low, high
+            if kind == "part":
+                rows = draw(st.integers(0, top))
+                first = draw(st.integers(low, high))
+                last = draw(st.integers(first, high))
+            shape = (rows + 1, last - first + 1)
+            factor[:rows + 1, first + desc.max_mode:last + desc.max_mode + 1] = (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        stacks.append(stack)
+    a, b = stacks
+    return (desc, a[:, None], b[None]) if outer else (desc, a, b)
+
+
+def _spans(stack: np.ndarray) -> tuple[int, int, int] | None:
+    """The last nonzero row and the first and last nonzero modes of a stack."""
+    rows, modes = np.nonzero(stack.reshape(-1, *stack.shape[-2:]).any(axis=0))
+    return (rows.max(), modes.min(), modes.max()) if rows.size else None
+
+
+# One kernel call prepares each factor once and multiplies every pair by matmuls whose
+# shapes depend on the call's spans only, so a pair whose factors reach those spans
+# has the bits of a call on that pair alone, whatever the stacks' layout and length.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_factor_stacks())
+def test_pairs_that_share_their_calls_spans_have_the_bits_of_lone_calls(case):
+    desc, a, b = case
+    products = algebra.stacked_product(desc, a, b)
+    left, right = np.broadcast_arrays(a, b)
+    spans = (_spans(a), _spans(b))
+    for x, y, product in zip(left.reshape(-1, *desc.shape), right.reshape(-1, *desc.shape),
+                             products.reshape(-1, *desc.shape)):
+        lone = (AlgebraElement(desc, x) * AlgebraElement(desc, y)).data
+        assert np.abs(product - lone).max() <= 1e-13 * max(1.0, np.abs(lone).max())
+        if (_spans(x), _spans(y)) == spans:
+            assert product.tobytes() == lone.tobytes()
+
+
+@st.composite
+def _leading_shapes(draw):
+    """Two broadcastable leading shapes of one length, the bytes of an ``a``, a ``b`` and a
+    pair, and a block budget."""
+    lead = draw(st.lists(st.integers(1, 5), max_size=3))
+    a_lead = tuple(draw(st.sampled_from((1, n))) for n in lead)
+    b_lead = tuple(n if m == 1 else draw(st.sampled_from((1, n))) for m, n in zip(a_lead, lead))
+    nbytes = tuple(draw(st.integers(1, 100)) for _ in range(3))
+    return a_lead, b_lead, tuple(map(max, a_lead, b_lead)), nbytes, draw(st.integers(1, 3000))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_leading_shapes())
+def test_kernel_tiles_cover_every_pair_once_within_the_block(case):
+    # a tile holds its factors' and its pairs' bytes: at most a block, or one of each
+    a_lead, b_lead, lead, nbytes, block_bytes = case
+    with mock.patch.object(algebra, "BLOCK_BYTES", block_bytes):
+        tiles = algebra._tiles(a_lead, b_lead, lead, nbytes)
+    covered = np.zeros(lead, dtype=int)
+    for tile in tiles:
+        covered[tile] += 1
+        held = [np.empty(shape)[algebra._factor_tile(tile, np.empty((*shape, 1, 1)))].size
+                for shape in (a_lead, b_lead, lead)]
+        assert np.dot(held, nbytes) <= max(block_bytes, sum(nbytes))
+    assert (covered == 1).all()
+
+
 def test_elements_are_immutable():
     a = matrix_element(E12)
     with pytest.raises(AttributeError):

@@ -56,6 +56,7 @@ from helpers import (
     lax_residual_on_nodes,
     oracle_errors_reference,
     rand_matrix,
+    record_kernel_calls,
     right_divide_on_nodes,
     trace_drift_on_nodes,
 )
@@ -662,19 +663,12 @@ def test_diffop_product_count(monkeypatch):
     # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and grade
     # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call per i over its (n - i + 1)(i + 1)
     # pairs, so that each call is sized by its own factors' spans: [2], [4, 3] and
-    # [6, 6, 4], as none of the coefficients is zero.  The residuals take grade i's
-    # products on grade i - 1's polynomials: 2 + 4 + 6 pairs, in one call per grade
-    # for g' = q P g and in a bracket's two for the flow.  The kernel takes a stack of
-    # pairs per call, so the product count is the pairs it receives, and it does not
-    # depend on the number of nodes.
-    calls = []
-    original = algebra._diffop_products
-
-    def counted(descriptor, a, b):
-        calls.append(len(a))
-        return original(descriptor, a, b)
-
-    monkeypatch.setattr(algebra, "_diffop_products", counted)
+    # [6, 6, 4], as none of the coefficients is zero.  A residual check takes every
+    # grade's products in one call, both of P's coefficients against the 1 + 2 + 3 = 6
+    # coefficients of grades 0..2: 12 pairs, in one call for g' = q P g and in a
+    # bracket's two for the flow.  A call's pairs are its factors' broadcast leading
+    # axes, and they do not depend on the number of nodes.
+    calls = record_kernel_calls(monkeypatch)
     desc = diffop_descriptor(max_order=5, max_mode=4)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
@@ -683,12 +677,11 @@ def test_diffop_product_count(monkeypatch):
         calls.clear()
         prob = LaxProblem(initial, path, q0=0.5, order=3, grid=(1e-2, horizon))
         result = solve_lax(prob)
-        assert calls == [2, 4, 6, 10, 2, 4, 3, 6, 6, 4]
         integrate_directly(prob)
-        assert calls[10:] == [2, 2, 4, 4, 6, 6]
         lax_residual(result)
         timeorder.left_log_derivative_residual(result.group, path, 0.5)
-        assert calls[16:] == [2, 2, 4, 4, 6, 6, 2, 4, 6]
+        assert [call.pairs for call in calls] == [2, 4, 6, 10, 2, 4, 3, 6, 6, 4,
+                                                  2, 2, 4, 4, 6, 6, 12, 12, 12]
 
 
 _CAP_MESSAGE = "polynomials, product stacks and node stacks exceed"
@@ -697,9 +690,11 @@ _CAP_MESSAGE = "polynomials, product stacks and node stacks exceed"
 def test_flow_size_cap():
     # a 1x1 real solve of order N >= 32768 on one step counts 8-byte payloads: the
     # group's and the flow's polynomials, 2 (N + 1); the conjugation's top grade, N
-    # pairs of 3 * 8 + 16 + 64 bytes; one block, here one node of N + 1 payloads and a
-    # table of N + 2 floats; and 2 nodes of evaluated stacks and floats, 3 * 8 + 64
-    # bytes each: 16 (N + 1) + 104 N + 16 N + 24 + 176 = 136 N + 216 bytes in all
+    # pairs of 3 * 8 + 16 + 64 bytes (a residual check's 3 N + N + 1 payloads are
+    # fewer); one block of sampled nodes, here one node of N + 1 payloads and a table
+    # of N + 2 floats; one block of evaluated nodes, here both, of three payloads and
+    # three floats, 3 * 8 + 24 bytes each; and 2 nodes' times and their list, 40 bytes
+    # each: 16 (N + 1) + 104 N + 16 N + 24 + 96 + 80 = 136 N + 216 bytes in all
     one = AlgebraElement.one(matrix_descriptor(1))
     path = OperatorPath.constant(one)
     largest = (algebra.MAX_FLOW_BYTES - 216) // 136
@@ -736,9 +731,11 @@ def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
     # at a cap of 1.875 MiB (1,966,080 bytes), a degree-1 diffop path on 101 nodes in
     # the J = 8, M = 7 window (2,160-byte payloads) counts 1,973,200 bytes at N = 6 and
     # 1,710,128 at N = 5: the polynomials, 2 * 21 payloads (90,720); the conjugation's
-    # top grade, 50 pairs of 8,704 bytes (435,200); a kernel block (262,144); a block
-    # of 20 nodes of 6 payloads and 12 floats (261,120); and 101 nodes of three
-    # evaluated payloads and 64 bytes (660,944)
+    # top grade, 50 pairs of 8,704 bytes (435,200), more than a residual check's 3 * 2
+    # * 15 + 21 payloads (239,760); a kernel tile (262,144); a block of 20 sampled
+    # nodes of 6 payloads and 12 floats (261,120); one block of all 101 evaluated
+    # nodes, of three payloads and three floats (656,904); and 101 nodes' times and
+    # their list, 40 bytes each (4,040)
     monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 15 << 17)
     desc = diffop_descriptor(8, 7)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
@@ -752,15 +749,16 @@ def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
             flow.nodes(block)
 
     # toda-3's oracle holds its order-16 reference, the largest problem it builds, and
-    # evaluates on every node.  On K nodes the reference counts its polynomials (2,448
-    # bytes), 16 top-grade pairs (6,784), a block of 214 nodes (292,752) and K nodes of
-    # three 72-byte payloads and 64 bytes: 301,984 + 280 K, and K = 5,943 is the most
-    # nodes the cap admits (1,966,024 bytes)
-    toda = preset_problem("toda-3", grid=(1 / 5942, 1.0))
+    # evaluates its nodes a block at a time.  On K >= 3,640 nodes the reference counts
+    # its polynomials (2,448 bytes), 16 top-grade pairs (6,784), a block of 214 sampled
+    # nodes (292,752), a block of 3,640 evaluated nodes of three 72-byte payloads and
+    # three floats (873,600) and K nodes' times and their list, 40 bytes each: 1,175,584
+    # + 40 K, and K = 19,762 is the most nodes the cap admits (1,966,064 bytes)
+    toda = preset_problem("toda-3", grid=(1 / 19761, 1.0))
     reference = lax._reference_problem(toda)
     assert reference.order == 16
     with pytest.raises(DomainError, match=_CAP_MESSAGE):
-        replace(reference, grid=(1 / 5943, 1.0))
+        replace(reference, grid=(1 / 19762, 1.0))
     for run in (lambda: solve_lax(problem), lambda: integrate_directly(problem), walk,
                 lambda: oracle_errors(solve_lax(toda), (toda.q0, toda.q0 / 2))):
         assert _traced_peak(run) <= timeorder.MAX_FLOW_BYTES, run

@@ -18,7 +18,8 @@ from qlax import (
     matrix_element,
 )
 from qlax.series import dense, graded_product, right_divide
-from helpers import E12, E21, rand_diffop, rand_matrix, rand_series, series_gap, rel_gap
+from helpers import (E12, E21, rand_diffop, rand_matrix, rand_series, record_kernel_calls,
+                     rel_gap, series_gap)
 
 
 def _single(desc, grade, element, order):
@@ -385,17 +386,12 @@ def test_right_divide_then_graded_product_recovers_the_dividend(case):
 def _batch_independent(desc, x, g) -> bool:
     """Whether each pair in every diffop kernel call of ``right_divide(desc, x, g)`` has the
     bits of a call on that pair alone."""
-    original, calls = algebra._diffop_products, []
-
-    def recorded(descriptor, a, b):
-        calls.append((a, b, original(descriptor, a, b)))
-        return calls[-1][2]
-
+    kernel = algebra._diffop_products
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_diffop_products", recorded)
+        calls = record_kernel_calls(patch)
         right_divide(desc, x, g)
-    return all(out[k].tobytes() == original(desc, a[k:k + 1], b[k:k + 1]).tobytes()
-               for a, b, out in calls for k in range(len(a)))
+    return all(product.tobytes() == lone.tobytes()
+               for call in calls for product, lone in call.pair_products(kernel))
 
 
 def test_right_divide_pairs_have_the_bits_of_lone_calls():
