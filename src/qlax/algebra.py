@@ -22,6 +22,7 @@ import functools
 import numbers
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul
 
 import numpy as np
 
@@ -286,11 +287,11 @@ def stacked_product(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray)
 def kernel_block_bytes(descriptor: AlgebraDescriptor) -> int:
     """The most bytes one tile of :func:`stacked_product`'s kernel holds beside its
     factors and its output: none for matrices, and for diffops about ``BLOCK_BYTES``, or
-    one ``a``, one ``b`` and their pair's temporaries at the full window if they take
-    more (:func:`_tiles`)."""
+    the temporaries that one ``a``, one ``b`` and their pair hold at once at the full
+    window if they take more (:func:`_tiles`)."""
     if descriptor.backend == MATRIX:
         return 0
-    return max(BLOCK_BYTES, sum(_leibniz_bytes(descriptor.shape, descriptor.shape)))
+    return max(BLOCK_BYTES, *map(sum, _leibniz_bytes(descriptor.shape, descriptor.shape)))
 
 
 def stacked_commutator(descriptor: AlgebraDescriptor, a: np.ndarray,
@@ -355,9 +356,11 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     """Exact Leibniz products ``a[k] * b[k]`` of two stacks of ``(J+1, 2M+1)`` payloads
     over their broadcast leading axes.
 
+    The leading shapes are broadcastable, and an axis of length 0 in one is so in both.
     Only the rows and modes that are nonzero somewhere in a stack take part.  Each
     factor is prepared once however many pairs it is in (:func:`_leibniz_block`), and
-    the leading axes are cut into tiles of about ``BLOCK_BYTES`` (:func:`_tiles`).
+    the leading axes are cut into tiles of about ``BLOCK_BYTES`` (:func:`_tiles`); a call
+    that is one tile slices neither factor.
     Every tile is composed over every order and mode that the factors' spans reach.
     An entry outside the window is a sum of products with an exactly zero factor
     unless the product really reaches it, so a tile whose product has more nonzero
@@ -369,7 +372,7 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     ndim = max(a.ndim, b.ndim)
     a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
     b = b.reshape((1,) * (ndim - b.ndim) + b.shape)
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    lead = tuple(map(max, a.shape[:-2], b.shape[:-2]))
     out = np.zeros((*lead, max_order + 1, descriptor.width), dtype=np.complex128)
     stacked = tuple(range(ndim - 2))
     a_rows, a_modes = _span(a.any(axis=stacked))
@@ -388,10 +391,11 @@ def _diffop_products(descriptor: AlgebraDescriptor, a: np.ndarray, b: np.ndarray
     fits = orders <= max_order + 1 and low <= 0 and high >= width
     weights = _lift_weights(descriptor, b_modes.start - max_mode, b_modes.stop - 1 - max_mode,
                             a.shape[-2])
-    for tile in _tiles(a.shape[:-2], b.shape[:-2], lead,
-                       _leibniz_bytes(a.shape[-2:], b.shape[-2:])):
-        wide = _leibniz_block(a[_factor_tile(tile, a)], b[_factor_tile(tile, b)],
-                              weights).swapaxes(-1, -2)
+    tiles = _tiles(a.shape[:-2], b.shape[:-2], lead, _leibniz_bytes(a.shape[-2:], b.shape[-2:]))
+    for tile in tiles:
+        factors = (a, b) if len(tiles) == 1 else (a[_factor_tile(tile, a)],
+                                                  b[_factor_tile(tile, b)])
+        wide = _leibniz_block(*factors, weights).swapaxes(-1, -2)
         kept = wide[..., :max_order + 1, inside]
         if not fits and np.count_nonzero(wide) != np.count_nonzero(kept):
             cap = (f"order exceeds the cap J={max_order}" if wide[..., max_order + 1:, :].any()
@@ -412,10 +416,11 @@ def _span(nonzero: np.ndarray) -> tuple[slice, slice] | tuple[None, None]:
 
 
 def _tiles(a_lead: tuple[int, ...], b_lead: tuple[int, ...], lead: tuple[int, ...],
-           nbytes: tuple[int, int, int]) -> list[tuple[slice, ...]]:
+           phases) -> list[tuple[slice, ...]]:
     """Slices of ``lead``, the broadcast of two stacks' leading shapes ``a_lead`` and
-    ``b_lead`` (of its length), that cut it into tiles of about ``BLOCK_BYTES``, where one
-    ``a``, one ``b`` and one pair take the three ``nbytes``.
+    ``b_lead`` (of its length), that cut it into tiles of about ``BLOCK_BYTES``.  Each of
+    the ``phases`` is the bytes that one ``a``, one ``b`` and one pair hold at one point of
+    the work, and a tile holds the most of any phase.
 
     A tile is the whole, or a run of the longest axis with the other axes whole, or,
     where one index of that axis alone takes more, that index with the other axes cut
@@ -423,28 +428,27 @@ def _tiles(a_lead: tuple[int, ...], b_lead: tuple[int, ...], lead: tuple[int, ..
     each run, and cutting the longest axis keeps those factors the fewest.
     """
     whole = (slice(None),) * len(lead)
-    sizes = (prod(a_lead), prod(b_lead))
-    if max(lead, default=1) == 1 or (sizes[0] * nbytes[0] + sizes[1] * nbytes[1]
-                                      + prod(lead) * nbytes[2] <= BLOCK_BYTES):
+    shapes = (a_lead, b_lead, lead)
+    counts = [prod(shape) for shape in shapes]
+    if max(lead, default=1) == 1 or max(sum(map(mul, counts, phase))
+                                        for phase in phases) <= BLOCK_BYTES:
         return [whole]
     axis = lead.index(max(lead))
     length = lead[axis]
-    # the bytes of each index of the axis, and those that every run of it holds
-    per_index = prod(lead) // length * nbytes[2]
-    shared = 0
-    for size, item, factor in zip(sizes, nbytes, (a_lead, b_lead)):
-        if factor[axis] == 1:
-            shared += size * item
-        else:
-            per_index += size // length * item
-    if shared + per_index > BLOCK_BYTES:
+    # per phase, the bytes that every run holds and those of each index of the axis
+    shared = [count if shape[axis] == 1 else 0 for count, shape in zip(counts, shapes)]
+    per_index = [count // length if shape[axis] > 1 else 0
+                 for count, shape in zip(counts, shapes)]
+    costs = [(sum(map(mul, shared, phase)), sum(map(mul, per_index, phase)))
+             for phase in phases]
+    if any(held + each > BLOCK_BYTES for held, each in costs):
         def one(shape):
             return shape[:axis] + (1,) + shape[axis + 1:]
 
-        tails = _tiles(one(a_lead), one(b_lead), one(lead), nbytes)
+        tails = _tiles(one(a_lead), one(b_lead), one(lead), phases)
         return [tail[:axis] + (slice(i, i + 1),) + tail[axis + 1:] for i in range(length)
                 for tail in tails]
-    run = max(1, (BLOCK_BYTES - shared) // per_index)
+    run = min(((BLOCK_BYTES - held) // each for held, each in costs if each), default=length)
     return [whole[:axis] + (slice(start, start + run),) + whole[axis + 1:]
             for start in range(0, length, run)]
 
@@ -493,18 +497,23 @@ def _lift_weights(descriptor: AlgebraDescriptor, low_mode: int, high_mode: int,
     return weights
 
 
-def _leibniz_bytes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> tuple[int, int, int]:
-    """Bytes of the temporaries :func:`_leibniz_block` makes for each ``a`` of
-    ``a_shape``, each ``b`` of ``b_shape`` and each of their pairs: ``a`` padded and its
-    Toeplitz stack; ``b`` padded, shifted and lifted; and the product.  Tiles sized by
-    all of them, not by the largest alone, keep every temporary small enough to be
-    reused from the heap rather than mapped and faulted in afresh."""
+def _leibniz_bytes(a_shape: tuple[int, int],
+                   b_shape: tuple[int, int]) -> tuple[tuple[int, int, int], ...]:
+    """The bytes of the temporaries that :func:`_leibniz_block` holds at once for each
+    ``a`` of ``a_shape``, each ``b`` of ``b_shape`` and each of their pairs, at each of
+    its three peaks: ``b`` padded, shifted and lifted; ``b``'s padded and lifted stacks
+    while ``a``'s padded stack is made; and ``b``'s lift, ``a`` padded and its Toeplitz
+    stack, and the product.  Tiles sized by these, not by the largest alone, keep every
+    temporary small enough to be reused from the heap rather than mapped and faulted in
+    afresh."""
     (shifts, a_width), (b_rows, b_width) = a_shape, b_shape
     orders = shifts + b_rows - 1
     conv_width = a_width + b_width - 1
-    return (16 * ((a_width + 2 * b_width - 2) * shifts + conv_width * b_width * shifts),
-            16 * b_width * (b_rows + 2 * shifts - 2 + 2 * shifts * orders),
-            16 * conv_width * orders)
+    a_padded = 16 * (a_width + 2 * b_width - 2) * shifts
+    b_padded = 16 * b_width * (b_rows + 2 * shifts - 2)
+    lift = 16 * b_width * shifts * orders
+    return ((0, b_padded + 2 * lift, 0), (a_padded, b_padded + lift, 0),
+            (a_padded + 16 * conv_width * b_width * shifts, lift, 16 * conv_width * orders))
 
 
 def _leibniz_block(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -531,10 +540,10 @@ def _leibniz_block(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndar
     # shifted[..., m, s, r] = b[..., r - s, m], zero off b's rows
     padded = np.zeros((*b.shape[:-2], b_width, b_rows + 2 * (shifts - 1)), dtype=np.complex128)
     padded[..., shifts - 1:shifts - 1 + b_rows] = b.swapaxes(-1, -2)
-    lift = weights @ np.take(padded, _toeplitz_index(orders, shifts).T, axis=-1)
+    lift = weights @ padded.take(_toeplitz_index(orders, shifts).T, axis=-1)
     # toeplitz[..., n, m, j] = a[..., j, n - m], zero off a's modes
     padded = np.zeros((*a.shape[:-2], a_width + 2 * (b_width - 1), shifts), dtype=np.complex128)
     padded[..., b_width - 1:b_width - 1 + a_width, :] = a.swapaxes(-1, -2)
-    toeplitz = np.take(padded, _toeplitz_index(conv_width, b_width), axis=-2)
+    toeplitz = padded.take(_toeplitz_index(conv_width, b_width), axis=-2)
     return (toeplitz.reshape(*a.shape[:-2], conv_width, b_width * shifts)
             @ lift.reshape(*b.shape[:-2], b_width * shifts, orders))

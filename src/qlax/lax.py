@@ -7,7 +7,8 @@ exact for every accepted path, so the grid's step sets only where the nodes lie:
   exponential of the scaled path (the default solver).  Every grade of ``g`` is
   a polynomial in ``t``, so the forward substitution
   (:func:`~qlax.series.right_divide`) runs once, on those polynomials'
-  coefficients, whatever the number of nodes.  The flow's own polynomials,
+  coefficients, whatever the number of nodes, with one product call per finished
+  grade of the flow.  The flow's own polynomials,
   like the group's, are sampled only on the nodes a caller reads; and
 * direct grade-by-grade integration of the bracket system
   ``L_0 = L0``, ``L_i' = [P(q0 t), L_{i-1}]`` (an independent second route).
@@ -96,8 +97,8 @@ def conjugated_polynomials(group: FlowSample, initial: AlgebraElement) -> list[n
     """The polynomials in ``s = t/T`` of ``g(t) L0 g(t)^(-1)``, laid out as a
     :class:`~qlax.timeorder.FlowSample`'s ``coefficients``: ``L g = g L0`` solved by
     :func:`~qlax.series.right_divide` on the group's coefficients, where ``g L0`` is one
-    product call over all of them and grade ``n`` of ``L`` one call per factor grade of
-    ``g``."""
+    product call over all of them, and each finished grade ``k`` of ``L`` one call against
+    all of ``g_1 .. g_(N-k)``: ``N + 1`` calls in all."""
     descriptor = group.descriptor
     if initial.descriptor != descriptor:
         raise ShapeMismatchError("initial element and group live in different algebras")

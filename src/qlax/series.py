@@ -93,39 +93,48 @@ def graded_product(x: np.ndarray, y: np.ndarray, multiply) -> np.ndarray:
 
 def right_divide(descriptor: AlgebraDescriptor, x, g) -> list[np.ndarray]:
     """``y = x g^(-1)`` for ``x`` and ``g`` laid out as a :class:`~qlax.timeorder.FlowSample`'s
-    ``coefficients`` (grade ``i``'s ``k``-th coefficient is that of ``s^(i + k)``), each
-    grade of ``x`` as long as ``g``'s, and ``g``'s grade 0 the unit alone.
+    ``coefficients`` (grade ``i``'s ``k``-th coefficient is that of ``s^(i + k)``, and grade
+    ``i`` holds ``i d + 1`` of them for some ``d``), each grade of ``x`` as long as ``g``'s,
+    and ``g``'s grade 0 the unit alone.
 
     ``y g = x`` grade by grade is the forward substitution ``y_n = x_n - sum_(i=1..n)
-    y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``.  Grade ``n`` makes one
-    ``stacked_product`` call per factor grade ``i``, on the outer pair of stacks ``y_(n-i)[a,
-    None]`` and ``g_i[None, b]`` of their nonzero coefficients ``a`` and ``b``: each factor is
-    passed once, not once per pair, and the diffop kernel sizes each call by ``y_(n-i)``'s
-    and ``g_i``'s own spans, not by those of the grade's largest factors.  The products are
-    summed per power with ``i``, then ``a``, then ``b`` ascending (:func:`summed`) and
-    subtracted from ``x_n``.
+    y_(n-i) * g_i``, where ``*`` multiplies two polynomials in ``s``, solved right-looking
+    (Golub and Van Loan, *Matrix Computations*, section 3.1): as soon as grade ``k`` of
+    ``y`` is final, one ``stacked_product`` call multiplies its nonzero coefficients
+    ``y_k[a][:, None]`` by the nonzero coefficients ``g[b][None]`` of all of ``g_1 ..
+    g_(N-k)``, each factor passed once, not once per pair.  The products are summed per
+    coefficient of ``y_(k+1) .. y_N`` with ``a``, then ``b`` ascending (:func:`summed`) and
+    subtracted from those grades in place, so grade ``n`` is ``x_n`` less the sums of ``k
+    = 0, 1, .., n - 1`` in turn: at most ``N`` calls, and beside ``y`` the memory of one
+    call's products.
     """
     lengths = [len(grade) for grade in g]
     if [len(grade) for grade in x] != lengths:
         raise ShapeMismatchError("the dividend's grades differ in length from the divisor's")
     if lengths[0] != 1 or not np.array_equal(g[0][0], unit_payload(descriptor)):
         raise DomainError("grade-0 coefficient must equal the unit")
+    degree = lengths[1] - 1 if len(lengths) > 1 else 0
+    if lengths != [1 + i * degree for i in range(len(lengths))]:
+        raise ShapeMismatchError("grade i must hold i d + 1 coefficients for one d")
     starts = np.cumsum([0] + lengths)
     g = np.concatenate(g)
     y = np.concatenate(x, dtype=np.result_type(x[0], g))
-    nonzero_g, nonzero = _nonzero(g), _nonzero(y)
-    for n in range(1, len(lengths)):
-        products, power = [], []
-        for i in range(1, n + 1):
-            a = np.flatnonzero(nonzero[starts[n - i]:starts[n - i + 1]])
-            b = np.flatnonzero(nonzero_g[starts[i]:starts[i + 1]])
-            products.append(stacked_product(descriptor, y[starts[n - i] + a][:, None],
-                                            g[starts[i] + b][None]).reshape(-1, *g.shape[1:]))
-            power.append(np.add.outer(a, b).ravel())
-        products, power = np.concatenate(products), np.concatenate(power)
-        grade = slice(starts[n], starts[n + 1])
-        y[grade] -= summed(products, power, lengths[n])
-        nonzero[grade] = _nonzero(y[grade])
+    # g_1 .. g_N's nonzero coefficients, grade by grade: those of g_1 .. g_i lead the stack
+    b = np.flatnonzero(_nonzero(g[1:])) + 1
+    factors = g[b]
+    grade = np.searchsorted(starts, b, side="right") - 1
+    within = b - starts[grade]
+    ends = np.searchsorted(b, starts)
+    order = len(lengths) - 1
+    for k in range(order):
+        a = np.flatnonzero(_nonzero(y[starts[k]:starts[k + 1]]))
+        count = ends[order - k + 1]
+        if not (len(a) and count):
+            continue
+        products = stacked_product(descriptor, y[starts[k] + a][:, None], factors[None, :count])
+        target = np.add.outer(a - starts[k + 1], starts[k + grade[:count]] + within[:count])
+        tail = y[starts[k + 1]:]
+        tail -= summed(products.reshape(-1, *g.shape[1:]), target.ravel(), len(tail))
     return np.split(y, starts[1:-1])
 
 

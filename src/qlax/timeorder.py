@@ -249,10 +249,10 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     path of degree ``degree``, and the checks and writers of its commands hold at once,
     counted without allocating anything.
 
-    The count adds: the group and the flow as polynomials; the larger of the top grade's
-    stacks in the conjugation and a residual check's stacks; one tile of the product
-    kernel; one block of sampled nodes (:meth:`FlowSample.node_blocks`) with its power
-    table; one block of the nodes that :func:`~qlax.lax.oracle_errors` and the
+    The count adds: the group and the flow as polynomials; the larger of the
+    conjugation's largest call with its stacks and a residual check's stacks; one tile of
+    the product kernel; one block of sampled nodes (:meth:`FlowSample.node_blocks`) with
+    its power table; one block of the nodes that :func:`~qlax.lax.oracle_errors` and the
     ``sweep.csv`` writer evaluate (:func:`~qlax.series.evaluated`); and, on every node,
     the times and ``flow.json``'s list of them.  No whole sample is counted, since none is
     formed.  The text and Python objects that a writer builds from one block of nodes are
@@ -262,11 +262,13 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     size = math.prod(descriptor.shape)
     payload = size * descriptor.dtype.itemsize
     polynomials = 2 * (n + 1 + d * n * (n + 1) // 2) * payload
-    # sum_(i=1..n) ((n - i) d + 1)(i d + 1) pairs of an L_(n-i) and a g_i coefficient,
-    # each with its product, the products' join, their flat indices and a temporary of
-    # them, and eight indices of its own; a third payload a pair bounds the factors that
-    # one call per factor grade gathers, one copy of each coefficient taking part
-    conjugation = (d * d * (n ** 3 - n) // 6 + n * (n * d + 1)) * (3 * payload + 16 * size + 64)
+    # right_divide's call k pairs the k d + 1 coefficients of L_k with the m + d m (m +
+    # 1) / 2 of g_1 .. g_m, m = n - k, each pair with its product, its flat indices (a
+    # word an entry) and eight indices of its own; beside them live g L0, g joined, g's
+    # gathered factors and the tail of L that summed returns, at most a flow's
+    # polynomials each
+    conjugation = (_largest_division_call(d, n) * (payload + 8 * size + 64)
+                   + 4 * (n + 1 + d * n * (n + 1) // 2) * payload)
     # a residual check's one call over the d + 1 generators and the n + d n (n - 1) / 2
     # coefficients of grades 0..n-1: a commutator's two products and their difference,
     # and the residuals, as many payloads as one flow's polynomials (the grade
@@ -283,6 +285,26 @@ def _solve_bytes(descriptor: AlgebraDescriptor, degree: int, order: int, steps: 
     per_node = (steps + 1) * 40
     return (polynomials + max(conjugation, residual) + kernel_block_bytes(descriptor)
             + block + evaluation + per_node)
+
+
+def _largest_division_call(degree: int, order: int) -> int:
+    """The most pairs of one :func:`~qlax.series.right_divide` call on a flow of order
+    ``order`` driven by a path of degree ``degree``: the largest over ``k < order`` of
+    ``(k d + 1)(m + d m (m + 1) / 2)``, ``m = order - k``.  That is a product of
+    log-concave sequences in ``k``, so it rises, then falls, and a bisection on its steps
+    finds the top."""
+    def pairs(k):
+        m = order - k
+        return (k * degree + 1) * (m + degree * m * (m + 1) // 2)
+
+    low, high = 0, order - 1
+    while low < high:
+        middle = (low + high) // 2
+        if pairs(middle + 1) > pairs(middle):
+            low = middle + 1
+        else:
+            high = middle
+    return pairs(low)
 
 
 def _scaled_generators(path: OperatorPath, q0: float, horizon: float) -> np.ndarray:

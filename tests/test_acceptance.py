@@ -321,7 +321,7 @@ PINNED_SELFTEST_DIGESTS = {
     "solve/flow.csv": "aada3e028ccfca3096084e2cb54a65140182a983ae81a5ca4635fa418ca9e21d",
     "solve/flow.json": "58657ba0ea0849dee588d11428faa1b6b82fec9861a5b630479f53accbe360a5",
     "solve/manifest.json": "cefb6f3b766b2da821554c11ce9461d661364e2b0abc9b7c0fefc0a55536b5ef",
-    "symmetry/diagnostics.csv": "3eb27d2fd25429d317e1f416eb45f9789b4ba182740d2565a8f05b90e616c708",
+    "symmetry/diagnostics.csv": "691036cb54d72ab49f50c6c0758ff0a101822a26bd96c0074868d7a5a7ecbd7d",
     "symmetry/flow.csv": "018b8baced587a8677920dd0988ea93edd1a62deeef6ea1afbb7801bb2d9cabf",
     "symmetry/manifest.json": "4a539ccf09b15f35dcfe1d40a4d115bb462400bfad06e604d5a9ea5fc9a3c581",
 }
@@ -330,9 +330,9 @@ PINNED_SELFTEST_DIGESTS = {
 TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3", "--order", "4", "--step", "0.001",
                    "--horizon", "0.1"]
 PINNED_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "9817c77da152fb815d5b3f8bde0558a68cb05de63742fa7102ce01f93a51c23a",
-    "flow.csv": "274764156f638fff2a4da53c2ecdad997b9e0d898f6d84d28606851bee07b513",
-    "flow.json": "a2964741c8adf54c6cc755b145a6753d2c2bd1ac60b6bf3f34a195769a383803",
+    "diagnostics.csv": "aa75d91082c7deb3ea5f1679eeb57b916e6ae847958f48174db7a21099367ac6",
+    "flow.csv": "b7909b6ecc808313cbb9300dfeeb1be288ffbda016123a1ceb24c3428e993078",
+    "flow.json": "474e9625a4a29e6005ee4ec66aa7698805ef3da4fd429bbfc65cdfd22113bcf1",
     "manifest.json": "75798f60d08687f98631c94a195c8ca29c6976c5a29a67e674a65dccac056af8",
 }
 
@@ -341,9 +341,9 @@ PINNED_TODA_SOLVE_DIGESTS = {
 # polynomial coefficients.
 PRESET_TODA_SOLVE_ARGS = ["solve", "--preset", "toda-3"]
 PINNED_PRESET_TODA_SOLVE_DIGESTS = {
-    "diagnostics.csv": "ffbf755e142416b87ca4677a3d5a277eaed00a235f68c7a961cf6e2ae6bf1e6a",
-    "flow.csv": "860fe92e4430fcc09e1c10f069e4e5d29204bb75a46e6d2e04679cc8967895e4",
-    "flow.json": "0ff42a69488fbcc77b71454b28fa5a2f5c5f4cdc9f5b775ae55b391ff29add16",
+    "diagnostics.csv": "eef85e953d010169299c18d6a2327aa4333465232ed15e2c4cf5e0494763d065",
+    "flow.csv": "802e28ef661501ad811b8e0bbbfc9f0efceeae6bd38bc3b9228bf13001f80157",
+    "flow.json": "fbbd00db2501afdc7b10c3bef72466a4afb0f90dc327a2dd1fcdb5f13e724195",
     "manifest.json": "b21af976b9898fe574252272afbb54d92f8e466d3dc7cfc9d75da9d48dc284fe",
 }
 
@@ -351,7 +351,7 @@ PINNED_PRESET_TODA_SOLVE_DIGESTS = {
 SWEEP_ARGS = ["sweep", "--preset", "rotation-2", "--order", "4", "--step", "0.01",
               "--horizon", "0.5"]
 PINNED_SWEEP_DIGESTS = {
-    "convergence.csv": "3db20886cbdebb071d44b66d82ffb434348f9cecc197731b6102d549194f6233",
+    "convergence.csv": "4044c657519ff9d3114fdb19f086ddca82286f236fdb3714a12a927bb5a4c7ed",
     "manifest.json": "39b966623e4f24cddcc72cfb7737aa21923d78b75892b3c842e670b64d6b519c",
     "sweep.csv": "16b83a16b643b2ca3ad537619e01fc3b90e049030a6da4d4a2c113404c3bd757",
 }
@@ -372,9 +372,9 @@ COMPLEX_SOLVE_DOC = {
     "options": {"symmetry_s0": {"kind": "ad-of-initial"}, "sweep": [0.2, 0.1, 0.05]},
 }
 PINNED_COMPLEX_SOLVE_DIGESTS = {
-    "diagnostics.csv": "76ff2e0c48a1f827051899051cc248b2047e880dbdcda8c11048715b5e9e2e62",
-    "flow.csv": "65944e315a23b956400d448fdcd9168ec5be3a9ee22bed646d211c481b54a3cc",
-    "flow.json": "7af16181bdcb3ddc9faa63e38caae995aa3c456a8d8c1d863e9062c8cedb3e7f",
+    "diagnostics.csv": "6875261b273869cc8d36adddbff4734c3d3cd22325a7d26efd1c58b638babd40",
+    "flow.csv": "413ce35b97a97338e9fb598cf9e4e66e404e87a55bc4b06490d5c09738678fb9",
+    "flow.json": "146ec9aee85a7bde4727ee28b422d6e3fa19221f76713be6a191a1762faffe6a",
     "manifest.json": "ddc8c9701acf173f148f74966325cc0074c29a45b14cd98061028b2c8c0700b2",
 }
 

@@ -398,28 +398,31 @@ def test_pairs_that_share_their_calls_spans_have_the_bits_of_lone_calls(case):
 
 @st.composite
 def _leading_shapes(draw):
-    """Two broadcastable leading shapes of one length, the bytes of an ``a``, a ``b`` and a
-    pair, and a block budget."""
+    """Two broadcastable leading shapes of one length; phases of the bytes that an ``a``, a
+    ``b`` and a pair hold at once, the last with a pair's; and a block budget."""
     lead = draw(st.lists(st.integers(1, 5), max_size=3))
     a_lead = tuple(draw(st.sampled_from((1, n))) for n in lead)
     b_lead = tuple(n if m == 1 else draw(st.sampled_from((1, n))) for m, n in zip(a_lead, lead))
-    nbytes = tuple(draw(st.integers(1, 100)) for _ in range(3))
-    return a_lead, b_lead, tuple(map(max, a_lead, b_lead)), nbytes, draw(st.integers(1, 3000))
+    phases = draw(st.lists(st.tuples(*[st.integers(0, 100)] * 3), max_size=2))
+    phases.append(draw(st.tuples(st.integers(0, 100), st.integers(0, 100), st.integers(1, 100))))
+    return a_lead, b_lead, tuple(map(max, a_lead, b_lead)), phases, draw(st.integers(1, 3000))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_leading_shapes())
 def test_kernel_tiles_cover_every_pair_once_within_the_block(case):
-    # a tile holds its factors' and its pairs' bytes: at most a block, or one of each
-    a_lead, b_lead, lead, nbytes, block_bytes = case
+    # in every phase a tile holds its factors' and its pairs' bytes: at most a block, or
+    # one of each
+    a_lead, b_lead, lead, phases, block_bytes = case
     with mock.patch.object(algebra, "BLOCK_BYTES", block_bytes):
-        tiles = algebra._tiles(a_lead, b_lead, lead, nbytes)
+        tiles = algebra._tiles(a_lead, b_lead, lead, phases)
     covered = np.zeros(lead, dtype=int)
     for tile in tiles:
         covered[tile] += 1
         held = [np.empty(shape)[algebra._factor_tile(tile, np.empty((*shape, 1, 1)))].size
                 for shape in (a_lead, b_lead, lead)]
-        assert np.dot(held, nbytes) <= max(block_bytes, sum(nbytes))
+        for phase in phases:
+            assert np.dot(held, phase) <= max(block_bytes, *map(sum, phases))
     assert (covered == 1).all()
 
 

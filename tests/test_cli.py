@@ -669,17 +669,18 @@ def test_problem_size_caps():
 def test_the_fine_toda_operator_problem_is_under_the_size_cap():
     # qlax symmetry --preset toda-3 --step 1e-5 builds this 9x9 operator problem on
     # 100,001 nodes, and it is built here without being solved.  It counts 648-byte
-    # payloads: the polynomials, 2 * 9 (11,664 bytes); the conjugation's top grade, 8
-    # pairs of 3,304 bytes (26,432); a block of 44 sampled nodes of 9 payloads and 10
-    # floats (260,128); a block of 404 evaluated nodes of three payloads and three floats
+    # payloads of 81 entries: the polynomials, 2 * 9 (11,664 bytes); the conjugation's
+    # largest call, L_0 by g_1 .. g_8, 8 pairs of 648 + 8 * 81 + 64 bytes beside 4 * 9
+    # payloads (34,208); a block of 44 sampled nodes of 9 payloads and 10 floats
+    # (260,128); a block of 404 evaluated nodes of three payloads and three floats
     # (795,072); and 100,001 nodes' times and their list, 40 bytes each (4,000,040):
-    # 5,093,336 bytes, under the cap
+    # 5,101,112 bytes, under the cap
     problem, _ = build_problem({"schema": 1, "P": {"kind": "preset", "name": "toda-3"}},
                                {"step": 1e-5})
     operator = LaxProblem(ad_operator(problem.initial), ad_path(problem.path), problem.q0,
                           problem.order, problem.grid)
     assert timeorder._solve_bytes(operator.path.descriptor, 0, operator.order,
-                                  100_000) == 5_093_336
+                                  100_000) == 5_101_112
 
 
 def _special_flow(nodes: int, field: str) -> FlowSample:

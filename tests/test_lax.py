@@ -34,7 +34,7 @@ from qlax.lax import (
     preset_problem,
     solve_lax,
 )
-from qlax import algebra, lax, timeorder
+from qlax import algebra, lax, series, timeorder
 from qlax.algebra import unit_payload
 from qlax.series import evaluated
 from qlax.symmetry import (
@@ -660,14 +660,13 @@ def test_diffop_product_count(monkeypatch):
     # i of them, and grade i multiplies both of P's coefficients into each: 2 + 4 + 6
     # = 12 products in 3 calls, one per grade.  The direct route takes two products
     # per bracket, 24 in 6 calls.  The conjugation works on the coefficients, not on
-    # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and grade
-    # n of L_n = (g L0)_n - sum L_(n-i) * g_i one call per i over its (n - i + 1)(i + 1)
-    # pairs, so that each call is sized by its own factors' spans: [2], [4, 3] and
-    # [6, 6, 4], as none of the coefficients is zero.  A residual check takes every
-    # grade's products in one call, both of P's coefficients against the 1 + 2 + 3 = 6
-    # coefficients of grades 0..2: 12 pairs, in one call for g' = q P g and in a
-    # bracket's two for the flow.  A call's pairs are its factors' broadcast leading
-    # axes, and they do not depend on the number of nodes.
+    # the nodes: g L0 is one call over g's 1 + 2 + 3 + 4 = 10 coefficients, and each
+    # finished grade k of L = (g L0) g^(-1) one call, L_k's k + 1 coefficients by the 2 +
+    # .. + (4 - k) of g_1 .. g_(3-k): [9], [10] and [6], as none of the coefficients is
+    # zero.  A residual check takes every grade's products in one call, both of P's
+    # coefficients against the 1 + 2 + 3 = 6 coefficients of grades 0..2: 12 pairs, in
+    # one call for g' = q P g and in a bracket's two for the flow.  A call's pairs are
+    # its factors' broadcast leading axes, and they do not depend on the number of nodes.
     calls = record_kernel_calls(monkeypatch)
     desc = diffop_descriptor(max_order=5, max_mode=4)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
@@ -680,31 +679,73 @@ def test_diffop_product_count(monkeypatch):
         integrate_directly(prob)
         lax_residual(result)
         timeorder.left_log_derivative_residual(result.group, path, 0.5)
-        assert [call.pairs for call in calls] == [2, 4, 6, 10, 2, 4, 3, 6, 6, 4,
+        assert [call.pairs for call in calls] == [2, 4, 6, 10, 9, 10, 6,
                                                   2, 2, 4, 4, 6, 6, 12, 12, 12]
+
+
+def test_a_toda_conjugation_makes_one_product_call_per_finished_grade(monkeypatch):
+    # toda-3's constant path gives each grade of g one coefficient: g L0 is one call
+    # over g's 9, and each finished grade k of L one call, L_k by g_1 .. g_(8-k)
+    pairs = []
+
+    def recorded(descriptor, a, b):
+        pairs.append(math.prod(np.broadcast_shapes(a.shape, b.shape)[:-2]))
+        return algebra.stacked_product(descriptor, a, b)
+
+    problem = preset_problem("toda-3")
+    group = time_ordered_exp(problem.path, problem.q0, problem.order, problem.grid)
+    for module in (lax, series):
+        monkeypatch.setattr(module, "stacked_product", recorded)
+    conjugate(group, problem.initial)
+    assert pairs == [9, 8, 7, 6, 5, 4, 3, 2, 1]
+
+
+def test_the_diffop_flow_residual_is_one_kernel_block(monkeypatch):
+    # the benchmark's diffop flow (N = 6, J = 8, M = 7): the residual's bracket is two
+    # kernel calls of P's 2 coefficients against the 21 of grades 0..5, and each is one
+    # tile, since a tile counts the temporaries live at once (algebra._leibniz_bytes)
+    desc = diffop_descriptor(8, 7)
+    initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
+    path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
+                                    diffop_element(desc, {0: {-1: 0.25, 1: 0.25}})])
+    result = solve_lax(LaxProblem(initial, path, 0.5, 6, (1e-2, 1.0)))
+    calls = record_kernel_calls(monkeypatch)
+    blocks = []
+    block = algebra._leibniz_block
+
+    def counted(*args):
+        blocks.append(args[0].shape)
+        return block(*args)
+
+    monkeypatch.setattr(algebra, "_leibniz_block", counted)
+    lax_residual(result)
+    assert [(call.a.shape[:-2], call.b.shape[:-2]) for call in calls] == [
+        ((2, 1), (1, 21)), ((1, 21), (2, 1))]
+    assert len(blocks) == len(calls)
 
 
 _CAP_MESSAGE = "polynomials, product stacks and node stacks exceed"
 
 
 def test_flow_size_cap():
-    # a 1x1 real solve of order N >= 32768 on one step counts 8-byte payloads: the
-    # group's and the flow's polynomials, 2 (N + 1); the conjugation's top grade, N
-    # pairs of 3 * 8 + 16 + 64 bytes (a residual check's 3 N + N + 1 payloads are
-    # fewer); one block of sampled nodes, here one node of N + 1 payloads and a table
-    # of N + 2 floats; one block of evaluated nodes, here both, of three payloads and
-    # three floats, 3 * 8 + 24 bytes each; and 2 nodes' times and their list, 40 bytes
-    # each: 16 (N + 1) + 104 N + 16 N + 24 + 96 + 80 = 136 N + 216 bytes in all
+    # a 1x1 real solve of order N >= 32768 on one step counts 8-byte payloads of one
+    # entry: the group's and the flow's polynomials, 2 (N + 1); the conjugation's
+    # largest call, L_0 by g_1 .. g_N, N pairs of 8 + 8 + 64 bytes beside 4 (N + 1)
+    # payloads (a residual check's 3 N + N + 1 payloads are fewer); one block of sampled
+    # nodes, here one node of N + 1 payloads and a table of N + 2 floats; one block of
+    # evaluated nodes, here both, of three payloads and three floats, 3 * 8 + 24 bytes
+    # each; and 2 nodes' times and their list, 40 bytes each: 16 (N + 1) + 80 N + 32 (N
+    # + 1) + 16 N + 24 + 96 + 80 = 144 N + 248 bytes in all
     one = AlgebraElement.one(matrix_descriptor(1))
     path = OperatorPath.constant(one)
-    largest = (algebra.MAX_FLOW_BYTES - 216) // 136
+    largest = (algebra.MAX_FLOW_BYTES - 248) // 144
     assert LaxProblem(one, path, q0=0.5, order=largest, grid=(1.0, 1.0)).order == largest
     with pytest.raises(DomainError, match=_CAP_MESSAGE):
         LaxProblem(one, path, q0=0.5, order=largest + 1, grid=(1.0, 1.0))
     with pytest.raises(DomainError, match=_CAP_MESSAGE):
         LaxProblem(one, path, q0=0.5, order=4, grid=(1e-9, 1.0))
-    # a degree-8 path's conjugation has about 64 N^3 / 6 pairs at its top grade: at
-    # this N they would take 9e21 bytes, and the check runs before any of it exists
+    # a degree-8 path's largest division call has about 128 N^3 / 27 pairs: at this N
+    # they would take 3e21 bytes, and the check runs before any of it exists
     octic = OperatorPath.polynomial([one] * 9)
     order = 2_000_000
     assert 2 * (order + 1) * 8 <= algebra.MAX_FLOW_BYTES // 32
@@ -728,15 +769,16 @@ def _traced_peak(run) -> int:
 
 
 def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
-    # at a cap of 1.875 MiB (1,966,080 bytes), a degree-1 diffop path on 101 nodes in
-    # the J = 8, M = 7 window (2,160-byte payloads) counts 1,973,200 bytes at N = 6 and
-    # 1,710,128 at N = 5: the polynomials, 2 * 21 payloads (90,720); the conjugation's
-    # top grade, 50 pairs of 8,704 bytes (435,200), more than a residual check's 3 * 2
-    # * 15 + 21 payloads (239,760); a kernel tile (262,144); a block of 20 sampled
-    # nodes of 6 payloads and 12 floats (261,120); one block of all 101 evaluated
-    # nodes, of three payloads and three floats (656,904); and 101 nodes' times and
-    # their list, 40 bytes each (4,040)
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 15 << 17)
+    # at a cap of 1.5 MiB (1,572,864 bytes), a degree-1 diffop path on 101 nodes in the J
+    # = 8, M = 7 window (2,160-byte payloads of 135 entries) counts 1,683,680 bytes at N
+    # = 6 and 1,548,880 at N = 5: the polynomials, 2 * 21 payloads (90,720); the
+    # conjugation's largest call, L_1's 2 coefficients by g_1 .. g_4's 14, 28 pairs of
+    # 2,160 + 8 * 135 + 64 bytes (92,512), beside 4 * 21 payloads (181,440), more than a
+    # residual check's 3 * 2 * 15 + 21 payloads (239,760); a kernel tile (262,144); a
+    # block of 20 sampled nodes of 6 payloads and 12 floats (261,120); one block of all
+    # 101 evaluated nodes, of three payloads and three floats (656,904); and 101 nodes'
+    # times and their list, 40 bytes each (4,040)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3 << 19)
     desc = diffop_descriptor(8, 7)
     initial = diffop_element(desc, {2: {0: 1.0}, 0: {-1: 0.5, 1: 0.5}})
     path = OperatorPath.polynomial([diffop_element(desc, {1: {-1: 0.5j, 1: -0.5j}}),
@@ -750,15 +792,16 @@ def test_a_solve_just_under_the_size_cap_holds_at_most_the_cap(monkeypatch):
 
     # toda-3's oracle holds its order-16 reference, the largest problem it builds, and
     # evaluates its nodes a block at a time.  On K >= 3,640 nodes the reference counts
-    # its polynomials (2,448 bytes), 16 top-grade pairs (6,784), a block of 214 sampled
-    # nodes (292,752), a block of 3,640 evaluated nodes of three 72-byte payloads and
-    # three floats (873,600) and K nodes' times and their list, 40 bytes each: 1,175,584
-    # + 40 K, and K = 19,762 is the most nodes the cap admits (1,966,064 bytes)
-    toda = preset_problem("toda-3", grid=(1 / 19761, 1.0))
+    # its polynomials (2,448 bytes); its largest division call, L_0 by g_1 .. g_16, 16
+    # pairs of 72 + 8 * 9 + 64 bytes beside 4 * 17 payloads (8,224); a block of 214
+    # sampled nodes (292,752); a block of 3,640 evaluated nodes of three 72-byte payloads
+    # and three floats (873,600); and K nodes' times and their list, 40 bytes each:
+    # 1,177,024 + 40 K, and K = 9,896 is the most nodes the cap admits (1,572,864 bytes)
+    toda = preset_problem("toda-3", grid=(1 / 9895, 1.0))
     reference = lax._reference_problem(toda)
     assert reference.order == 16
     with pytest.raises(DomainError, match=_CAP_MESSAGE):
-        replace(reference, grid=(1 / 19762, 1.0))
+        replace(reference, grid=(1 / 9896, 1.0))
     for run in (lambda: solve_lax(problem), lambda: integrate_directly(problem), walk,
                 lambda: oracle_errors(solve_lax(toda), (toda.q0, toda.q0 / 2))):
         assert _traced_peak(run) <= timeorder.MAX_FLOW_BYTES, run

@@ -187,6 +187,8 @@ def test_right_divide_rejects_a_non_unit_head(kind):
         right_divide(desc, [np.stack([x[0][0]] * 2)] + x[1:], [np.stack([unit] * 2)] + g[1:])
     with pytest.raises(ShapeMismatchError):
         right_divide(desc, x[:1] + [x[1][:1]] + x[2:], g)
+    with pytest.raises(ShapeMismatchError):  # grade i must hold i d + 1 coefficients
+        right_divide(desc, x[:3] + [x[3][:3]], g[:3] + [g[3][:3]])
 
 
 def test_unit_inverse_with_invertible_head():
@@ -383,6 +385,22 @@ def test_right_divide_then_graded_product_recovers_the_dividend(case):
     assert np.abs(_polynomial_product(desc, y, g) - dense(x)).max() <= 1e-12 * scale
 
 
+# Grade n of the quotient reads only grades 0..n of x and g, and a finished grade's call
+# adds its products to each later coefficient in one order, so a truncated division
+# keeps the full one's bits; on matrices each pair is its own product, whatever else its
+# call holds.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_coefficients(("real", "complex")), st.integers(0, 6))
+def test_dividing_the_first_grades_keeps_the_full_divisions_bits(case, grades):
+    desc, order, degree, coefficient = case
+    x, g = (_polynomial_grades(coefficient, order, degree) for _ in range(2))
+    g[0] = algebra.unit_payload(desc)[None]
+    grades = min(grades, order) + 1
+    full = right_divide(desc, x, g)[:grades]
+    part = right_divide(desc, x[:grades], g[:grades])
+    assert np.concatenate(part).tobytes() == np.concatenate(full).tobytes()
+
+
 def _batch_independent(desc, x, g) -> bool:
     """Whether each pair in every diffop kernel call of ``right_divide(desc, x, g)`` has the
     bits of a call on that pair alone."""
@@ -395,14 +413,15 @@ def _batch_independent(desc, x, g) -> bool:
 
 
 def test_right_divide_pairs_have_the_bits_of_lone_calls():
-    # one kernel call per factor grade: these pairs' factors share their call's spans
+    # one kernel call per finished grade of the quotient, against every factor grade it
+    # still meets: these pairs' factors share their call's spans
     assert _batch_independent(*_division_stacks("diffop"))
 
 
 # The kernel sizes a call by the spans of all its pairs, and right_divide's pairs of one
-# factor grade share a call (ROADMAP item 7), so a pair's last bits can still depend on the
-# others: on their spans where its own are narrower, and on how many there are.  The draws
-# are not shrunk, since they are expected to fail.
+# finished grade share a call across every factor grade (ROADMAP item 3), so a pair's last
+# bits can still depend on the others: on their spans where its own are narrower.  The
+# draws are not shrunk, since they are expected to fail.
 @pytest.mark.xfail(strict=True, reason="a pair's diffop bits depend on its call's other pairs")
 @settings(derandomize=True, max_examples=40, deadline=None, phases=[Phase.generate])
 @given(_coefficients(("diffop",)))

@@ -225,15 +225,16 @@ def test_grid_validation():
 
 
 def test_time_ordered_exp_obeys_the_size_cap(monkeypatch):
-    # a real 2x2 problem of order 2 on 11 nodes counts, in 32-byte payloads, the
-    # group's and the flow's polynomials, 2 * 3 * 32 = 192; the conjugation's top
-    # grade, 2 pairs of 3 * 32 + 16 * 4 + 64 bytes = 448; one block, here all 11
-    # nodes, of 3 * 32 bytes and a table of 2 + 2 floats a node, 11 * 128 = 1408;
-    # and the evaluated stacks and floats, 11 * (3 * 32 + 64) = 1760: 3808 in all
+    # a real 2x2 problem of order 2 on 11 nodes counts, in 32-byte payloads of 4
+    # entries, the group's and the flow's polynomials, 2 * 3 * 32 = 192; the
+    # conjugation's largest call, L_0 by g_1 and g_2, 2 pairs of 32 + 8 * 4 + 64 bytes
+    # beside 4 * 3 payloads, 256 + 384 = 640; one block, here all 11 nodes, of 3 * 32
+    # bytes and a table of 2 + 2 floats a node, 11 * 128 = 1408; and the evaluated
+    # stacks and floats, 11 * (3 * 32 + 64) = 1760: 4000 in all
     path = OperatorPath.constant(matrix_element(ROT))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3807)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3999)
     with pytest.raises(DomainError, match="polynomials, product stacks and node stacks exceed"):
         time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
-    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 3808)
+    monkeypatch.setattr(timeorder, "MAX_FLOW_BYTES", 4000)
     group = time_ordered_exp(path, q0=0.5, order=2, grid=(0.1, 1.0))
     assert group.nodes(slice(None)).nbytes == 1056
