@@ -311,7 +311,13 @@ def test_acceptance_09_appendix_suite():
 # oracle values by at most 3.6e-17 and sweep.csv's entries by at most 1.4e-17.  The
 # selftest's symmetry diagnostics.csv was re-pinned when the ad_exp_gap probe became
 # a closed-form Cauchy matrix in place of a seeded random draw, which moves those rows
-# by at most 1.3e-18.  The other selftest files keep the bytes of commit 2fb1fb6.
+# by at most 1.3e-18.  That file, the flow.json, flow.csv and diagnostics.csv of the two
+# toda-3 solves and of the complex solve below, and the sweep's convergence.csv were
+# re-pinned when the forward substitution came to subtract each finished grade's products
+# in turn, not one sum over every factor grade: that moves the flows' coefficients and
+# norms by at most 4.4e-19, the diagnostics by at most 9.8e-19, and the sweep's oracle
+# errors by at most 2.0e-20 and its order estimates by at most 8.8e-12.  The other
+# selftest files keep the bytes of commit 2fb1fb6.
 PINNED_SELFTEST_DIGESTS = {
     "appendix/manifest.json": "1f574f69934e4a956ba1b8eee6d1be9875f27794a22aa38fa901b81e5d6f851d",
     "appendix/report.json": "049036527f82ce5449244bafc1e73e9cefea9e891ec9ebbba4c7b8ae2076ee47",
